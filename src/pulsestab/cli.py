@@ -12,8 +12,8 @@ Single runs emit JSON (identical configs give byte-identical files apart
 from the generated_at field); scans emit CSV.  Exit codes: 0 success,
 2 domain error, 3 solver failure, 4 inconclusive verdict (threshold and
 scan annotate instead of failing).  Flag values override config-file values
-(plain key=value lines) which override defaults; WORKBENCH_THREADS caps the
-scan worker pool.
+(plain key=value lines) which override defaults.  Scan rows are evaluated
+in input order.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
@@ -33,13 +31,7 @@ import numpy as np
 from . import __version__
 from .discretization import Grid, build_grid
 from .errors import DomainError, SolverError, WorkbenchError
-from .index_count import (
-    IndexReport,
-    case1_index_closed_form,
-    case2_index,
-    critical_ratio_bisection,
-    general_index_numeric,
-)
+from .index_count import critical_ratio_bisection
 from .spectra import discrete_spectrum_tilde_L, stability_verdict, unstable_modes_JL
 from .waves import AbcParameters, resolve_wave_parameters, sample_wave, traveling_residual
 
@@ -98,28 +90,6 @@ def _resolved(config: RunConfig):
     return spec, grid, sample_wave(spec, grid)
 
 
-def _index_report_dict(params: AbcParameters, spec, wave, grid) -> dict:
-    if params.equal_dispersion and abs(spec.eta0 + 1.5) < 1e-12 and abs(spec.w) < 1e-12:
-        return asdict(case2_index(params.a, params.b, grid))
-    if params.kdv_scaling and -2.25 < spec.eta0 < 0.0:
-        value = case1_index_closed_form(spec.eta0, params.b, spec.sign_branch)
-        method = "closed_form"
-    else:
-        value = general_index_numeric(params, spec, wave, grid)
-        method = "numeric"
-    return asdict(
-        IndexReport(
-            index_value=value,
-            kdv_part=None,
-            hill_part=None,
-            lower_bound_3I=None,
-            upper_bound_3I=None,
-            method=method,
-            stable_by_index=value < 0,
-        )
-    )
-
-
 def cmd_wave(config: RunConfig) -> tuple[dict, int]:
     spec, grid, wave = _resolved(config)
     r1, r2 = traveling_residual(wave, spec, config.params)
@@ -171,10 +141,8 @@ def cmd_index(config: RunConfig) -> tuple[dict, int]:
         re_tol=config.tolerances.re_tol,
         index_tol=config.tolerances.index_tol,
     )
-    result = {
-        "index_report": _index_report_dict(config.params, spec, wave, grid),
-        "verdict": asdict(verdict),
-    }
+    fields = asdict(verdict)
+    result = {"index_report": fields.pop("index_report"), "verdict": fields}
     return result, 4 if verdict.verdict == "inconclusive" else 0
 
 
@@ -225,9 +193,9 @@ def _scan_row(config: RunConfig, value: float) -> dict:
         index_tol=config.tolerances.index_tol,
     )
     if config.scan_param == "z":
-        report = case2_index(params.a, params.b, grid)
-        lower, upper = report.lower_bound_3I, report.upper_bound_3I
-    else:
+        lower = verdict.index_report.lower_bound_3I
+        upper = verdict.index_report.upper_bound_3I
+    else:  # the free-amplitude index is exact, not a bracket
         lower = upper = None
     return {
         config.scan_param: value,
@@ -241,22 +209,10 @@ def _scan_row(config: RunConfig, value: float) -> dict:
     }
 
 
-def _worker_count() -> int:
-    env = os.environ.get("WORKBENCH_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise DomainError(f"WORKBENCH_THREADS must be an integer, got {env!r}") from exc
-    return min(4, os.cpu_count() or 1)
-
-
 def cmd_scan(config: RunConfig) -> tuple[str, int]:
     if config.scan_param not in ("eta0", "z"):
         raise DomainError(f"--param must be 'eta0' or 'z', got {config.scan_param}")
-    values = _scan_values(config)
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        rows = list(pool.map(lambda v: _scan_row(config, v), values))
+    rows = [_scan_row(config, value) for value in _scan_values(config)]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([config.scan_param] + CSV_COLUMNS)

@@ -67,15 +67,9 @@ class Grid:
 
 @dataclass(eq=False)
 class DiscreteOperator:
-    """Dense operator matrix with symmetry and block-structure metadata."""
+    """Dense operator matrix."""
 
     entries: np.ndarray
-    symmetry_tag: str  # "symmetric" | "general"
-    block_structure: str  # "scalar" | "two_component"
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
 
 def build_grid(n_points: int, half_length: float) -> Grid:
@@ -120,9 +114,7 @@ def spectral_derivative(grid: Grid, order: int) -> DiscreteOperator:
     """Dense differentiation matrix of the given order (1 or 2)."""
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
-    entries = multiplier_matrix(grid, _derivative_symbol(grid, order))
-    tag = "general" if order % 2 == 1 else "symmetric"
-    return DiscreteOperator(entries, tag, "scalar")
+    return DiscreteOperator(multiplier_matrix(grid, _derivative_symbol(grid, order)))
 
 
 def smoother_power(grid: Grid, b: float, power: float) -> DiscreteOperator:
@@ -134,7 +126,7 @@ def smoother_power(grid: Grid, b: float, power: float) -> DiscreteOperator:
     if not b > 0:
         raise DomainError(f"smoothing coefficient b must be positive, got {b}")
     symbol = (1.0 + b * grid.wavenumbers**2) ** power
-    return DiscreteOperator(multiplier_matrix(grid, symbol), "symmetric", "scalar")
+    return DiscreteOperator(multiplier_matrix(grid, symbol))
 
 
 def inner_product(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
@@ -157,7 +149,7 @@ def assemble_system_operator_L(params, spec, wave, grid: Grid) -> DiscreteOperat
     a11 = eye + params.c * d2
     a12 = params.b * spec.w * d2 + np.diag(wave.psi) - spec.w * eye
     a22 = eye + params.a * d2 + np.diag(wave.phi)
-    return DiscreteOperator(_two_component(a11, a12, a22), "symmetric", "two_component")
+    return DiscreteOperator(_two_component(a11, a12, a22))
 
 
 def assemble_tilde_L(params, spec, wave, grid: Grid) -> DiscreteOperator:
@@ -172,7 +164,7 @@ def assemble_tilde_L(params, spec, wave, grid: Grid) -> DiscreteOperator:
     smoother = np.block([[s1, zero], [zero, s1]])
     tilde = smoother @ lop @ smoother
     tilde = 0.5 * (tilde + tilde.T)
-    return DiscreteOperator(tilde, "symmetric", "two_component")
+    return DiscreteOperator(tilde)
 
 
 def assemble_J(params, grid: Grid) -> DiscreteOperator:
@@ -181,14 +173,14 @@ def assemble_J(params, grid: Grid) -> DiscreteOperator:
     symbol = _derivative_symbol(grid, 1) / (1.0 + params.b * xi**2)
     k = multiplier_matrix(grid, symbol)
     zero = np.zeros_like(k)
-    return DiscreteOperator(-np.block([[zero, k], [k, zero]]), "general", "two_component")
+    return DiscreteOperator(-np.block([[zero, k], [k, zero]]))
 
 
 def assemble_JL(params, spec, wave, grid: Grid) -> DiscreteOperator:
     """Evolution generator J L of the linearized flow (nonsymmetric, 2N)."""
     j = assemble_J(params, grid).entries
     lop = assemble_system_operator_L(params, spec, wave, grid).entries
-    return DiscreteOperator(j @ lop, "general", "two_component")
+    return DiscreteOperator(j @ lop)
 
 
 def assemble_rotated_operator(params, spec, wave, grid: Grid) -> DiscreteOperator:
@@ -211,7 +203,7 @@ def assemble_rotated_operator(params, spec, wave, grid: Grid) -> DiscreteOperato
     m11 = (params.a + params.b * w) * d2 + (1.0 - w) * eye + np.diag(wave.psi + 0.5 * wave.phi)
     m22 = (params.a - params.b * w) * d2 + (1.0 + w) * eye + np.diag(-wave.psi + 0.5 * wave.phi)
     m12 = np.diag(0.5 * wave.phi)
-    return DiscreteOperator(_two_component(m11, m12, m22), "symmetric", "two_component")
+    return DiscreteOperator(_two_component(m11, m12, m22))
 
 
 def standing_wave_profile(a: float, grid: Grid) -> np.ndarray:
@@ -248,7 +240,7 @@ def assemble_scalar_operator(kind: str, params, grid: Grid, hill=None) -> Discre
         entries = -d2 + hill.alpha**2 * eye - np.diag(pot)
     else:
         raise DomainError(f"unknown scalar operator kind {kind!r}")
-    return DiscreteOperator(entries, "symmetric", "scalar")
+    return DiscreteOperator(entries)
 
 
 def _require_equal_dispersion(params) -> None:

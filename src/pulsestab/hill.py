@@ -64,11 +64,12 @@ def poeschl_teller_levels(Z: float) -> np.ndarray:
     if Z <= 0:
         return np.array([])
     s = math.sqrt(Z + 0.25)
+    depth = Z / (s + 0.5)  # s - 1/2 without the cancellation at small Z
     resonance_tol = 1e-12 * max(1.0, s)
     levels = []
     m = 0
-    while s - m - 0.5 > resonance_tol:
-        levels.append(-((s - m - 0.5) ** 2))
+    while depth - m > resonance_tol:
+        levels.append(-((depth - m) ** 2))
         m += 1
     return np.array(levels)
 
@@ -79,11 +80,13 @@ def hill_spectrum_closed_form(spec: HillSpec) -> HillSpectrum:
     A level that is exactly zero in exact arithmetic can round to either
     side of zero here; the count treats |eigenvalue| at round-off scale as
     not negative (consistent with the equality case of the nonnegativity
-    criterion).
+    criterion).  Round-off scale is relative to the two terms that cancel,
+    alpha^2 and lambda^2 |k_m|, so a shallow well without a mass term keeps
+    its tiny but exactly negative ground state.
     """
-    levels = poeschl_teller_levels(spec.Q / spec.lam**2)
-    eigenvalues = spec.alpha**2 + spec.lam**2 * levels
-    zero_scale = 1e-12 * max(1.0, spec.alpha**2, float(np.max(np.abs(eigenvalues), initial=0.0)))
+    bound = spec.lam**2 * poeschl_teller_levels(spec.Q / spec.lam**2)
+    eigenvalues = spec.alpha**2 + bound
+    zero_scale = 1e-12 * np.maximum(spec.alpha**2, np.abs(bound))
     return HillSpectrum(
         discrete_eigenvalues=eigenvalues,
         negative_count=int(np.sum(eigenvalues < -zero_scale)),

@@ -78,6 +78,7 @@ __all__ = [
     "case2_index",
     "case1_index_closed_form",
     "general_index_numeric",
+    "index_report",
     "critical_ratio_bisection",
 ]
 
@@ -103,7 +104,7 @@ class IndexReport:
     hill_part: float | None
     lower_bound_3I: float | None
     upper_bound_3I: float | None
-    method: str  # "closed_form" | "numeric" | "hybrid"
+    method: str  # "closed_form" | "numeric"
     stable_by_index: bool
 
 
@@ -267,20 +268,14 @@ def index_upper_bound_poly(z: float) -> float:
     return (2.0 / 45.0) * (65.0 * z * z - 535.0 * z - 745.0)
 
 
-def case2_index(a: float, b: float, grid: Grid, method: str = "numeric") -> IndexReport:
+def case2_index(a: float, b: float, grid: Grid) -> IndexReport:
     """Index report for the standing-wave branch (a = c < 0).
 
-    index_value = (1/3) (8 kdv_part + hill_part); with method "numeric" the
-    kdv part comes from the deflated solve, with "hybrid" from the closed
-    form.  The two bound polynomials bracket 3 I / sqrt(-a) up to solver
+    index_value = (1/3) (8 kdv_part + hill_part), both parts from numeric
+    solves.  The two bound polynomials bracket 3 I / sqrt(-a) up to solver
     tolerance, coinciding at z = 1.
     """
-    if method not in ("numeric", "hybrid"):
-        raise DomainError(f"method must be 'numeric' or 'hybrid', got {method}")
-    if method == "numeric":
-        kdv_part = kdv_index_numeric(a, b, grid)
-    else:
-        kdv_part = kdv_index_closed_form(a, b)
+    kdv_part = kdv_index_numeric(a, b, grid)
     hill_part, _, _ = hill_index_numeric(a, b, grid)
     index_value = (8.0 * kdv_part + hill_part) / 3.0
     z = b / (-a)
@@ -290,7 +285,7 @@ def case2_index(a: float, b: float, grid: Grid, method: str = "numeric") -> Inde
         hill_part=hill_part,
         lower_bound_3I=index_lower_bound_poly(z),
         upper_bound_3I=index_upper_bound_poly(z),
-        method=method,
+        method="numeric",
         stable_by_index=index_value < 0,
     )
 
@@ -340,12 +335,39 @@ def general_index_numeric(
     return inner_product(u, rhs, grid)
 
 
+def index_report(params: AbcParameters, spec, wave, grid: Grid) -> IndexReport:
+    """The index quantity of one pulse, by the one route its parameters select.
+
+    The standing branch (a = c, eta0 = -3/2, w = 0) takes case2_index and
+    carries its bounds; otherwise the free-amplitude branch (a = c = -b,
+    eta0 in (-9/4, 0)) takes the closed form; every other pulse takes the
+    kernel-deflated general solve.  At the z = 1 coincidence, where both
+    branches meet, the standing route wins.
+    """
+    if params.equal_dispersion and abs(spec.eta0 + 1.5) < 1e-12 and abs(spec.w) < 1e-12:
+        return case2_index(params.a, params.b, grid)
+    if params.kdv_scaling and -2.25 < spec.eta0 < 0.0:
+        value = case1_index_closed_form(spec.eta0, params.b, spec.sign_branch)
+        method = "closed_form"
+    else:
+        value = general_index_numeric(params, spec, wave, grid)
+        method = "numeric"
+    return IndexReport(
+        index_value=value,
+        kdv_part=None,
+        hill_part=None,
+        lower_bound_3I=None,
+        upper_bound_3I=None,
+        method=method,
+        stable_by_index=value < 0,
+    )
+
+
 def critical_ratio_bisection(
     z_lo: float,
     z_hi: float,
     tol: float,
     grid: Grid,
-    method: str = "numeric",
 ) -> BisectionResult:
     """Bisect the sign change of the standing-wave index over z = b / (-a).
 
@@ -357,7 +379,7 @@ def critical_ratio_bisection(
         raise DomainError(f"need z_lo < z_hi and tol > 0, got ({z_lo}, {z_hi}, {tol})")
 
     def value(z: float) -> float:
-        return case2_index(-1.0, z, grid, method=method).index_value
+        return case2_index(-1.0, z, grid).index_value
 
     f_lo, f_hi = value(z_lo), value(z_hi)
     evaluations = 2

@@ -20,7 +20,7 @@ import numpy as np
 
 from .discretization import Grid, assemble_JL, assemble_tilde_L
 from .errors import EigensolveFailure, NotSubsonic
-from .index_count import case1_index_closed_form, case2_index, general_index_numeric
+from .index_count import IndexReport, index_report
 from .waves import AbcParameters, SampledWave, WaveSpec
 
 __all__ = [
@@ -54,6 +54,7 @@ class StabilityVerdict:
     verdict: str  # "stable" | "unstable" | "inconclusive"
     index_value: float
     max_real_part: float
+    index_report: IndexReport  # the route's full report, index_value included
 
 
 def discrete_spectrum_tilde_L(
@@ -163,15 +164,6 @@ def essential_spectrum_gap(params: AbcParameters, spec: WaveSpec, grid: Grid) ->
     return float(np.min(lower))
 
 
-def _index_for_verdict(params: AbcParameters, spec: WaveSpec, wave: SampledWave, grid: Grid):
-    """Pick the strongest available index route for these parameters."""
-    if params.kdv_scaling and -2.25 < spec.eta0 < 0.0:
-        return case1_index_closed_form(spec.eta0, params.b, spec.sign_branch), "closed_form"
-    if params.equal_dispersion and abs(spec.eta0 + 1.5) < 1e-12 and abs(spec.w) < 1e-12:
-        return case2_index(params.a, params.b, grid).index_value, "numeric"
-    return general_index_numeric(params, spec, wave, grid), "numeric"
-
-
 def stability_verdict(
     params: AbcParameters,
     spec: WaveSpec,
@@ -189,7 +181,8 @@ def stability_verdict(
     """
     tilde_report = discrete_spectrum_tilde_L(params, spec, wave, grid, zero_tol=zero_tol)
     jl_report = unstable_modes_JL(params, spec, wave, grid, re_tol=re_tol)
-    index_value, _ = _index_for_verdict(params, spec, wave, grid)
+    report = index_report(params, spec, wave, grid)
+    index_value = report.index_value
 
     if index_value < -index_tol:
         index_sign = "neg"
@@ -218,4 +211,5 @@ def stability_verdict(
         verdict=verdict,
         index_value=index_value,
         max_real_part=jl_report.max_real_part or 0.0,
+        index_report=report,
     )

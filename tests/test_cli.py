@@ -1,9 +1,11 @@
 import csv
 import json
 import math
+import sys
 
 import pytest
 
+from pulsestab import index_count
 from pulsestab.cli import main
 
 FAST = ["--grid-n", "512"]
@@ -13,6 +15,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the calls to module.name, however the package binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, loaded in list(sys.modules.items()):
+        if key == "pulsestab" or key.startswith("pulsestab."):
+            for attr, value in list(vars(loaded).items()):
+                if value is original:
+                    monkeypatch.setattr(loaded, attr, counted)
+    return calls
 
 
 def test_wave_command_json(capsys):
@@ -88,6 +107,33 @@ def test_index_command_standing_branch(capsys):
     assert report["upper_bound_3I"] == pytest.approx(-54.0)
 
 
+@pytest.mark.parametrize("z", ["1", "4"])
+def test_index_command_evaluates_case2_index_once(capsys, monkeypatch, z):
+    # the verdict's index report is the one the command prints
+    calls = count_calls(monkeypatch, index_count, "case2_index")
+    code, _, _ = run_cli(
+        capsys, "index", "--a", "-1", "--b", z, "--c", "-1", "--eta0", "-1.5", *FAST
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_index_command_verdict_and_report_agree_at_unit_ratio(capsys):
+    # z = 1 lies on both the standing and the free-amplitude branch; one route
+    # serves both the verdict and the report
+    code, out, _ = run_cli(
+        capsys, "index", "--a", "-1", "--b", "1", "--c", "-1", "--eta0", "-1.5", *FAST
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["verdict"]["index_value"] == result["index_report"]["index_value"]
+    assert result["index_report"]["index_value"] == pytest.approx(-18.0, rel=1e-8)
+    assert sorted(result["verdict"]) == [
+        "index_sign", "index_value", "max_real_part", "n_tilde_L",
+        "n_unstable_direct", "parity_rhs", "verdict",
+    ]
+
+
 def test_index_command_inconclusive_exit_code(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -131,8 +177,7 @@ def test_threshold_no_sign_change_is_domain_error(capsys):
     assert "same sign" in err
 
 
-def test_scan_eta0_all_stable(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("WORKBENCH_THREADS", "2")
+def test_scan_eta0_all_stable(capsys, tmp_path):
     out_path = tmp_path / "scan.csv"
     code, _, _ = run_cli(
         capsys,
@@ -198,17 +243,6 @@ def test_config_file_precedence(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "wave", "--config", str(config), "--eta0", "-1.0")
     assert code == 0
     assert json.loads(out)["result"]["eta0"] == -1.0
-
-
-def test_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("WORKBENCH_THREADS", "many")
-    code, _, err = run_cli(
-        capsys,
-        "scan", "--param", "z", "--from", "1", "--to", "2", "--steps", "2",
-        "--grid-n", "512", "--grid-len", "100",
-    )
-    assert code == 2
-    assert "WORKBENCH_THREADS" in err
 
 
 def test_output_file_written(capsys, tmp_path):

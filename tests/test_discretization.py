@@ -113,7 +113,6 @@ def test_inner_product_table_and_parity(standing_z1):
 def test_system_operator_kernel_and_symmetry():
     params, spec, grid, wave = make_case1(-1.0, n=1024)
     lop = assemble_system_operator_L(params, spec, wave, grid)
-    assert lop.symmetry_tag == "symmetric"
     assert np.max(np.abs(lop.entries - lop.entries.T)) < 1e-12
     kernel = np.concatenate([wave.phi_dx, wave.psi_dx])
     assert np.max(np.abs(lop.entries @ kernel)) < 1e-8

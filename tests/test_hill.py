@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pulsestab import (
@@ -110,6 +110,7 @@ def test_nonnegativity_boundary():
     Q=st.floats(min_value=-10.0, max_value=30.0),
 )
 @settings(max_examples=300, deadline=None)
+@example(alpha=0.0, lam=1.0, Q=5.96e-8)  # ground state -3.6e-15, no mass term
 def test_nonnegativity_iff_no_negative_levels(alpha, lam, Q):
     # stay off the exact nonnegativity boundary, where the two float paths
     # may round a zero ground state to opposite sides

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_case1, make_standing
 from pulsestab import (
+    AbcParameters,
     DomainError,
     KernelDefect,
     NoSignChange,
@@ -17,11 +18,14 @@ from pulsestab import (
     general_index_numeric,
     hill_index_numeric,
     index_lower_bound_poly,
+    index_report,
     index_upper_bound_poly,
     inner_product,
     kdv_index_closed_form,
     kdv_index_numeric,
     kdv_inverse_apply,
+    resolve_wave_parameters,
+    sample_wave,
 )
 from pulsestab.discretization import (
     apply_multiplier,
@@ -165,15 +169,6 @@ def test_case2_index_sign_examples(standing_grid):
     assert report.lower_bound_3I > 0
 
 
-def test_case2_index_hybrid_method(standing_grid):
-    numeric = case2_index(-1.0, 4.0, standing_grid, method="numeric")
-    hybrid = case2_index(-1.0, 4.0, standing_grid, method="hybrid")
-    assert hybrid.method == "hybrid"
-    assert numeric.index_value == pytest.approx(hybrid.index_value, rel=1e-9)
-    with pytest.raises(DomainError):
-        case2_index(-1.0, 4.0, standing_grid, method="exact")
-
-
 def test_case2_bound_sandwich_over_ratio_grid(standing_grid):
     for z in np.linspace(0.1, 12.0, 15):
         report = case2_index(-1.0, float(z), standing_grid)
@@ -243,6 +238,28 @@ def test_general_index_matches_case2(z):
     numeric = general_index_numeric(params, spec, wave, grid)
     decomposed = case2_index(-1.0, z, grid).index_value
     assert numeric == pytest.approx(decomposed, rel=1e-4)
+
+
+def test_index_report_routes(standing_z1, case1_eta_minus1):
+    # z = 1 is on both closed-form branches; the standing route takes it
+    params, spec, grid, wave = standing_z1
+    standing = index_report(params, spec, wave, grid)
+    assert standing == case2_index(params.a, params.b, grid)
+    assert standing.lower_bound_3I == pytest.approx(-54.0)
+    params, spec, grid, wave = case1_eta_minus1
+    free = index_report(params, spec, wave, grid)
+    assert free.method == "closed_form"
+    assert free.index_value == case1_index_closed_form(-1.0, 1.0)
+    assert free.lower_bound_3I is None
+    # a != c pins the amplitude: eta0 = 3 (1 - 2p) / (2p), p = (c + b) / (a + b)
+    params = AbcParameters(a=-1.0, b=2.0, c=-1.2)
+    spec = resolve_wave_parameters(params, -1.125)
+    grid = build_grid(256, 40.0 / spec.lam)
+    wave = sample_wave(spec, grid)
+    general = index_report(params, spec, wave, grid)
+    assert general.method == "numeric"
+    assert general.index_value == general_index_numeric(params, spec, wave, grid)
+    assert general.kdv_part is None
 
 
 def test_general_index_parity_defect(case1_eta_minus1):
