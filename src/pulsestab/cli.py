@@ -13,7 +13,10 @@ from the generated_at field); scans emit CSV.  Exit codes: 0 success,
 2 domain error, 3 solver failure, 4 inconclusive verdict (threshold and
 scan annotate instead of failing).  Flag values override config-file values
 (plain key=value lines) which override defaults.  Scan rows are evaluated
-in input order.
+in input order; a row whose verdict raises a solver error is written with
+verdict solver_failure and empty cells for what it could not compute, the
+remaining rows still run, and the scan exits 3.  A domain error aborts the
+scan.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ CSV_COLUMNS = [
     "max_real_JL",
     "verdict",
 ]
+
+# verdict of a scan row whose stability_verdict raised SolverError
+SOLVER_FAILURE = "solver_failure"
 
 
 @dataclass(frozen=True)
@@ -183,15 +189,21 @@ def _scan_row(config: RunConfig, value: float) -> dict:
     spec = resolve_wave_parameters(params, eta0, config.sign_branch)
     grid = _make_grid(config, spec.lam)
     wave = sample_wave(spec, grid)
-    verdict = stability_verdict(
-        params,
-        spec,
-        wave,
-        grid,
-        zero_tol=config.tolerances.zero_tol,
-        re_tol=config.tolerances.re_tol,
-        index_tol=config.tolerances.index_tol,
-    )
+    try:
+        verdict = stability_verdict(
+            params,
+            spec,
+            wave,
+            grid,
+            zero_tol=config.tolerances.zero_tol,
+            re_tol=config.tolerances.re_tol,
+            index_tol=config.tolerances.index_tol,
+        )
+    except SolverError as exc:
+        print(f"solver failure at {config.scan_param} = {value:.12g}: {exc}", file=sys.stderr)
+        row = dict.fromkeys(CSV_COLUMNS)  # None: an empty cell
+        row.update({config.scan_param: value, "w": spec.w, "verdict": SOLVER_FAILURE})
+        return row
     if config.scan_param == "z":
         lower = verdict.index_report.lower_bound_3I
         upper = verdict.index_report.upper_bound_3I
@@ -213,6 +225,7 @@ def cmd_scan(config: RunConfig) -> tuple[str, int]:
     if config.scan_param not in ("eta0", "z"):
         raise DomainError(f"--param must be 'eta0' or 'z', got {config.scan_param}")
     rows = [_scan_row(config, value) for value in _scan_values(config)]
+    failed = any(row["verdict"] == SOLVER_FAILURE for row in rows)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow([config.scan_param] + CSV_COLUMNS)
@@ -220,7 +233,7 @@ def cmd_scan(config: RunConfig) -> tuple[str, int]:
         writer.writerow(
             [_csv_cell(row[key]) for key in [config.scan_param] + CSV_COLUMNS]
         )
-    return buffer.getvalue(), 0
+    return buffer.getvalue(), 3 if failed else 0
 
 
 def _csv_cell(value) -> str:

@@ -1,4 +1,4 @@
-"""Periodic Fourier collocation: grids, multipliers, and operator assembly.
+"""Periodic Fourier collocation: grids, multipliers, operator assembly, parity.
 
 The real line is truncated to [-L, L) with periodic boundary conditions and
 N equispaced nodes.  All constant-coefficient pieces (derivatives and the
@@ -8,17 +8,34 @@ interest decay super-exponentially, so periodization error sits below
 round-off once the half-length respects the decay margin, and eigenvalue
 convergence in N is spectral.
 
+A multiplier is a circulant matrix, built from its one column
+real(ifft(symbol)).  Composing multipliers multiplies symbols, so blocks are
+assembled from symbols wherever the structure allows, and dense products
+are left only where a potential sits between two multipliers.
+
 Assembled operators:
 
     L   = [[1 + c dxx,            b w dxx + psi - w],
            [b w dxx + psi - w,    1 + a dxx + phi  ]]          (two-component)
-    Lt  = (1 - b dxx)^(-1/2) L (1 - b dxx)^(-1/2)              (symmetrized)
-    J   = -dx (1 - b dxx)^(-1) swap,   JL = J @ L              (evolution)
+    Lt  = S L S,  S = (1 - b dxx)^(-1/2)                       (symmetrized)
+          block by block: circulants of the smoothed symbols, plus one
+          N x N product S diag(v) S per potential v
+    J   = -dx (1 - b dxx)^(-1) swap = -[[0, K], [K, 0]]
+    JL  = J L                                                  (evolution)
+          with no product: K times a multiplier is the circulant of the
+          product symbol, and K diag(v) scales the columns of K by v
     M   = pointwise orthogonal rotation of L (requires a = c); congruent,
           so it shares the inertia of L exactly on the same grid
     scalar kinds: kdv  = a dxx + 1 + 2 phi0
                   hill = a dxx + 1 - phi0      (phi0 the standing-wave profile)
                   generic = -dxx + alpha^2 - Q sech^2(lambda x)
+
+Every pulse is even, so L, Lt and the scalar operators commute with the
+reflection x -> -x, which maps node j to (N - j) mod N.  ReflectionParity
+folds vectors onto orthonormal even and odd bases and splits such an
+operator into its even and odd blocks, refusing one whose reflection
+defect exceeds REFLECTION_DEFECT_TOL (see Kapitula & Promislow, Spectral
+and Dynamical Stability of Nonlinear Waves, 2013, ch. 7).
 """
 
 from __future__ import annotations
@@ -26,8 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, InvalidGrid
+from .errors import DomainError, InvalidGrid, ReflectionDefect
 
 __all__ = [
     "Grid",
@@ -39,6 +57,7 @@ __all__ = [
     "spectral_derivative",
     "smoother_power",
     "inner_product",
+    "ReflectionParity",
     "assemble_system_operator_L",
     "assemble_tilde_L",
     "assemble_J",
@@ -91,9 +110,17 @@ def apply_multiplier(grid: Grid, symbol: np.ndarray, values: np.ndarray) -> np.n
 
 
 def multiplier_matrix(grid: Grid, symbol: np.ndarray) -> np.ndarray:
-    """Dense real matrix of the Fourier multiplier with the given symbol."""
-    spectral = np.fft.fft(np.eye(grid.n_points), axis=0)
-    return np.real(np.fft.ifft(symbol[:, None] * spectral, axis=0))
+    """Dense real matrix of the Fourier multiplier with the given symbol.
+
+    A multiplier on the periodic grid is circulant: entry (i, j) is
+    column[(i - j) mod N], with column = real(ifft(symbol)) its first column.
+    """
+    n = grid.n_points
+    column = np.real(np.fft.ifft(symbol))
+    # Row i is the reversed column read cyclically from position N - 1 - i:
+    # one window of two reversed copies laid end to end.
+    windows = sliding_window_view(np.tile(column[::-1], 2), n)
+    return windows[n - 1 :: -1].copy()
 
 
 def _derivative_symbol(grid: Grid, order: int) -> np.ndarray:
@@ -136,19 +163,127 @@ def inner_product(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
     return float(grid.quad_weight * np.dot(u, v))
 
 
+REFLECTION_DEFECT_TOL = 1e-10
+_SQRT_HALF = np.sqrt(0.5)
+
+
+class ReflectionParity:
+    """Orthonormal even and odd bases of the grid reflection x -> -x.
+
+    The reflection maps node j to (N - j) mod N and fixes nodes 0 and N/2.
+    Per component the even basis is e_0, e_{N/2} and (e_j + e_{N-j}) / sqrt(2),
+    the odd basis (e_j - e_{N-j}) / sqrt(2), for j = 1, ..., N/2 - 1: N/2 + 1
+    and N/2 - 1 vectors.  An operator that commutes with the reflection is
+    block diagonal in these bases, so its spectrum is the union of the two
+    blocks' spectra and it maps even vectors to even vectors.  Scalar
+    (length N) and two-component (length 2N) operators and vectors are
+    accepted; each component is reflected on its own.
+    """
+
+    def __init__(self, grid: Grid):
+        self.n_points = grid.n_points
+
+    def _dimension(self, parity: str) -> int:
+        """Basis vectors per component: N/2 + 1 even, N/2 - 1 odd."""
+        if parity not in ("even", "odd"):
+            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        return self.n_points // 2 + (1 if parity == "even" else -1)
+
+    @staticmethod
+    def _components(length: int, unit: int) -> list[slice]:
+        """Slices of the one or two components of a vector of this length."""
+        if length not in (unit, 2 * unit):
+            raise ValueError(f"length {length} is neither {unit} nor {2 * unit}")
+        return [slice(start, start + unit) for start in range(0, length, unit)]
+
+    def fold(self, values: np.ndarray, parity: str, axis: int = 0) -> np.ndarray:
+        """Coefficients P^T x, in one basis, of grid values along the given axis."""
+        half = self.n_points // 2
+        dimension = self._dimension(parity)
+        moved = np.moveaxis(values, axis, 0)
+        components = self._components(len(moved), self.n_points)
+        # keeps the memory layout of values, so folding columns copies no transpose
+        folded = np.empty_like(moved[: len(components) * dimension])
+        for k, component in enumerate(components):
+            x = moved[component]
+            part = folded[k * dimension : (k + 1) * dimension]
+            # x_j pairs with x_{N-j}; x_0 and x_{N/2} are fixed nodes
+            if parity == "even":
+                part[...] = x[: half + 1]
+                part[1:half] += x[: half : -1]
+                part[1:half] *= _SQRT_HALF
+            else:
+                np.subtract(x[1:half], x[: half : -1], out=part)
+                part *= _SQRT_HALF
+        return np.moveaxis(folded, 0, axis)
+
+    def unfold(self, coefficients: np.ndarray, parity: str) -> np.ndarray:
+        """Grid vector P y from its coefficients y in one basis."""
+        half = self.n_points // 2
+        parts = []
+        for component in self._components(len(coefficients), self._dimension(parity)):
+            y = coefficients[component]
+            x = np.zeros(self.n_points)
+            if parity == "even":
+                x[: half + 1] = y * _SQRT_HALF
+                x[0], x[half] = y[0], y[half]
+                x[half + 1 :] = x[half - 1 : 0 : -1]
+            else:
+                x[1:half] = y * _SQRT_HALF
+                x[half + 1 :] = -x[half - 1 : 0 : -1]
+            parts.append(x)
+        return np.concatenate(parts)
+
+    def split(self, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Even and odd blocks P^T A P of a matrix that commutes with the reflection.
+
+        The blocks drop the coupling P_odd^T A P_even and P_even^T A P_odd,
+        which vanishes when A commutes with the reflection; ReflectionDefect
+        is raised when it exceeds REFLECTION_DEFECT_TOL times the largest
+        block entry.
+        """
+        even_rows, odd_rows = self.fold(matrix, "even"), self.fold(matrix, "odd")
+        even = self.fold(even_rows, "even", axis=1)
+        odd = self.fold(odd_rows, "odd", axis=1)
+        coupling = max(
+            float(np.max(np.abs(self.fold(even_rows, "odd", axis=1)))),
+            float(np.max(np.abs(self.fold(odd_rows, "even", axis=1)))),
+        )
+        scale = max(float(np.max(np.abs(even))), float(np.max(np.abs(odd))))
+        if coupling > REFLECTION_DEFECT_TOL * scale:
+            raise ReflectionDefect(
+                f"operator does not commute with x -> -x: relative defect "
+                f"{coupling / scale:.3e} > {REFLECTION_DEFECT_TOL}"
+            )
+        return even, odd
+
+
 def _two_component(block11, block12, block22) -> np.ndarray:
     return np.block([[block11, block12], [block12, block22]])
+
+
+def _plus_diagonal(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
+    matrix[np.diag_indices_from(matrix)] += values
+    return matrix
+
+
+def _constant_symbols(params, spec, grid: Grid):
+    """Fourier symbols of the constant-coefficient parts of L's three blocks."""
+    xi2 = grid.wavenumbers**2
+    return (
+        1.0 - params.c * xi2,
+        -spec.w * (1.0 + params.b * xi2),
+        1.0 - params.a * xi2,
+    )
 
 
 def assemble_system_operator_L(params, spec, wave, grid: Grid) -> DiscreteOperator:
     """Second-variation operator L of the linearized system (symmetric, 2N)."""
     _check_sizes(wave, grid)
-    n = grid.n_points
-    eye = np.eye(n)
-    d2 = multiplier_matrix(grid, _derivative_symbol(grid, 2))
-    a11 = eye + params.c * d2
-    a12 = params.b * spec.w * d2 + np.diag(wave.psi) - spec.w * eye
-    a22 = eye + params.a * d2 + np.diag(wave.phi)
+    l11, l12, l22 = _constant_symbols(params, spec, grid)
+    a11 = multiplier_matrix(grid, l11)
+    a12 = _plus_diagonal(multiplier_matrix(grid, l12), wave.psi)
+    a22 = _plus_diagonal(multiplier_matrix(grid, l22), wave.phi)
     return DiscreteOperator(_two_component(a11, a12, a22))
 
 
@@ -157,30 +292,52 @@ def assemble_tilde_L(params, spec, wave, grid: Grid) -> DiscreteOperator:
 
     Shares the inertia of L (congruence with a positive definite factor) and
     has essential spectrum bounded away from zero in the subsonic regime.
+    Block by block: the smoothed constant parts are circulants of their
+    symbols divided by 1 + b xi^2, and each potential v enters as
+    S diag(v) S with S = (1 - b dxx)^(-1/2).
     """
-    lop = assemble_system_operator_L(params, spec, wave, grid).entries
-    s1 = smoother_power(grid, params.b, -0.5).entries
-    zero = np.zeros_like(s1)
-    smoother = np.block([[s1, zero], [zero, s1]])
-    tilde = smoother @ lop @ smoother
-    tilde = 0.5 * (tilde + tilde.T)
-    return DiscreteOperator(tilde)
+    _check_sizes(wave, grid)
+    s = smoother_power(grid, params.b, -0.5).entries
+    smooth = 1.0 + params.b * grid.wavenumbers**2
+    l11, l12, l22 = _constant_symbols(params, spec, grid)
+
+    def potential(values: np.ndarray) -> np.ndarray:
+        return (s * values[None, :]) @ s
+
+    t11 = multiplier_matrix(grid, l11 / smooth)
+    t12 = multiplier_matrix(grid, l12 / smooth) + potential(wave.psi)
+    t22 = multiplier_matrix(grid, l22 / smooth) + potential(wave.phi)
+    tilde = _two_component(t11, t12, t22)
+    return DiscreteOperator(0.5 * (tilde + tilde.T))
+
+
+def _skew_symbol(params, grid: Grid) -> np.ndarray:
+    """Symbol of K = dx (1 - b dxx)^(-1), so that J = -[[0, K], [K, 0]]."""
+    return _derivative_symbol(grid, 1) / (1.0 + params.b * grid.wavenumbers**2)
 
 
 def assemble_J(params, grid: Grid) -> DiscreteOperator:
     """Skew operator J = -dx (1 - b dxx)^(-1) swap (antisymmetric, 2N)."""
-    xi = grid.wavenumbers
-    symbol = _derivative_symbol(grid, 1) / (1.0 + params.b * xi**2)
-    k = multiplier_matrix(grid, symbol)
+    k = multiplier_matrix(grid, _skew_symbol(params, grid))
     zero = np.zeros_like(k)
     return DiscreteOperator(-np.block([[zero, k], [k, zero]]))
 
 
 def assemble_JL(params, spec, wave, grid: Grid) -> DiscreteOperator:
-    """Evolution generator J L of the linearized flow (nonsymmetric, 2N)."""
-    j = assemble_J(params, grid).entries
-    lop = assemble_system_operator_L(params, spec, wave, grid).entries
-    return DiscreteOperator(j @ lop)
+    """Evolution generator J L of the linearized flow (nonsymmetric, 2N).
+
+    J L = -[[K L12, K L22], [K L11, K L12]] without a matrix product: K times
+    a constant-coefficient block is the circulant of the product symbol, and
+    K diag(v) scales the columns of K by v.
+    """
+    _check_sizes(wave, grid)
+    k_symbol = _skew_symbol(params, grid)
+    k = multiplier_matrix(grid, k_symbol)
+    l11, l12, l22 = _constant_symbols(params, spec, grid)
+    kl11 = multiplier_matrix(grid, k_symbol * l11)
+    kl12 = multiplier_matrix(grid, k_symbol * l12) + k * wave.psi[None, :]
+    kl22 = multiplier_matrix(grid, k_symbol * l22) + k * wave.phi[None, :]
+    return DiscreteOperator(-np.block([[kl12, kl22], [kl11, kl12]]))
 
 
 def assemble_rotated_operator(params, spec, wave, grid: Grid) -> DiscreteOperator:
@@ -223,21 +380,19 @@ def assemble_scalar_operator(kind: str, params, grid: Grid, hill=None) -> Discre
     The kdv/hill kinds use the standing-wave profile, which exists only for
     equal dispersion coefficients a = c < 0.
     """
-    n = grid.n_points
-    eye = np.eye(n)
-    d2 = multiplier_matrix(grid, _derivative_symbol(grid, 2))
+    xi2 = grid.wavenumbers**2
     if kind in ("kdv", "hill"):
         if params is None:
             raise DomainError(f"kind {kind!r} requires model parameters")
         _require_equal_dispersion(params)
         phi0 = standing_wave_profile(params.a, grid)
         sign = 2.0 if kind == "kdv" else -1.0
-        entries = params.a * d2 + eye + sign * np.diag(phi0)
+        entries = _plus_diagonal(multiplier_matrix(grid, 1.0 - params.a * xi2), sign * phi0)
     elif kind == "generic":
         if hill is None:
             raise DomainError("kind 'generic' requires a HillSpec")
         pot = hill.Q / np.cosh(hill.lam * grid.nodes) ** 2
-        entries = -d2 + hill.alpha**2 * eye - np.diag(pot)
+        entries = _plus_diagonal(multiplier_matrix(grid, xi2 + hill.alpha**2), -pot)
     else:
         raise DomainError(f"unknown scalar operator kind {kind!r}")
     return DiscreteOperator(entries)

@@ -51,7 +51,11 @@ class IllConditioned(SolverError):
 
 
 class KernelDefect(SolverError):
-    """Right-hand side is not orthogonal to the computed kernel vector."""
+    """Right-hand side has an odd part, so it overlaps the odd kernel direction."""
+
+
+class ReflectionDefect(SolverError):
+    """Operator does not commute with the grid reflection x -> -x."""
 
 
 class ResidualError(SolverError):

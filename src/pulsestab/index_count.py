@@ -35,6 +35,14 @@ exist:
   with equality of the two bounds at z = 1.  The bounds change sign at
   (107 + 9 sqrt(237)) / 26 ~ 9.44436 and (517 + 9 sqrt(5385)) / 112
   ~ 10.51288; the bisection below pins the actual crossing numerically.
+
+The numeric routes (kdv and hill parts, general L) solve on the even block
+of the reflection-parity split: every right-hand side here is even and the
+translation kernel (phi', psi') is odd, so the even block is nonsingular
+and no kernel needs deflating.  KernelDefect is raised when a right-hand
+side's odd part reaches 1e-8 of its norm, IllConditioned when the even
+residual exceeds its bound, and SolveFailure when a solve fails or the hill
+operator is not positive definite on both parity blocks.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ import numpy as np
 
 from .discretization import (
     Grid,
+    ReflectionParity,
     apply_multiplier,
     assemble_scalar_operator,
     assemble_system_operator_L,
@@ -62,6 +71,9 @@ from .errors import (
     SolveFailure,
 )
 from .waves import AbcParameters
+
+# largest relative odd part an index right-hand side may carry
+_DEFECT_TOL = 1e-8
 
 __all__ = [
     "InnerProductTable",
@@ -171,7 +183,7 @@ def kdv_index_closed_form(a: float, b: float) -> float:
 
     Follows from the exact preimage (a + b) phi_a - phi paired with
     f = phi - b phi'' through the inner-product table; cross-validated by
-    the deflated numeric solve to spectral accuracy.
+    the even-block numeric solve to spectral accuracy.
     """
     if not (a < 0 and b > 0):
         raise DomainError(f"need a < 0 and b > 0, got a={a}, b={b}")
@@ -179,70 +191,73 @@ def kdv_index_closed_form(a: float, b: float) -> float:
     return math.sqrt(-a) * (-4.5 - 3.0 * z + 0.3 * z * z)
 
 
-def _inverse_iteration_kernel(matrix: np.ndarray, seed: np.ndarray, sweeps: int = 2) -> np.ndarray:
-    """Numerical kernel vector by inverse iteration from a spectral seed."""
-    v = seed / np.linalg.norm(seed)
-    for _ in range(sweeps):
-        try:
-            v = np.linalg.solve(matrix, v)
-        except np.linalg.LinAlgError as exc:
-            raise SolveFailure(f"inverse iteration solve failed: {exc}") from exc
-        v /= np.linalg.norm(v)
-    return v
+def _even_rhs(parity: ReflectionParity, rhs: np.ndarray, defect_tol: float) -> np.ndarray:
+    """Even coefficients of rhs.
+
+    The operators solved here commute with x -> -x and their translation
+    kernel is odd, so an even right-hand side is solved on the even block
+    alone, where the operator is nonsingular.  Raises KernelDefect when the
+    odd part of rhs reaches defect_tol relative to rhs: it would overlap the
+    kernel, and the even solve would drop it.
+    """
+    defect = float(np.linalg.norm(parity.fold(rhs, "odd"))) / float(np.linalg.norm(rhs))
+    if defect >= defect_tol:
+        raise KernelDefect(f"odd part of the right-hand side {defect:.3e} >= {defect_tol}")
+    return parity.fold(rhs, "even")
 
 
-def _deflated_solve(
-    matrix: np.ndarray,
-    kernel: np.ndarray,
-    rhs: np.ndarray,
+def _even_solve(
+    parity: ReflectionParity,
+    even_block: np.ndarray,
+    rhs_even: np.ndarray,
     residual_tol: float,
 ) -> np.ndarray:
-    """Solve on the orthogonal complement of a one-dimensional kernel.
-
-    The kernel direction is projected out of the right-hand side, a rank-one
-    shift makes the system nonsingular, and the solution is projected back.
-    """
-    rhs_perp = rhs - np.dot(kernel, rhs) * kernel
-    shift = 1.0 + float(np.max(np.abs(matrix)))
+    """Grid vector u solving the even block for rhs_even; IllConditioned when
+    the block residual exceeds residual_tol (relative to max(1, |rhs|))."""
     try:
-        u = np.linalg.solve(matrix + shift * np.outer(kernel, kernel), rhs_perp)
+        u = np.linalg.solve(even_block, rhs_even)
     except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"deflated solve failed: {exc}") from exc
-    u -= np.dot(kernel, u) * kernel
-    residual = float(np.max(np.abs(matrix @ u - rhs_perp)))
-    if residual > residual_tol * max(1.0, float(np.max(np.abs(rhs_perp)))):
-        raise IllConditioned(f"deflated solve residual {residual:.3e} too large")
-    return u
+        raise SolveFailure(f"even-block solve failed: {exc}") from exc
+    residual = float(np.max(np.abs(even_block @ u - rhs_even)))
+    if residual > residual_tol * max(1.0, float(np.max(np.abs(rhs_even)))):
+        raise IllConditioned(f"even-block solve residual {residual:.3e} too large")
+    return parity.unfold(u, "even")
 
 
 def kdv_index_numeric(a: float, b: float, grid: Grid, residual_tol: float = 1e-6) -> float:
-    """<kdv^(-1) f, f> by a kernel-deflated dense solve (kernel is phi')."""
+    """<kdv^(-1) f, f> by a dense solve on the even block (the kernel phi' is odd)."""
     params = AbcParameters(a=a, b=b, c=a)
     matrix = assemble_scalar_operator("kdv", params, grid).entries
-    phi = standing_wave_profile(a, grid)
     f = _standing_rhs(a, b, grid)
-    kernel = _inverse_iteration_kernel(matrix, derivative_of_samples(grid, phi, 1))
-    u = _deflated_solve(matrix, kernel, f, residual_tol)
+    parity = ReflectionParity(grid)
+    f_even = _even_rhs(parity, f, _DEFECT_TOL)
+    even_block, _ = parity.split(matrix)
+    u = _even_solve(parity, even_block, f_even, residual_tol)
     return inner_product(u, f, grid)
 
 
 def hill_index_numeric(a: float, b: float, grid: Grid, split: bool = False):
-    """<hill^(-1) f, f> by a symmetric positive definite solve.
+    """<hill^(-1) f, f> by a dense solve on the even block.
 
     Returns (hill_part, projection_coeff, g_norm_sq); the last two are None
     unless split=True, in which case f is decomposed as
     c (a phi'' + phi) + g and c is verified against 7/9 + (2/9) z to 1e-8.
     Raises SolveFailure when the operator is not numerically positive
-    definite.
+    definite, which is checked by a Cholesky factorization of both parity
+    blocks.
     """
     params = AbcParameters(a=a, b=b, c=a)
     matrix = assemble_scalar_operator("hill", params, grid).entries
     f = _standing_rhs(a, b, grid)
+    parity = ReflectionParity(grid)
+    f_even = _even_rhs(parity, f, _DEFECT_TOL)
+    even_block, odd_block = parity.split(matrix)
     try:
-        np.linalg.cholesky(matrix)
-        u = np.linalg.solve(matrix, f)
+        np.linalg.cholesky(even_block)
+        np.linalg.cholesky(odd_block)
     except np.linalg.LinAlgError as exc:
         raise SolveFailure(f"hill operator not positive definite: {exc}") from exc
+    u = _even_solve(parity, even_block, f_even, residual_tol=1e-6)
     hill_part = inner_product(u, f, grid)
     if not split:
         return hill_part, None, None
@@ -310,28 +325,25 @@ def general_index_numeric(
     spec,
     wave,
     grid: Grid,
-    defect_tol: float = 1e-8,
+    defect_tol: float = _DEFECT_TOL,
     residual_tol: float = 1e-6,
 ) -> float:
-    """<L^(-1) RHS, RHS> with RHS = (1 - b dxx)(psi, phi)^T, kernel deflated.
+    """<L^(-1) RHS, RHS> with RHS = (1 - b dxx)(psi, phi)^T, solved on the even block.
 
-    The kernel vector of L is computed numerically (inverse iteration from
-    the spectral (phi', psi')); the right-hand side must be orthogonal to it
-    (it is even, the kernel odd) with relative defect below defect_tol,
-    otherwise KernelDefect is raised.  IllConditioned signals a deflated
-    solve residual above residual_tol.
+    L commutes with x -> -x and its kernel (phi', psi') is odd; the
+    right-hand side must be even, with an odd part below defect_tol relative
+    to its norm, otherwise KernelDefect is raised.  IllConditioned signals
+    an even-block residual above residual_tol.
     """
     matrix = assemble_system_operator_L(params, spec, wave, grid).entries
     symbol = 1.0 + params.b * grid.wavenumbers**2
     rhs = np.concatenate(
         [apply_multiplier(grid, symbol, wave.psi), apply_multiplier(grid, symbol, wave.phi)]
     )
-    seed = np.concatenate([wave.phi_dx, wave.psi_dx])
-    kernel = _inverse_iteration_kernel(matrix, seed)
-    defect = abs(float(np.dot(kernel, rhs))) / float(np.linalg.norm(rhs))
-    if defect >= defect_tol:
-        raise KernelDefect(f"kernel orthogonality defect {defect:.3e} >= {defect_tol}")
-    u = _deflated_solve(matrix, kernel, rhs, residual_tol)
+    parity = ReflectionParity(grid)
+    rhs_even = _even_rhs(parity, rhs, defect_tol)
+    even_block, _ = parity.split(matrix)
+    u = _even_solve(parity, even_block, rhs_even, residual_tol)
     return inner_product(u, rhs, grid)
 
 
@@ -341,7 +353,7 @@ def index_report(params: AbcParameters, spec, wave, grid: Grid) -> IndexReport:
     The standing branch (a = c, eta0 = -3/2, w = 0) takes case2_index and
     carries its bounds; otherwise the free-amplitude branch (a = c = -b,
     eta0 in (-9/4, 0)) takes the closed form; every other pulse takes the
-    kernel-deflated general solve.  At the z = 1 coincidence, where both
+    general even-block solve.  At the z = 1 coincidence, where both
     branches meet, the standing route wins.
     """
     if params.equal_dispersion and abs(spec.eta0 + 1.5) < 1e-12 and abs(spec.w) < 1e-12:

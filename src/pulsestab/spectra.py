@@ -1,11 +1,12 @@
 """Direct eigenvalue computations and the combined stability verdict.
 
-The symmetrized operator is diagonalized densely to read off its inertia
-(one negative eigenvalue and a simple kernel for every admissible pulse);
-the evolution generator JL is diagonalized to count modes with positive
-real part; and the essential-spectrum edge kappa comes from the smoothed
-2x2 Fourier symbol minimized over the grid wavenumbers.  The verdict
-combines the inertia, the sign of the index quantity, the parity identity
+The symmetrized operator is diagonalized densely, on its even and odd
+blocks, to read off its inertia (one negative eigenvalue and a simple kernel
+for every admissible pulse); the evolution generator JL is diagonalized in
+full to count modes with positive real part; and the essential-spectrum
+edge kappa comes from the smoothed 2x2 Fourier symbol minimized over the
+grid wavenumbers.  The verdict combines the inertia, the sign of the index
+quantity, the parity identity
 
     n_unstable = n(Lt) - n(index quantity)   (mod 2),
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import Grid, assemble_JL, assemble_tilde_L
+from .discretization import Grid, ReflectionParity, assemble_JL, assemble_tilde_L
 from .errors import EigensolveFailure, NotSubsonic
 from .index_count import IndexReport, index_report
 from .waves import AbcParameters, SampledWave, WaveSpec
@@ -64,15 +65,18 @@ def discrete_spectrum_tilde_L(
     grid: Grid,
     zero_tol: float | None = None,
 ) -> SpectrumReport:
-    """Full symmetric eigensolve of the symmetrized operator.
+    """Full symmetric eigensolve of the symmetrized operator, block by block.
 
+    Lt commutes with x -> -x, so its eigenvalues are the sorted union of
+    those of its even and odd blocks (ReflectionDefect if it does not).
     zero_tol defaults to 1e-6 times the spectral radius; it separates the
     translational kernel from genuinely small eigenvalues (verified stable
     under N-refinement).
     """
     matrix = assemble_tilde_L(params, spec, wave, grid).entries
+    blocks = ReflectionParity(grid).split(matrix)
     try:
-        eigenvalues = np.linalg.eigvalsh(matrix)
+        eigenvalues = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(f"symmetric eigensolve failed: {exc}") from exc
     if zero_tol is None:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from pulsestab import index_count
+from pulsestab import DomainError, EigensolveFailure, cli, index_count
 from pulsestab.cli import main
 
 FAST = ["--grid-n", "512"]
@@ -214,6 +214,45 @@ def test_scan_z_mixed_verdicts(capsys):
     assert float(rows[0]["lower_bound"]) < 3 * float(rows[0]["index_value"]) <= float(
         rows[0]["upper_bound"]
     ) + 1e-6
+
+
+def fail_at(monkeypatch, eta0, error):
+    """Make stability_verdict raise error for the pulse of amplitude eta0."""
+    original = cli.stability_verdict
+
+    def failing(params, spec, *args, **kwargs):
+        if spec.eta0 == eta0:
+            raise error
+        return original(params, spec, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "stability_verdict", failing)
+
+
+SCAN_ETA0 = ("scan", "--param", "eta0", "--from", "-2", "--to", "-1", "--steps", "3",
+             "--a", "-1", "--b", "1", "--c", "-1", "--grid-n", "256")
+
+
+def test_scan_row_solver_failure_keeps_the_other_rows(capsys, monkeypatch):
+    fail_at(monkeypatch, -2.0, EigensolveFailure("injected"))
+    code, out, err = run_cli(capsys, *SCAN_ETA0)
+    assert code == 3
+    assert "solver failure at eta0 = -2" in err
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [float(r["eta0"]) for r in rows] == [-2.0, -1.5, -1.0]
+    failed, *evaluated = rows
+    assert failed["verdict"] == "solver_failure"
+    assert failed["w"] != ""  # resolved before the verdict failed
+    assert all(failed[key] == "" for key in ("n_tilde_L", "index_value", "max_real_JL"))
+    # N = 256 is too coarse for JL verdicts; only completeness is checked
+    assert all(r["verdict"] != "solver_failure" and r["n_tilde_L"] == "1" for r in evaluated)
+
+
+def test_scan_row_domain_error_aborts(capsys, monkeypatch):
+    fail_at(monkeypatch, -1.5, DomainError("injected"))
+    code, out, err = run_cli(capsys, *SCAN_ETA0)
+    assert code == 2
+    assert out == ""
+    assert "injected" in err
 
 
 def test_scan_missing_arguments(capsys):

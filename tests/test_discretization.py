@@ -9,6 +9,8 @@ from pulsestab import (
     DomainError,
     HillSpec,
     InvalidGrid,
+    ReflectionDefect,
+    ReflectionParity,
     WaveSpec,
     assemble_J,
     assemble_JL,
@@ -23,7 +25,12 @@ from pulsestab import (
     smoother_power,
     spectral_derivative,
 )
-from pulsestab.discretization import derivative_of_samples, standing_wave_profile
+from pulsestab.discretization import (
+    _derivative_symbol,
+    derivative_of_samples,
+    multiplier_matrix,
+    standing_wave_profile,
+)
 
 
 def test_build_grid_validation():
@@ -75,6 +82,20 @@ def test_sech2_second_derivative_analytic():
     s2 = 1.0 / np.cosh(lam * grid.nodes) ** 2
     expected = 2 * lam**2 * s2 * (2.0 - 3.0 * s2)
     assert np.max(np.abs(d2 @ s2 - expected)) < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["order1", "order2", "smoother"])
+def test_multiplier_matrix_matches_fft_of_identity(kind):
+    grid = build_grid(128, 20.0)
+    if kind == "smoother":
+        symbol = (1.0 + 1.3 * grid.wavenumbers**2) ** -0.5
+    else:
+        symbol = _derivative_symbol(grid, int(kind[-1]))
+    # reference: the multiplier applied to every unit vector
+    spectral = np.fft.fft(np.eye(grid.n_points), axis=0)
+    reference = np.real(np.fft.ifft(symbol[:, None] * spectral, axis=0))
+    scale = np.max(np.abs(reference))
+    np.testing.assert_allclose(multiplier_matrix(grid, symbol), reference, rtol=0, atol=1e-13 * scale)
 
 
 def test_smoother_power_properties():
@@ -165,6 +186,62 @@ def test_tilde_L_inertia_matches_hill_pair(case1_eta_minus1):
     ztol = 1e-6 * max(abs(evals[0]), abs(evals[-1]))
     _, _, n_expected = case1_diagonal_reduction(spec.eta0, params.b)
     assert int(np.sum(evals < -ztol)) == n_expected == 1
+
+
+@pytest.mark.parametrize("fixture", ["standing_z1", "case1_eta_minus1"])
+def test_block_assembly_matches_explicit_products(fixture, request):
+    params, spec, grid, wave = request.getfixturevalue(fixture)
+    lop = assemble_system_operator_L(params, spec, wave, grid).entries
+    s1 = smoother_power(grid, params.b, -0.5).entries
+    zero = np.zeros_like(s1)
+    smoother = np.block([[s1, zero], [zero, s1]])
+    for assembled, expected in [
+        (assemble_tilde_L(params, spec, wave, grid), smoother @ lop @ smoother),
+        (assemble_JL(params, spec, wave, grid), assemble_J(params, grid).entries @ lop),
+    ]:
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(assembled.entries - expected)) <= 1e-13 * scale
+
+
+def test_parity_fold_and_unfold(standing_z1):
+    params, spec, grid, wave = standing_z1
+    parity = ReflectionParity(grid)
+    n = grid.n_points
+    for even in (wave.phi, np.concatenate([wave.phi, wave.psi])):
+        components = len(even) // n
+        folded = parity.fold(even, "even")
+        assert folded.shape == (components * (n // 2 + 1),)
+        np.testing.assert_allclose(parity.unfold(folded, "even"), even, rtol=1e-15, atol=0)
+        assert np.max(np.abs(parity.fold(even, "odd"))) < 1e-15 * np.max(np.abs(even))
+    odd = wave.phi_dx
+    assert parity.fold(odd, "odd").shape == (n // 2 - 1,)
+    np.testing.assert_allclose(
+        parity.unfold(parity.fold(odd, "odd"), "odd"), odd, rtol=0, atol=1e-15 * np.max(np.abs(odd))
+    )
+    with pytest.raises(ValueError):
+        parity.fold(wave.phi, "neither")
+    with pytest.raises(ValueError):
+        parity.fold(wave.phi[:-2], "even")
+
+
+def test_parity_split_is_an_orthogonal_change_of_basis():
+    grid = build_grid(32, 10.0)
+    parity = ReflectionParity(grid)
+    basis = np.column_stack(
+        [parity.unfold(unit, "even") for unit in np.eye(grid.n_points // 2 + 1)]
+        + [parity.unfold(unit, "odd") for unit in np.eye(grid.n_points // 2 - 1)]
+    )
+    np.testing.assert_allclose(basis.T @ basis, np.eye(grid.n_points), rtol=0, atol=1e-15)
+    rng = np.random.default_rng(0)
+    matrix = rng.standard_normal((grid.n_points, grid.n_points))
+    mirror = (-np.arange(grid.n_points)) % grid.n_points
+    symmetric = matrix + matrix[np.ix_(mirror, mirror)]  # commutes with the reflection
+    even, odd = parity.split(symmetric)
+    m = grid.n_points // 2 + 1
+    np.testing.assert_allclose(even, (basis.T @ symmetric @ basis)[:m, :m], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(odd, (basis.T @ symmetric @ basis)[m:, m:], rtol=0, atol=1e-13)
+    with pytest.raises(ReflectionDefect):
+        parity.split(matrix)
 
 
 def test_jl_kernel_and_spectral_symmetry(case1_eta_minus1):

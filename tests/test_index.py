@@ -6,10 +6,12 @@ import pytest
 from conftest import make_case1, make_standing
 from pulsestab import (
     AbcParameters,
+    DiscreteOperator,
     DomainError,
     KernelDefect,
     NoSignChange,
     SampledWave,
+    SolveFailure,
     build_grid,
     case1_index_closed_form,
     case2_index,
@@ -32,6 +34,7 @@ from pulsestab.discretization import (
     derivative_of_samples,
     standing_wave_profile,
 )
+from pulsestab import index_count
 from pulsestab.index_count import _standing_rhs, standing_wave_a_derivative
 
 
@@ -141,6 +144,23 @@ def test_hill_projection_coefficient_and_remainder(standing_grid):
         lower = math.sqrt(1.0) * ((4.0 / 45) * z**2 + (46.0 / 45) * z + 112.0 / 45)
         upper = math.sqrt(1.0) * ((22.0 / 45) * z**2 + (2.0 / 9) * z + 26.0 / 9)
         assert lower - 1e-9 < hill_part <= upper + 1e-9
+
+
+def test_hill_positive_definiteness_checked_on_both_parity_blocks(monkeypatch, standing_grid):
+    # a negative direction along the odd phi' leaves the even block, which the
+    # solve uses, positive definite; the Cholesky of the odd block refuses it
+    grid = standing_grid
+    odd = derivative_of_samples(grid, standing_wave_profile(-1.0, grid), 1)
+    odd /= np.linalg.norm(odd)
+    assemble = index_count.assemble_scalar_operator
+
+    def indefinite(kind, params, grid, hill=None):
+        entries = assemble(kind, params, grid, hill).entries
+        return DiscreteOperator(entries - 10.0 * np.outer(odd, odd))
+
+    monkeypatch.setattr(index_count, "assemble_scalar_operator", indefinite)
+    with pytest.raises(SolveFailure):
+        hill_index_numeric(-1.0, 1.0, grid)
 
 
 def test_projection_norm_identity(standing_grid):

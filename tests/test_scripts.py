@@ -1,0 +1,60 @@
+"""Smoke runs of the experiment scripts, each in its own interpreter."""
+
+import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, out, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv, "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def read_csv(path):
+    with path.open(newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
+def test_find_critical_ratio(tmp_path):
+    out = tmp_path / "critical_ratio.json"
+    done = run_script("find_critical_ratio.py", out, "--grid-n", "256", "--tol", "0.25")
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(out.read_text())
+    assert len(payload) == 10
+    # four halvings take the bracket [9, 11] below 0.25
+    assert payload["iterations"] == 4
+    assert payload["evaluations"] == 6
+    assert payload["analytic_stable_below"] < payload["z_star"] < payload["analytic_unstable_above"]
+
+
+@pytest.mark.parametrize(
+    "name, argv, rows, columns",
+    [
+        ("scan_index_bounds.py", ("--grid-n", "128", "--steps", "3"), 3, 4),
+        ("scan_case1_stability.py", ("--grid-n", "128", "--steps", "2"), 2, 6),
+    ],
+)
+def test_scan_scripts(tmp_path, name, argv, rows, columns):
+    out = tmp_path / "scan.csv"
+    done = run_script(name, out, *argv)
+    assert done.returncode == 0, done.stderr
+    header, *body = read_csv(out)
+    assert len(header) == columns
+    assert len(body) == rows
+    assert all(len(row) == columns for row in body)

@@ -7,7 +7,11 @@ from conftest import make_case1, make_standing
 from pulsestab import (
     AbcParameters,
     NotSubsonic,
+    ReflectionDefect,
+    SampledWave,
+    SolverError,
     WaveSpec,
+    assemble_tilde_L,
     build_grid,
     discrete_spectrum_tilde_L,
     essential_spectrum_gap,
@@ -15,6 +19,7 @@ from pulsestab import (
     stability_verdict,
     unstable_modes_JL,
 )
+from pulsestab.discretization import derivative_of_samples
 from pulsestab.spectra import hamiltonian_symmetry_defect
 
 
@@ -34,6 +39,33 @@ def test_tilde_spectrum_standing_branch(standing_z1):
     assert report.zero_modes == 1
     # flat smoothed band for b = -a: the edge sits exactly at 1 - |w| = 1
     assert report.ess_spectrum_gap == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["standing_z1", "case1_eta_minus1"])
+def test_tilde_spectrum_blocks_match_full_eigensolve(fixture, request):
+    params, spec, grid, wave = request.getfixturevalue(fixture)
+    report = discrete_spectrum_tilde_L(params, spec, wave, grid)
+    full = np.linalg.eigvalsh(assemble_tilde_L(params, spec, wave, grid).entries)
+    radius = np.max(np.abs(full))
+    np.testing.assert_allclose(report.eigenvalues, full, rtol=0, atol=1e-12 * radius)
+
+
+def test_tilde_spectrum_refuses_a_wave_with_an_odd_part(case1_eta_minus1):
+    params, spec, grid, wave = case1_eta_minus1
+    # an odd component breaks the reflection symmetry the parity blocks rely on
+    phi = wave.phi + 0.05 * wave.phi_dx
+    broken = SampledWave(
+        grid=grid,
+        phi=phi,
+        psi=wave.psi,
+        phi_dx=derivative_of_samples(grid, phi, 1),
+        phi_dxx=derivative_of_samples(grid, phi, 2),
+        psi_dx=wave.psi_dx,
+        psi_dxx=wave.psi_dxx,
+    )
+    with pytest.raises(ReflectionDefect) as raised:
+        discrete_spectrum_tilde_L(params, spec, broken, grid)
+    assert isinstance(raised.value, SolverError)
 
 
 def test_counts_stable_under_refinement():
