@@ -16,7 +16,8 @@ scan annotate instead of failing).  Flag values override config-file values
 in input order; a row whose verdict raises a solver error is written with
 verdict solver_failure and empty cells for what it could not compute, the
 remaining rows still run, and the scan exits 3.  A domain error aborts the
-scan.
+scan.  A z scan takes a from --a alone (default -1) and evaluates the
+standing waves c = a, b = z (-a); --b or --c on a z scan is a domain error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -71,7 +72,6 @@ class RunConfig:
     grid_len: float | None = None  # None: 50 / lambda
     tolerances: Tolerances = field(default_factory=Tolerances)
     output_path: str | None = None
-    output_format: str = "json"
     # threshold
     zmin: float | None = None
     zmax: float | None = None
@@ -94,6 +94,10 @@ def _resolved(config: RunConfig):
     spec = resolve_wave_parameters(config.params, config.eta0, config.sign_branch)
     grid = _make_grid(config, spec.lam)
     return spec, grid, sample_wave(spec, grid)
+
+
+def _verdict(config: RunConfig, spec, grid: Grid, wave):
+    return stability_verdict(config.params, spec, wave, grid, **asdict(config.tolerances))
 
 
 def cmd_wave(config: RunConfig) -> tuple[dict, int]:
@@ -137,16 +141,7 @@ def cmd_jl_spectrum(config: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_index(config: RunConfig) -> tuple[dict, int]:
-    spec, grid, wave = _resolved(config)
-    verdict = stability_verdict(
-        config.params,
-        spec,
-        wave,
-        grid,
-        zero_tol=config.tolerances.zero_tol,
-        re_tol=config.tolerances.re_tol,
-        index_tol=config.tolerances.index_tol,
-    )
+    verdict = _verdict(config, *_resolved(config))
     fields = asdict(verdict)
     result = {"index_report": fields.pop("index_report"), "verdict": fields}
     return result, 4 if verdict.verdict == "inconclusive" else 0
@@ -178,27 +173,13 @@ def _scan_values(config: RunConfig) -> np.ndarray:
 
 def _scan_row(config: RunConfig, value: float) -> dict:
     if config.scan_param == "eta0":
-        params = config.params
-        if params is None:
-            raise DomainError("eta0 scans require --a, --b and --c")
-        eta0 = float(value)
-    else:  # z scan: standing waves at a = c = -1, b = z
-        a = config.params.a if config.params is not None else -1.0
-        params = AbcParameters(a=a, b=float(value) * (-a), c=a)
-        eta0 = -1.5
-    spec = resolve_wave_parameters(params, eta0, config.sign_branch)
-    grid = _make_grid(config, spec.lam)
-    wave = sample_wave(spec, grid)
+        config = replace(config, eta0=float(value))
+    else:  # z scan: standing waves at a = c, b = z (-a)
+        params = replace(config.params, b=float(value) * -config.params.a)
+        config = replace(config, params=params, eta0=-1.5)
+    spec, grid, wave = _resolved(config)
     try:
-        verdict = stability_verdict(
-            params,
-            spec,
-            wave,
-            grid,
-            zero_tol=config.tolerances.zero_tol,
-            re_tol=config.tolerances.re_tol,
-            index_tol=config.tolerances.index_tol,
-        )
+        verdict = _verdict(config, spec, grid, wave)
     except SolverError as exc:
         print(f"solver failure at {config.scan_param} = {value:.12g}: {exc}", file=sys.stderr)
         row = dict.fromkeys(CSV_COLUMNS)  # None: an empty cell
@@ -252,7 +233,7 @@ def _config_summary(config: RunConfig) -> dict:
         "grid_n": config.grid_n,
         "grid_len": config.grid_len,
         "tolerances": asdict(config.tolerances),
-        "output_format": config.output_format,
+        "output_format": "json",  # the format of the document this summary heads
     }
     if config.params is not None:
         summary["params"] = {
@@ -398,10 +379,17 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     merged = _merge(args, file_values)
 
     params = None
-    if all(k in merged for k in ("a", "b", "c")):
+    if args.command == "scan" and merged.get("param") == "z":
+        if "b" in merged or "c" in merged:
+            raise DomainError("a z scan takes --a alone: each row sets b = z (-a) and c = a")
+        a = merged.get("a", -1.0)
+        params = AbcParameters(a=a, b=-a, c=a)  # z = 1; each row sets its own b
+    elif all(k in merged for k in ("a", "b", "c")):
         params = AbcParameters(a=merged["a"], b=merged["b"], c=merged["c"])
-    elif any(k in merged for k in ("a", "b", "c")) and args.command != "scan":
+    elif any(k in merged for k in ("a", "b", "c")):
         raise DomainError("provide all of --a, --b, --c or none")
+    elif args.command == "scan" and merged.get("param") == "eta0":
+        raise DomainError("eta0 scans require --a, --b and --c")
 
     tolerances = Tolerances(
         zero_tol=merged.get("zero_tol"),
@@ -410,9 +398,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
     # scans feed plotting tools (csv); single runs feed assertions (json)
     native = "csv" if args.command == "scan" else "json"
-    chosen = merged.get("format", native)
-    if chosen != native:
-        raise DomainError(f"command {args.command!r} emits {native}, not {chosen}")
+    if merged.get("format", native) != native:
+        raise DomainError(f"command {args.command!r} emits {native}, not {merged['format']}")
     return RunConfig(
         command=args.command,
         params=params,
@@ -422,7 +409,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         grid_len=merged.get("grid_len"),
         tolerances=tolerances,
         output_path=merged.get("output"),
-        output_format=chosen,
         zmin=merged.get("zmin"),
         zmax=merged.get("zmax"),
         tol=merged.get("tol", 1e-3),

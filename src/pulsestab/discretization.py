@@ -217,23 +217,6 @@ class ReflectionParity:
                 part *= _SQRT_HALF
         return np.moveaxis(folded, 0, axis)
 
-    def unfold(self, coefficients: np.ndarray, parity: str) -> np.ndarray:
-        """Grid vector P y from its coefficients y in one basis."""
-        half = self.n_points // 2
-        parts = []
-        for component in self._components(len(coefficients), self._dimension(parity)):
-            y = coefficients[component]
-            x = np.zeros(self.n_points)
-            if parity == "even":
-                x[: half + 1] = y * _SQRT_HALF
-                x[0], x[half] = y[0], y[half]
-                x[half + 1 :] = x[half - 1 : 0 : -1]
-            else:
-                x[1:half] = y * _SQRT_HALF
-                x[half + 1 :] = -x[half - 1 : 0 : -1]
-            parts.append(x)
-        return np.concatenate(parts)
-
     def split(self, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Even and odd blocks P^T A P of a matrix that commutes with the reflection.
 

@@ -47,7 +47,7 @@ class SolveFailure(SolverError):
 
 
 class IllConditioned(SolverError):
-    """Deflated solve residual exceeded its tolerance."""
+    """Even-block solve residual exceeded its tolerance."""
 
 
 class KernelDefect(SolverError):

@@ -36,13 +36,16 @@ exist:
   (107 + 9 sqrt(237)) / 26 ~ 9.44436 and (517 + 9 sqrt(5385)) / 112
   ~ 10.51288; the bisection below pins the actual crossing numerically.
 
-The numeric routes (kdv and hill parts, general L) solve on the even block
-of the reflection-parity split: every right-hand side here is even and the
-translation kernel (phi', psi') is odd, so the even block is nonsingular
-and no kernel needs deflating.  KernelDefect is raised when a right-hand
-side's odd part reaches 1e-8 of its norm, IllConditioned when the even
-residual exceeds its bound, and SolveFailure when a solve fails or the hill
-operator is not positive definite on both parity blocks.
+The numeric routes (kdv and hill parts, general L) only assemble their
+operator and right-hand side; one solve, _even_block_index, does the rest
+on the even block of the reflection-parity split.  Every right-hand side
+here is even and the translation kernel (phi', psi') is odd, so the even
+block is nonsingular and no kernel needs deflating.  In order, that solve
+raises KernelDefect when the right-hand side's odd part reaches 1e-8 of its
+norm, ReflectionDefect when the operator does not commute with x -> -x,
+SolveFailure when the hill operator fails a Cholesky factorization of
+either parity block or the even solve fails, and IllConditioned when the
+even residual exceeds 1e-6 * max(1, |rhs|_inf).
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from .discretization import (
     assemble_scalar_operator,
     assemble_system_operator_L,
     derivative_of_samples,
-    inner_product,
     standing_wave_profile,
 )
 from .errors import (
@@ -74,6 +76,8 @@ from .waves import AbcParameters
 
 # largest relative odd part an index right-hand side may carry
 _DEFECT_TOL = 1e-8
+# largest even-block residual, relative to max(1, |rhs_even|_inf)
+_RESIDUAL_TOL = 1e-6
 
 __all__ = [
     "InnerProductTable",
@@ -191,86 +195,52 @@ def kdv_index_closed_form(a: float, b: float) -> float:
     return math.sqrt(-a) * (-4.5 - 3.0 * z + 0.3 * z * z)
 
 
-def _even_rhs(parity: ReflectionParity, rhs: np.ndarray, defect_tol: float) -> np.ndarray:
-    """Even coefficients of rhs.
+def _even_block_index(
+    grid: Grid, matrix: np.ndarray, rhs: np.ndarray, positive_definite: bool = False
+) -> float:
+    """<A^(-1) rhs, rhs> for an operator A that commutes with x -> -x.
 
-    The operators solved here commute with x -> -x and their translation
-    kernel is odd, so an even right-hand side is solved on the even block
-    alone, where the operator is nonsingular.  Raises KernelDefect when the
-    odd part of rhs reaches defect_tol relative to rhs: it would overlap the
-    kernel, and the even solve would drop it.
+    Solved on the even block alone, with the checks listed in the module
+    docstring; the Cholesky check runs when positive_definite is set.  The
+    even basis P is orthonormal, so <P u, rhs> = u . P^T rhs.
     """
+    parity = ReflectionParity(grid)
     defect = float(np.linalg.norm(parity.fold(rhs, "odd"))) / float(np.linalg.norm(rhs))
-    if defect >= defect_tol:
-        raise KernelDefect(f"odd part of the right-hand side {defect:.3e} >= {defect_tol}")
-    return parity.fold(rhs, "even")
-
-
-def _even_solve(
-    parity: ReflectionParity,
-    even_block: np.ndarray,
-    rhs_even: np.ndarray,
-    residual_tol: float,
-) -> np.ndarray:
-    """Grid vector u solving the even block for rhs_even; IllConditioned when
-    the block residual exceeds residual_tol (relative to max(1, |rhs|))."""
+    if defect >= _DEFECT_TOL:
+        raise KernelDefect(f"odd part of the right-hand side {defect:.3e} >= {_DEFECT_TOL}")
+    rhs_even = parity.fold(rhs, "even")
+    even_block, odd_block = parity.split(matrix)
+    if positive_definite:
+        try:
+            np.linalg.cholesky(even_block)
+            np.linalg.cholesky(odd_block)
+        except np.linalg.LinAlgError as exc:
+            raise SolveFailure(f"operator not positive definite: {exc}") from exc
     try:
         u = np.linalg.solve(even_block, rhs_even)
     except np.linalg.LinAlgError as exc:
         raise SolveFailure(f"even-block solve failed: {exc}") from exc
     residual = float(np.max(np.abs(even_block @ u - rhs_even)))
-    if residual > residual_tol * max(1.0, float(np.max(np.abs(rhs_even)))):
+    if residual > _RESIDUAL_TOL * max(1.0, float(np.max(np.abs(rhs_even)))):
         raise IllConditioned(f"even-block solve residual {residual:.3e} too large")
-    return parity.unfold(u, "even")
+    return float(grid.quad_weight * np.dot(u, rhs_even))
 
 
-def kdv_index_numeric(a: float, b: float, grid: Grid, residual_tol: float = 1e-6) -> float:
+def kdv_index_numeric(a: float, b: float, grid: Grid) -> float:
     """<kdv^(-1) f, f> by a dense solve on the even block (the kernel phi' is odd)."""
-    params = AbcParameters(a=a, b=b, c=a)
-    matrix = assemble_scalar_operator("kdv", params, grid).entries
-    f = _standing_rhs(a, b, grid)
-    parity = ReflectionParity(grid)
-    f_even = _even_rhs(parity, f, _DEFECT_TOL)
-    even_block, _ = parity.split(matrix)
-    u = _even_solve(parity, even_block, f_even, residual_tol)
-    return inner_product(u, f, grid)
+    matrix = assemble_scalar_operator("kdv", AbcParameters(a=a, b=b, c=a), grid).entries
+    return _even_block_index(grid, matrix, _standing_rhs(a, b, grid))
 
 
-def hill_index_numeric(a: float, b: float, grid: Grid, split: bool = False):
+def hill_index_numeric(a: float, b: float, grid: Grid) -> float:
     """<hill^(-1) f, f> by a dense solve on the even block.
 
-    Returns (hill_part, projection_coeff, g_norm_sq); the last two are None
-    unless split=True, in which case f is decomposed as
-    c (a phi'' + phi) + g and c is verified against 7/9 + (2/9) z to 1e-8.
     Raises SolveFailure when the operator is not numerically positive
     definite, which is checked by a Cholesky factorization of both parity
     blocks.
     """
-    params = AbcParameters(a=a, b=b, c=a)
-    matrix = assemble_scalar_operator("hill", params, grid).entries
-    f = _standing_rhs(a, b, grid)
-    parity = ReflectionParity(grid)
-    f_even = _even_rhs(parity, f, _DEFECT_TOL)
-    even_block, odd_block = parity.split(matrix)
-    try:
-        np.linalg.cholesky(even_block)
-        np.linalg.cholesky(odd_block)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"hill operator not positive definite: {exc}") from exc
-    u = _even_solve(parity, even_block, f_even, residual_tol=1e-6)
-    hill_part = inner_product(u, f, grid)
-    if not split:
-        return hill_part, None, None
-    phi = standing_wave_profile(a, grid)
-    h = a * derivative_of_samples(grid, phi, 2) + phi
-    coeff = inner_product(f, h, grid) / inner_product(h, h, grid)
-    expected = 7.0 / 9.0 + (2.0 / 9.0) * (b / abs(a))
-    if abs(coeff - expected) > 1e-8:
-        raise ResidualError(
-            f"projection coefficient {coeff} deviates from {expected} by more than 1e-8"
-        )
-    g = f - coeff * h
-    return hill_part, coeff, inner_product(g, g, grid)
+    matrix = assemble_scalar_operator("hill", AbcParameters(a=a, b=b, c=a), grid).entries
+    return _even_block_index(grid, matrix, _standing_rhs(a, b, grid), positive_definite=True)
 
 
 def index_lower_bound_poly(z: float) -> float:
@@ -291,7 +261,7 @@ def case2_index(a: float, b: float, grid: Grid) -> IndexReport:
     tolerance, coinciding at z = 1.
     """
     kdv_part = kdv_index_numeric(a, b, grid)
-    hill_part, _, _ = hill_index_numeric(a, b, grid)
+    hill_part = hill_index_numeric(a, b, grid)
     index_value = (8.0 * kdv_part + hill_part) / 3.0
     z = b / (-a)
     return IndexReport(
@@ -320,31 +290,18 @@ def case1_index_closed_form(eta0: float, b: float, sign_branch: int = +1) -> flo
     return (144.0 * math.sqrt(b) / 5.0) * eta0 * (4.0 + eta0) / (2.0 * eta0 + 9.0)
 
 
-def general_index_numeric(
-    params: AbcParameters,
-    spec,
-    wave,
-    grid: Grid,
-    defect_tol: float = _DEFECT_TOL,
-    residual_tol: float = 1e-6,
-) -> float:
+def general_index_numeric(params: AbcParameters, spec, wave, grid: Grid) -> float:
     """<L^(-1) RHS, RHS> with RHS = (1 - b dxx)(psi, phi)^T, solved on the even block.
 
     L commutes with x -> -x and its kernel (phi', psi') is odd; the
-    right-hand side must be even, with an odd part below defect_tol relative
-    to its norm, otherwise KernelDefect is raised.  IllConditioned signals
-    an even-block residual above residual_tol.
+    right-hand side must be even (KernelDefect otherwise).
     """
     matrix = assemble_system_operator_L(params, spec, wave, grid).entries
     symbol = 1.0 + params.b * grid.wavenumbers**2
     rhs = np.concatenate(
         [apply_multiplier(grid, symbol, wave.psi), apply_multiplier(grid, symbol, wave.phi)]
     )
-    parity = ReflectionParity(grid)
-    rhs_even = _even_rhs(parity, rhs, defect_tol)
-    even_block, _ = parity.split(matrix)
-    u = _even_solve(parity, even_block, rhs_even, residual_tol)
-    return inner_product(u, rhs, grid)
+    return _even_block_index(grid, matrix, rhs)
 
 
 def index_report(params: AbcParameters, spec, wave, grid: Grid) -> IndexReport:

@@ -216,6 +216,32 @@ def test_scan_z_mixed_verdicts(capsys):
     ) + 1e-6
 
 
+def test_scan_z_takes_a_from_the_a_flag(capsys):
+    # scaling covariance: index(a, z (-a)) = sqrt(-a) index(-1, z), and the
+    # default grid half-length 50 / lambda scales with sqrt(-a) as well
+    def index_at_z1(*a_flag):
+        code, out, _ = run_cli(
+            capsys, "scan", "--param", "z", "--from", "1", "--to", "1", "--steps", "1",
+            *a_flag, *FAST,
+        )
+        assert code == 0
+        (row,) = csv.DictReader(out.splitlines())
+        return float(row["index_value"])
+
+    assert index_at_z1("--a", "-4") == pytest.approx(2.0 * index_at_z1("--a", "-1"), rel=1e-9)
+
+
+def test_scan_z_rejects_b_and_c(capsys):
+    for flag, value in (("--b", "2"), ("--c", "-1")):
+        code, out, err = run_cli(
+            capsys, "scan", "--param", "z", "--from", "1", "--to", "2", "--steps", "2",
+            flag, value, *FAST,
+        )
+        assert code == 2
+        assert out == ""
+        assert "takes --a alone" in err
+
+
 def fail_at(monkeypatch, eta0, error):
     """Make stability_verdict raise error for the pulse of amplitude eta0."""
     original = cli.stability_verdict

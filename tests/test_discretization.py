@@ -209,15 +209,10 @@ def test_parity_fold_and_unfold(standing_z1):
     n = grid.n_points
     for even in (wave.phi, np.concatenate([wave.phi, wave.psi])):
         components = len(even) // n
-        folded = parity.fold(even, "even")
-        assert folded.shape == (components * (n // 2 + 1),)
-        np.testing.assert_allclose(parity.unfold(folded, "even"), even, rtol=1e-15, atol=0)
+        assert parity.fold(even, "even").shape == (components * (n // 2 + 1),)
         assert np.max(np.abs(parity.fold(even, "odd"))) < 1e-15 * np.max(np.abs(even))
     odd = wave.phi_dx
     assert parity.fold(odd, "odd").shape == (n // 2 - 1,)
-    np.testing.assert_allclose(
-        parity.unfold(parity.fold(odd, "odd"), "odd"), odd, rtol=0, atol=1e-15 * np.max(np.abs(odd))
-    )
     with pytest.raises(ValueError):
         parity.fold(wave.phi, "neither")
     with pytest.raises(ValueError):
@@ -227,10 +222,9 @@ def test_parity_fold_and_unfold(standing_z1):
 def test_parity_split_is_an_orthogonal_change_of_basis():
     grid = build_grid(32, 10.0)
     parity = ReflectionParity(grid)
-    basis = np.column_stack(
-        [parity.unfold(unit, "even") for unit in np.eye(grid.n_points // 2 + 1)]
-        + [parity.unfold(unit, "odd") for unit in np.eye(grid.n_points // 2 - 1)]
-    )
+    # fold(I) = P^T, so its transpose holds the basis vectors as columns
+    identity = np.eye(grid.n_points)
+    basis = np.vstack([parity.fold(identity, "even"), parity.fold(identity, "odd")]).T
     np.testing.assert_allclose(basis.T @ basis, np.eye(grid.n_points), rtol=0, atol=1e-15)
     rng = np.random.default_rng(0)
     matrix = rng.standard_normal((grid.n_points, grid.n_points))

@@ -8,6 +8,7 @@ from pulsestab import (
     AbcParameters,
     DiscreteOperator,
     DomainError,
+    IllConditioned,
     KernelDefect,
     NoSignChange,
     SampledWave,
@@ -109,8 +110,8 @@ def test_kdv_inverse_collapses_at_equal_coefficients(standing_grid):
 
 def test_kdv_closed_form_values():
     # z = 1: the preimage is exactly -phi, so the value is the integral of
-    # phi^3 = -(36/5) sqrt(-a); both oracles (quadrature and deflated solve)
-    # confirm -7.2 at a = -1
+    # phi^3 = -(36/5) sqrt(-a); both oracles (quadrature and the even-block
+    # solve) confirm -7.2 at a = -1
     assert kdv_index_closed_form(-1.0, 1.0) == pytest.approx(-7.2, rel=1e-14)
     # b -> 0 limit
     assert kdv_index_closed_form(-1.0, 1e-9) == pytest.approx(-4.5, rel=1e-6)
@@ -126,10 +127,21 @@ def test_kdv_numeric_matches_closed_form(z, standing_grid):
     assert numeric == pytest.approx(kdv_index_closed_form(-1.0, z), rel=1e-6)
 
 
+def projection_split(a, b, grid):
+    """f = c (a phi'' + phi) + g: the coefficient c and |g|^2."""
+    phi = standing_wave_profile(a, grid)
+    h = a * derivative_of_samples(grid, phi, 2) + phi
+    f = _standing_rhs(a, b, grid)
+    coeff = inner_product(f, h, grid) / inner_product(h, h, grid)
+    g = f - coeff * h
+    return coeff, inner_product(g, g, grid)
+
+
 def test_hill_index_at_equal_coefficients(standing_grid):
     # b = -a: the remainder g vanishes and the quantity is
     # (1/2) <phi, f> = (1/2)(6 + 6/5) sqrt(-a) = 3.6 sqrt(-a)
-    hill_part, coeff, g_norm_sq = hill_index_numeric(-1.0, 1.0, standing_grid, split=True)
+    hill_part = hill_index_numeric(-1.0, 1.0, standing_grid)
+    coeff, g_norm_sq = projection_split(-1.0, 1.0, standing_grid)
     assert hill_part == pytest.approx(3.6, rel=1e-9)
     assert coeff == pytest.approx(1.0, rel=1e-10)
     assert g_norm_sq == pytest.approx(0.0, abs=1e-12)
@@ -137,7 +149,8 @@ def test_hill_index_at_equal_coefficients(standing_grid):
 
 def test_hill_projection_coefficient_and_remainder(standing_grid):
     for z in (0.5, 4.0, 9.0):
-        hill_part, coeff, g_norm_sq = hill_index_numeric(-1.0, z, standing_grid, split=True)
+        hill_part = hill_index_numeric(-1.0, z, standing_grid)
+        coeff, g_norm_sq = projection_split(-1.0, z, standing_grid)
         assert coeff == pytest.approx(7.0 / 9.0 + 2.0 * z / 9.0, abs=1e-8)
         # |g|^2 = (2/5) sqrt(-a) (z - 1)^2, from the table
         assert g_norm_sq == pytest.approx(0.4 * (z - 1.0) ** 2, rel=1e-8)
@@ -161,6 +174,42 @@ def test_hill_positive_definiteness_checked_on_both_parity_blocks(monkeypatch, s
     monkeypatch.setattr(index_count, "assemble_scalar_operator", indefinite)
     with pytest.raises(SolveFailure):
         hill_index_numeric(-1.0, 1.0, grid)
+
+
+def numeric_route(name, standing_grid, case1):
+    """One numeric index route: kdv or hill part at a = -1, z = 4, or general L."""
+    if name == "general":
+        params, spec, grid, wave = case1
+        return general_index_numeric(params, spec, wave, grid)
+    route = {"kdv": kdv_index_numeric, "hill": hill_index_numeric}[name]
+    return route(-1.0, 4.0, standing_grid)
+
+
+@pytest.mark.parametrize("route", ["kdv", "hill"])
+def test_standing_routes_refuse_an_odd_right_hand_side(
+    monkeypatch, standing_grid, case1_eta_minus1, route
+):
+    # f' is odd: 1e-3 of it overlaps the odd kernel far beyond the 1e-8 bound
+    standing_rhs = index_count._standing_rhs
+
+    def contaminated(a, b, grid):
+        f = standing_rhs(a, b, grid)
+        return f + 1e-3 * derivative_of_samples(grid, f, 1)
+
+    monkeypatch.setattr(index_count, "_standing_rhs", contaminated)
+    with pytest.raises(KernelDefect):
+        numeric_route(route, standing_grid, case1_eta_minus1)
+
+
+@pytest.mark.parametrize("route", ["kdv", "hill", "general"])
+def test_index_routes_refuse_an_inaccurate_solve(
+    monkeypatch, standing_grid, case1_eta_minus1, route
+):
+    # a relative error of 1e-4 in the solution leaves a residual far above 1e-6
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda matrix, rhs: solve(matrix, rhs) * (1.0 + 1e-4))
+    with pytest.raises(IllConditioned):
+        numeric_route(route, standing_grid, case1_eta_minus1)
 
 
 def test_projection_norm_identity(standing_grid):
