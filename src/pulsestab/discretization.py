@@ -20,10 +20,12 @@ Assembled operators:
     Lt  = S L S,  S = (1 - b dxx)^(-1/2)                       (symmetrized)
           block by block: circulants of the smoothed symbols, plus one
           N x N product S diag(v) S per potential v
-    J   = -dx (1 - b dxx)^(-1) swap = -[[0, K], [K, 0]]
+    J   = -dx (1 - b dxx)^(-1) swap = -[[0, K], [K, 0]] = S J0 S,
+          J0 = -dx swap
     JL  = J L                                                  (evolution)
           with no product: K times a multiplier is the circulant of the
-          product symbol, and K diag(v) scales the columns of K by v
+          product symbol, and K diag(v) scales the columns of K by v;
+          assembled only when the parity reduction of JL does not apply
     M   = pointwise orthogonal rotation of L (requires a = c); congruent,
           so it shares the inertia of L exactly on the same grid
     scalar kinds: kdv  = a dxx + 1 + 2 phi0
@@ -35,7 +37,9 @@ reflection x -> -x, which maps node j to (N - j) mod N.  ReflectionParity
 folds vectors onto orthonormal even and odd bases and splits such an
 operator into its even and odd blocks, refusing one whose reflection
 defect exceeds REFLECTION_DEFECT_TOL (see Kapitula & Promislow, Spectral
-and Dynamical Stability of Nonlinear Waves, 2013, ch. 7).
+and Dynamical Stability of Nonlinear Waves, 2013, ch. 7).  dx anticommutes
+with the reflection; derivative_parity_block is its odd-to-even block, from
+which the JL count couples the parity blocks of Lt.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ __all__ = [
     "smoother_power",
     "inner_product",
     "ReflectionParity",
+    "derivative_parity_block",
     "assemble_system_operator_L",
     "assemble_tilde_L",
     "assemble_J",
@@ -239,6 +244,18 @@ class ReflectionParity:
                 f"{coupling / scale:.3e} > {REFLECTION_DEFECT_TOL}"
             )
         return even, odd
+
+
+def derivative_parity_block(grid: Grid) -> np.ndarray:
+    """First derivative from odd to even grid functions, P_even^T dx P_odd.
+
+    dx anticommutes with the reflection, so it maps odd functions to even
+    ones and even to odd; this is its (N/2 + 1) x (N/2 - 1) block on the
+    ReflectionParity bases.  The even-to-odd block is minus its transpose.
+    """
+    parity = ReflectionParity(grid)
+    d1 = multiplier_matrix(grid, _derivative_symbol(grid, 1))
+    return parity.fold(parity.fold(d1, "even"), "odd", axis=1)
 
 
 def _two_component(block11, block12, block22) -> np.ndarray:

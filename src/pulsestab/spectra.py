@@ -1,12 +1,26 @@
 """Direct eigenvalue computations and the combined stability verdict.
 
-The symmetrized operator is diagonalized densely, on its even and odd
-blocks, to read off its inertia (one negative eigenvalue and a simple kernel
-for every admissible pulse); the evolution generator JL is diagonalized in
-full to count modes with positive real part; and the essential-spectrum
-edge kappa comes from the smoothed 2x2 Fourier symbol minimized over the
-grid wavenumbers.  The verdict combines the inertia, the sign of the index
-quantity, the parity identity
+The symmetrized operator Lt is split by reflection parity and diagonalized
+block by block, to read off its inertia (one negative eigenvalue and a
+simple kernel for every admissible pulse).  The evolution generator JL is
+counted from the same blocks: with S = (1 - b dxx)^(-1/2) and J0 = -dx swap,
+J = S J0 S, so JL = S (J0 Lt) S^-1 shares the spectrum of J0 Lt, which
+couples the even block Lt_e and the odd block Lt_o through
+J_eo = P_even^T J0 P_odd.  Its eigenvalues are the four zeros of J's even
+kernel and +-sqrt(mu) for the eigenvalues mu of -G Lt_o, G = J_eo^T Lt_e J_eo
+(the even/odd Hamiltonian reduction, Kapitula & Promislow, Spectral and
+Dynamical Stability of Nonlinear Waves, 2013, ch. 7).  When Lt_o = V D V^T
+is positive semidefinite the mu are the eigenvalues of the symmetric
+
+    M = -(J_eo V D^1/2)^T Lt_e (J_eo V D^1/2),
+
+so every mu is real, with absolute round-off eps |M|.  Odd eigenvalues
+within n eps max|D| below zero count as round-off of a semidefinite block;
+one further below (supersonic waves) sends JL to a full nonsymmetric
+eigensolve.  The essential-spectrum edge kappa comes from the smoothed 2x2
+Fourier symbol minimized over the grid wavenumbers; the verdict does not
+need it.  The verdict combines the inertia, the sign of the index quantity,
+the parity identity
 
     n_unstable = n(Lt) - n(index quantity)   (mod 2),
 
@@ -19,7 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import Grid, ReflectionParity, assemble_JL, assemble_tilde_L
+from .discretization import (
+    Grid,
+    ReflectionParity,
+    assemble_JL,
+    assemble_tilde_L,
+    derivative_parity_block,
+)
 from .errors import EigensolveFailure, NotSubsonic
 from .index_count import IndexReport, index_report
 from .waves import AbcParameters, SampledWave, WaveSpec
@@ -27,12 +47,23 @@ from .waves import AbcParameters, SampledWave, WaveSpec
 __all__ = [
     "SpectrumReport",
     "StabilityVerdict",
+    "TildeLBlocks",
     "discrete_spectrum_tilde_L",
     "unstable_modes_JL",
     "essential_spectrum_gap",
     "hamiltonian_symmetry_defect",
     "stability_verdict",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class TildeLBlocks:
+    """Lt on the reflection-parity bases: the even block, and the odd block
+    as odd_vectors @ diag(odd_values) @ odd_vectors.T (values ascending)."""
+
+    even: np.ndarray
+    odd_values: np.ndarray
+    odd_vectors: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +75,7 @@ class SpectrumReport:
     ess_spectrum_gap: float | None
     n_unstable: int | None = None
     symmetry_defect: float | None = None
+    blocks: TildeLBlocks | None = None  # Lt only: the blocks the JL count reuses
 
 
 @dataclass(frozen=True)
@@ -58,39 +90,63 @@ class StabilityVerdict:
     index_report: IndexReport  # the route's full report, index_value included
 
 
+def _symmetric_eigen(solver, matrix: np.ndarray):
+    try:
+        return solver(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveFailure(f"symmetric eigensolve failed: {exc}") from exc
+
+
+def _subsonic_gap(params: AbcParameters, spec: WaveSpec, grid: Grid) -> float | None:
+    try:
+        return essential_spectrum_gap(params, spec, grid)
+    except NotSubsonic:
+        return None
+
+
+def _tilde_L_blocks(
+    params: AbcParameters, spec: WaveSpec, wave: SampledWave, grid: Grid
+) -> TildeLBlocks:
+    """Assemble Lt, split it by reflection parity and diagonalize the odd block.
+
+    ReflectionDefect if Lt does not commute with x -> -x.
+    """
+    matrix = assemble_tilde_L(params, spec, wave, grid).entries
+    even, odd = ReflectionParity(grid).split(matrix)
+    odd_values, odd_vectors = _symmetric_eigen(np.linalg.eigh, odd)
+    return TildeLBlocks(even, odd_values, odd_vectors)
+
+
 def discrete_spectrum_tilde_L(
     params: AbcParameters,
     spec: WaveSpec,
     wave: SampledWave,
     grid: Grid,
     zero_tol: float | None = None,
+    essential_gap: bool = True,
 ) -> SpectrumReport:
     """Full symmetric eigensolve of the symmetrized operator, block by block.
 
     Lt commutes with x -> -x, so its eigenvalues are the sorted union of
-    those of its even and odd blocks (ReflectionDefect if it does not).
-    zero_tol defaults to 1e-6 times the spectral radius; it separates the
-    translational kernel from genuinely small eigenvalues (verified stable
-    under N-refinement).
+    those of its even and odd blocks (ReflectionDefect if it does not); the
+    report keeps the blocks for unstable_modes_JL.  zero_tol defaults to
+    1e-6 times the spectral radius; it separates the translational kernel
+    from genuinely small eigenvalues (verified stable under N-refinement).
+    The essential-spectrum edge is reported when essential_gap is set and
+    the wave is subsonic.
     """
-    matrix = assemble_tilde_L(params, spec, wave, grid).entries
-    blocks = ReflectionParity(grid).split(matrix)
-    try:
-        eigenvalues = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in blocks]))
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveFailure(f"symmetric eigensolve failed: {exc}") from exc
+    blocks = _tilde_L_blocks(params, spec, wave, grid)
+    even_values = _symmetric_eigen(np.linalg.eigvalsh, blocks.even)
+    eigenvalues = np.sort(np.concatenate([even_values, blocks.odd_values]))
     if zero_tol is None:
         zero_tol = 1e-6 * max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
-    try:
-        gap = essential_spectrum_gap(params, spec, grid)
-    except NotSubsonic:
-        gap = None
     return SpectrumReport(
         eigenvalues=eigenvalues,
         negative_count=int(np.sum(eigenvalues < -zero_tol)),
         zero_modes=int(np.sum(np.abs(eigenvalues) <= zero_tol)),
         max_real_part=None,
-        ess_spectrum_gap=gap,
+        ess_spectrum_gap=_subsonic_gap(params, spec, grid) if essential_gap else None,
+        blocks=blocks,
     )
 
 
@@ -106,35 +162,67 @@ def hamiltonian_symmetry_defect(eigenvalues: np.ndarray, re_floor: float = 1e-8)
     return defect
 
 
+def _squared_eigenvalues(grid: Grid, blocks: TildeLBlocks) -> np.ndarray | None:
+    """Eigenvalues mu = lambda^2 of JL off J's kernel, or None when the odd
+    block of Lt is indefinite.
+
+    With Lt_o = V D V^T and D >= 0 the mu are the eigenvalues of the
+    symmetric M = -(J_eo V D^1/2)^T Lt_e (J_eo V D^1/2), so each is real and
+    carries the absolute round-off eps |M|.  Odd eigenvalues within
+    n eps max|D| below zero are round-off of a semidefinite block and count
+    as zero.
+    """
+    values = blocks.odd_values
+    floor = len(values) * np.finfo(float).eps * np.max(np.abs(values))
+    if values[0] < -floor:
+        return None
+    root = blocks.odd_vectors * np.sqrt(np.maximum(values, 0.0))
+    d = derivative_parity_block(grid)
+    half = len(values) // 2
+    # J_eo = -[[0, d], [d, 0]] swaps the components; its sign drops out of M
+    coupled = np.vstack([d @ root[half:], d @ root[:half]])
+    return _symmetric_eigen(np.linalg.eigvalsh, -(coupled.T @ (blocks.even @ coupled)))
+
+
 def unstable_modes_JL(
     params: AbcParameters,
     spec: WaveSpec,
     wave: SampledWave,
     grid: Grid,
     re_tol: float = 1e-6,
+    blocks: TildeLBlocks | None = None,
+    essential_gap: bool = True,
 ) -> SpectrumReport:
-    """General eigensolve of JL; counts modes with real part above re_tol.
+    """Eigenvalues of JL; counts modes with real part above re_tol.
 
-    The discretized essential spectrum sits on the imaginary axis up to
-    round-off, so re_tol = 1e-6 cleanly separates genuine growth rates.
+    From the parity blocks of Lt (built here when not passed in): +-sqrt(mu)
+    for the mu of _squared_eigenvalues and the zeros of J's even kernel
+    (constants and Nyquist modes), or, when the odd block is indefinite, a
+    full eigensolve of the assembled JL.  The discretized essential spectrum
+    sits on the imaginary axis up to round-off, so re_tol = 1e-6 cleanly
+    separates genuine growth rates.
     """
-    matrix = assemble_JL(params, spec, wave, grid).entries
-    try:
-        eigenvalues = np.linalg.eigvals(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveFailure(f"general eigensolve failed: {exc}") from exc
+    if blocks is None:
+        blocks = _tilde_L_blocks(params, spec, wave, grid)
+    squares = _squared_eigenvalues(grid, blocks)
+    if squares is None:
+        matrix = assemble_JL(params, spec, wave, grid).entries
+        try:
+            eigenvalues = np.linalg.eigvals(matrix)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolveFailure(f"general eigensolve failed: {exc}") from exc
+    else:
+        roots = np.sqrt(squares.astype(complex))
+        kernel = np.zeros(len(blocks.even) - len(squares), dtype=complex)
+        eigenvalues = np.concatenate([roots, -roots, kernel])
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
     eigenvalues = eigenvalues[order]
-    try:
-        gap = essential_spectrum_gap(params, spec, grid)
-    except NotSubsonic:
-        gap = None
     return SpectrumReport(
         eigenvalues=eigenvalues,
         negative_count=int(np.sum(eigenvalues.real < -re_tol)),
         zero_modes=int(np.sum(np.abs(eigenvalues) <= re_tol)),
         max_real_part=float(np.max(eigenvalues.real)),
-        ess_spectrum_gap=gap,
+        ess_spectrum_gap=_subsonic_gap(params, spec, grid) if essential_gap else None,
         n_unstable=int(np.sum(eigenvalues.real > re_tol)),
         symmetry_defect=hamiltonian_symmetry_defect(eigenvalues),
     )
@@ -183,8 +271,14 @@ def stability_verdict(
     unstable     <=  index > index_tol or a direct unstable mode exists
     inconclusive <=  |index| <= index_tol, or the inertia assumption fails
     """
-    tilde_report = discrete_spectrum_tilde_L(params, spec, wave, grid, zero_tol=zero_tol)
-    jl_report = unstable_modes_JL(params, spec, wave, grid, re_tol=re_tol)
+    # Lt is assembled, split and diagonalized once; the JL count reuses its
+    # blocks, and the verdict needs no essential-spectrum edge
+    tilde_report = discrete_spectrum_tilde_L(
+        params, spec, wave, grid, zero_tol=zero_tol, essential_gap=False
+    )
+    jl_report = unstable_modes_JL(
+        params, spec, wave, grid, re_tol=re_tol, blocks=tilde_report.blocks, essential_gap=False
+    )
     report = index_report(params, spec, wave, grid)
     index_value = report.index_value
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -37,3 +39,20 @@ def standing_z1():
 
 def dense_eigenvalues(operator):
     return np.linalg.eigvalsh(operator.entries)
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the calls to module.name, however the package binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, loaded in list(sys.modules.items()):
+        if key == "pulsestab" or key.startswith("pulsestab."):
+            for attr, value in list(vars(loaded).items()):
+                if value is original:
+                    monkeypatch.setattr(loaded, attr, counted)
+    return calls

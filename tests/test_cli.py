@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from conftest import count_calls
 from pulsestab import DomainError, EigensolveFailure, cli, index_count
 from pulsestab.cli import main
 
@@ -15,23 +19,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def count_calls(monkeypatch, module, name):
-    """Record the calls to module.name, however the package binds it."""
-    original = getattr(module, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for key, loaded in list(sys.modules.items()):
-        if key == "pulsestab" or key.startswith("pulsestab."):
-            for attr, value in list(vars(loaded).items()):
-                if value is original:
-                    monkeypatch.setattr(loaded, attr, counted)
-    return calls
 
 
 def test_wave_command_json(capsys):
@@ -320,3 +307,26 @@ def test_output_file_written(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["result"]["lam"] == pytest.approx(0.5)
+
+
+def test_index_command_imports_numpy_only():
+    # numpy is the only declared runtime dependency; an index command run in
+    # a fresh interpreter must not pull in scipy
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    inherited = [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []
+    env["PYTHONPATH"] = os.pathsep.join([str(src)] + inherited)
+    argv = ["index", "--a", "-1", "--b", "4", "--c", "-1", "--eta0", "-1.5", "--grid-n", "128"]
+    program = (
+        "import sys\n"
+        "from pulsestab.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print('scipy' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "False"
+    assert json.loads(done.stdout)["result"]["verdict"]["n_tilde_L"] == 1

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_case1, make_standing
+from conftest import count_calls, make_case1, make_standing
 from pulsestab import (
     AbcParameters,
     NotSubsonic,
@@ -11,11 +11,14 @@ from pulsestab import (
     SampledWave,
     SolverError,
     WaveSpec,
+    assemble_JL,
     assemble_tilde_L,
     build_grid,
     discrete_spectrum_tilde_L,
     essential_spectrum_gap,
+    resolve_wave_parameters,
     sample_wave,
+    spectra,
     stability_verdict,
     unstable_modes_JL,
 )
@@ -211,3 +214,87 @@ def test_verdict_parity_identity_mixed_scan():
         verdict = stability_verdict(params, spec, wave, grid)
         assert verdict.n_tilde_L == 1
         assert verdict.n_unstable_direct % 2 == verdict.parity_rhs, f"z={z}"
+
+
+def make_general(n):
+    """The a != c wave a = -1, b = 2, c = -1.2, eta0 = -9/8 on L = 40/lambda."""
+    params = AbcParameters(a=-1.0, b=2.0, c=-1.2)
+    spec = resolve_wave_parameters(params, -1.125, +1)
+    grid = build_grid(n, 40.0 / spec.lam)
+    return params, spec, grid, sample_wave(spec, grid)
+
+
+JL_CASES = {
+    "standing_z1": lambda n: make_standing(b=1.0, n=n),
+    "standing_z12": lambda n: make_standing(b=12.0, n=n, lfac=50.0),
+    "case1_eta_minus1": lambda n: make_case1(-1.0, n=n),
+    "general": make_general,
+}
+
+
+def count_eigvals(monkeypatch):
+    """Record the calls to np.linalg.eigvals."""
+    original = np.linalg.eigvals
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("case", sorted(JL_CASES))
+def test_jl_parity_reduction_matches_full_eigensolve(case, n, monkeypatch):
+    params, spec, grid, wave = JL_CASES[case](n)
+    reference = np.linalg.eigvals(assemble_JL(params, spec, wave, grid).entries)
+    calls = count_eigvals(monkeypatch)
+    report = unstable_modes_JL(params, spec, wave, grid)
+    assert calls == []  # every odd block here is semidefinite
+    re_tol = 1e-6
+    assert report.n_unstable == int(np.sum(reference.real > re_tol))
+    growth = float(np.max(reference.real))
+    if growth > re_tol:
+        # relative 1e-9, plus the reference's own round-off on a small mode:
+        # an error eps_2 in lambda^2 moves lambda by eps_2 / (2 lambda), and
+        # eigvals(JL) and eigvals(JL^T) differ by up to 1.6e-9 relative on
+        # the spurious N = 256 translation pairs of about 2e-4
+        assert abs(report.max_real_part - growth) <= 1e-9 * growth + 1e-15 / growth
+    else:
+        assert report.max_real_part <= re_tol
+    assert len(report.eigenvalues) == len(reference)
+    radius = np.max(np.abs(reference))
+    np.testing.assert_allclose(
+        np.sort(np.abs(report.eigenvalues)), np.sort(np.abs(reference)), rtol=0, atol=1e-7 * radius
+    )
+    assert report.symmetry_defect == 0.0  # the pairs +-sqrt(mu) are exact
+
+
+def test_jl_indefinite_odd_block_takes_the_full_eigensolve(monkeypatch):
+    # the supersonic free-amplitude wave has an odd block of Lt down to -1
+    params, spec, grid, wave = make_case1(-2.6, n=128, lfac=50.0)
+    assert discrete_spectrum_tilde_L(params, spec, wave, grid).blocks.odd_values[0] < -0.5
+    calls = count_eigvals(monkeypatch)
+    report = unstable_modes_JL(params, spec, wave, grid)
+    assert calls == [(256, 256)]
+    assert report.n_unstable == 8
+
+
+def test_verdict_splits_lt_once_and_skips_the_essential_gap(monkeypatch, standing_z1):
+    params, spec, grid, wave = standing_z1
+    names = ("assemble_tilde_L", "assemble_JL", "essential_spectrum_gap")
+    calls = {name: count_calls(monkeypatch, spectra, name) for name in names}
+    stability_verdict(params, spec, wave, grid)
+    assert {name: len(made) for name, made in calls.items()} == {
+        "assemble_tilde_L": 1,
+        "assemble_JL": 0,
+        "essential_spectrum_gap": 0,
+    }
+
+
+def test_standalone_jl_report_keeps_the_essential_gap(case1_eta_minus1):
+    params, spec, grid, wave = case1_eta_minus1
+    report = unstable_modes_JL(params, spec, wave, grid)
+    assert report.ess_spectrum_gap == pytest.approx(1.0 - abs(spec.w), rel=1e-12)
