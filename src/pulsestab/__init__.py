@@ -1,146 +1,35 @@
 """Spectral-stability workbench for sech^2 pulses of the abc water-wave system.
 
-Builds the explicit pulse family, assembles the linearized operators on a
-periodic Fourier collocation grid, evaluates the instability-index quantity
-in closed form and by solves on the even reflection-parity block, counts unstable modes by
-direct dense eigensolves, and pins the critical coefficient ratio of the
-standing-wave branch by bisection.
+Builds the explicit pulse family, assembles the linearized operators as
+their cosine and sine blocks on a periodic Fourier collocation grid,
+evaluates the instability-index quantity in closed form and by solves on the
+even block, counts unstable modes by direct dense eigensolves, and pins the
+critical coefficient ratio of the standing-wave branch by bisection.
+
+The package re-exports what the scripts use; everything else is imported
+from its submodule.
 """
 
 __version__ = "0.1.0"
 
-from .discretization import (
-    DiscreteOperator,
-    Grid,
-    ReflectionParity,
-    assemble_J,
-    assemble_JL,
-    assemble_rotated_operator,
-    assemble_scalar_operator,
-    assemble_system_operator_L,
-    assemble_tilde_L,
-    build_grid,
-    inner_product,
-    smoother_power,
-    spectral_derivative,
-)
-from .errors import (
-    DomainError,
-    EigensolveFailure,
-    GridTooSmall,
-    IllConditioned,
-    InvalidGrid,
-    KernelDefect,
-    NoSignChange,
-    NotSubsonic,
-    PoleError,
-    ReflectionDefect,
-    ResidualError,
-    SolveFailure,
-    SolverError,
-    WorkbenchError,
-)
-from .hill import (
-    HillSpec,
-    HillSpectrum,
-    case1_diagonal_reduction,
-    hill_nonnegativity_test,
-    hill_spectrum_closed_form,
-    poeschl_teller_levels,
-)
+from .discretization import build_grid
 from .index_count import (
-    BisectionResult,
-    IndexReport,
-    InnerProductTable,
-    case1_index_closed_form,
     case2_index,
-    closed_form_inner_products,
     critical_ratio_bisection,
-    general_index_numeric,
-    hill_index_numeric,
     index_lower_bound_poly,
-    index_report,
     index_upper_bound_poly,
-    kdv_index_closed_form,
-    kdv_index_numeric,
-    kdv_inverse_apply,
 )
-from .spectra import (
-    SpectrumReport,
-    StabilityVerdict,
-    discrete_spectrum_tilde_L,
-    essential_spectrum_gap,
-    stability_verdict,
-    unstable_modes_JL,
-)
-from .waves import (
-    AbcParameters,
-    SampledWave,
-    WaveSpec,
-    resolve_wave_parameters,
-    sample_wave,
-    traveling_residual,
-)
+from .spectra import stability_verdict
+from .waves import AbcParameters, resolve_wave_parameters, sample_wave
 
 __all__ = [
     "AbcParameters",
-    "BisectionResult",
-    "DiscreteOperator",
-    "DomainError",
-    "EigensolveFailure",
-    "Grid",
-    "GridTooSmall",
-    "HillSpec",
-    "HillSpectrum",
-    "IllConditioned",
-    "IndexReport",
-    "InnerProductTable",
-    "InvalidGrid",
-    "KernelDefect",
-    "NoSignChange",
-    "NotSubsonic",
-    "PoleError",
-    "ReflectionDefect",
-    "ReflectionParity",
-    "ResidualError",
-    "SampledWave",
-    "SolveFailure",
-    "SolverError",
-    "SpectrumReport",
-    "StabilityVerdict",
-    "WaveSpec",
-    "WorkbenchError",
-    "assemble_J",
-    "assemble_JL",
-    "assemble_rotated_operator",
-    "assemble_scalar_operator",
-    "assemble_system_operator_L",
-    "assemble_tilde_L",
     "build_grid",
-    "case1_diagonal_reduction",
-    "case1_index_closed_form",
     "case2_index",
-    "closed_form_inner_products",
     "critical_ratio_bisection",
-    "discrete_spectrum_tilde_L",
-    "essential_spectrum_gap",
-    "general_index_numeric",
-    "hill_index_numeric",
-    "hill_nonnegativity_test",
-    "hill_spectrum_closed_form",
     "index_lower_bound_poly",
-    "index_report",
     "index_upper_bound_poly",
-    "inner_product",
-    "kdv_index_closed_form",
-    "kdv_index_numeric",
-    "kdv_inverse_apply",
-    "poeschl_teller_levels",
     "resolve_wave_parameters",
     "sample_wave",
-    "smoother_power",
-    "spectral_derivative",
     "stability_verdict",
-    "traveling_residual",
-    "unstable_modes_JL",
 ]

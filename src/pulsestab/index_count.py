@@ -37,15 +37,15 @@ exist:
   ~ 10.51288; the bisection below pins the actual crossing numerically.
 
 The numeric routes (kdv and hill parts, general L) only assemble their
-operator and right-hand side; one solve, _even_block_index, does the rest
-on the even block of the reflection-parity split.  Every right-hand side
-here is even and the translation kernel (phi', psi') is odd, so the even
-block is nonsingular and no kernel needs deflating.  In order, that solve
-raises KernelDefect when the right-hand side's odd part reaches 1e-8 of its
-norm, ReflectionDefect when the operator does not commute with x -> -x,
+operator's parity blocks, which raises ReflectionDefect when a potential is
+not even, and their right-hand side; one solve, _even_block_index, does the
+rest on the cosine block.  Every right-hand side here is even and the
+translation kernel (phi', psi') is odd, so the even block is nonsingular and
+no kernel needs deflating.  In order, that solve raises KernelDefect when
+the right-hand side's sine coefficients reach 1e-8 of its norm,
 SolveFailure when the hill operator fails a Cholesky factorization of
 either parity block or the even solve fails, and IllConditioned when the
-even residual exceeds 1e-6 * max(1, |rhs|_inf).
+even residual exceeds 1e-6 * max(1, |rhs|_inf) on the cosine coefficients.
 """
 
 from __future__ import annotations
@@ -57,11 +57,12 @@ import numpy as np
 
 from .discretization import (
     Grid,
-    ReflectionParity,
+    ParityBlocks,
     apply_multiplier,
     assemble_scalar_operator,
     assemble_system_operator_L,
     derivative_of_samples,
+    parity_coefficients,
     standing_wave_profile,
 )
 from .errors import (
@@ -196,24 +197,23 @@ def kdv_index_closed_form(a: float, b: float) -> float:
 
 
 def _even_block_index(
-    grid: Grid, matrix: np.ndarray, rhs: np.ndarray, positive_definite: bool = False
+    grid: Grid, blocks: ParityBlocks, rhs: np.ndarray, positive_definite: bool = False
 ) -> float:
     """<A^(-1) rhs, rhs> for an operator A that commutes with x -> -x.
 
     Solved on the even block alone, with the checks listed in the module
     docstring; the Cholesky check runs when positive_definite is set.  The
-    even basis P is orthonormal, so <P u, rhs> = u . P^T rhs.
+    cosine basis P is orthonormal, so <P u, rhs> = u . P^T rhs.
     """
-    parity = ReflectionParity(grid)
-    defect = float(np.linalg.norm(parity.fold(rhs, "odd"))) / float(np.linalg.norm(rhs))
+    rhs_even, rhs_odd = parity_coefficients(grid, rhs)
+    defect = float(np.linalg.norm(rhs_odd)) / float(np.linalg.norm(rhs))
     if defect >= _DEFECT_TOL:
         raise KernelDefect(f"odd part of the right-hand side {defect:.3e} >= {_DEFECT_TOL}")
-    rhs_even = parity.fold(rhs, "even")
-    even_block, odd_block = parity.split(matrix)
+    even_block = blocks.even
     if positive_definite:
         try:
             np.linalg.cholesky(even_block)
-            np.linalg.cholesky(odd_block)
+            np.linalg.cholesky(blocks.odd)
         except np.linalg.LinAlgError as exc:
             raise SolveFailure(f"operator not positive definite: {exc}") from exc
     try:
@@ -228,8 +228,8 @@ def _even_block_index(
 
 def kdv_index_numeric(a: float, b: float, grid: Grid) -> float:
     """<kdv^(-1) f, f> by a dense solve on the even block (the kernel phi' is odd)."""
-    matrix = assemble_scalar_operator("kdv", AbcParameters(a=a, b=b, c=a), grid).entries
-    return _even_block_index(grid, matrix, _standing_rhs(a, b, grid))
+    blocks = assemble_scalar_operator("kdv", AbcParameters(a=a, b=b, c=a), grid)
+    return _even_block_index(grid, blocks, _standing_rhs(a, b, grid))
 
 
 def hill_index_numeric(a: float, b: float, grid: Grid) -> float:
@@ -239,8 +239,8 @@ def hill_index_numeric(a: float, b: float, grid: Grid) -> float:
     definite, which is checked by a Cholesky factorization of both parity
     blocks.
     """
-    matrix = assemble_scalar_operator("hill", AbcParameters(a=a, b=b, c=a), grid).entries
-    return _even_block_index(grid, matrix, _standing_rhs(a, b, grid), positive_definite=True)
+    blocks = assemble_scalar_operator("hill", AbcParameters(a=a, b=b, c=a), grid)
+    return _even_block_index(grid, blocks, _standing_rhs(a, b, grid), positive_definite=True)
 
 
 def index_lower_bound_poly(z: float) -> float:
@@ -290,18 +290,23 @@ def case1_index_closed_form(eta0: float, b: float, sign_branch: int = +1) -> flo
     return (144.0 * math.sqrt(b) / 5.0) * eta0 * (4.0 + eta0) / (2.0 * eta0 + 9.0)
 
 
+def _general_rhs(params: AbcParameters, wave, grid: Grid) -> np.ndarray:
+    """RHS = (1 - b dxx)(psi, phi)^T of the general index."""
+    symbol = 1.0 + params.b * grid.wavenumbers**2
+    return np.concatenate(
+        [apply_multiplier(grid, symbol, wave.psi), apply_multiplier(grid, symbol, wave.phi)]
+    )
+
+
 def general_index_numeric(params: AbcParameters, spec, wave, grid: Grid) -> float:
     """<L^(-1) RHS, RHS> with RHS = (1 - b dxx)(psi, phi)^T, solved on the even block.
 
-    L commutes with x -> -x and its kernel (phi', psi') is odd; the
-    right-hand side must be even (KernelDefect otherwise).
+    L commutes with x -> -x and its kernel (phi', psi') is odd; the wave
+    must be even (ReflectionDefect otherwise) and so must the right-hand
+    side (KernelDefect otherwise).
     """
-    matrix = assemble_system_operator_L(params, spec, wave, grid).entries
-    symbol = 1.0 + params.b * grid.wavenumbers**2
-    rhs = np.concatenate(
-        [apply_multiplier(grid, symbol, wave.psi), apply_multiplier(grid, symbol, wave.phi)]
-    )
-    return _even_block_index(grid, matrix, rhs)
+    blocks = assemble_system_operator_L(params, spec, wave, grid)
+    return _even_block_index(grid, blocks, _general_rhs(params, wave, grid))
 
 
 def index_report(params: AbcParameters, spec, wave, grid: Grid) -> IndexReport:

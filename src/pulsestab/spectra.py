@@ -1,23 +1,27 @@
 """Direct eigenvalue computations and the combined stability verdict.
 
-The symmetrized operator Lt is split by reflection parity and diagonalized
-block by block, to read off its inertia (one negative eigenvalue and a
-simple kernel for every admissible pulse).  The evolution generator JL is
-counted from the same blocks: with S = (1 - b dxx)^(-1/2) and J0 = -dx swap,
-J = S J0 S, so JL = S (J0 Lt) S^-1 shares the spectrum of J0 Lt, which
-couples the even block Lt_e and the odd block Lt_o through
-J_eo = P_even^T J0 P_odd.  Its eigenvalues are the four zeros of J's even
-kernel and +-sqrt(mu) for the eigenvalues mu of -G Lt_o, G = J_eo^T Lt_e J_eo
-(the even/odd Hamiltonian reduction, Kapitula & Promislow, Spectral and
-Dynamical Stability of Nonlinear Waves, 2013, ch. 7).  When Lt_o = V D V^T
-is positive semidefinite the mu are the eigenvalues of the symmetric
+The symmetrized operator Lt is assembled as its cosine and sine blocks and
+diagonalized block by block, to read off its inertia (one negative
+eigenvalue and a simple kernel for every admissible pulse).  The evolution
+generator JL is counted from the same blocks: with S = (1 - b dxx)^(-1/2)
+and J0 = -dx swap, J = S J0 S, so JL = S (J0 Lt) S^-1 shares the spectrum of
+J0 Lt, which couples the even block Lt_e and the odd block Lt_o through
+J_eo = -[[0, D], [D, 0]], D = diag(xi_k) from sine k to cosine k.  Its
+eigenvalues are the four zeros of J's even kernel and +-sqrt(mu) for the
+eigenvalues mu of -G Lt_o, G = J_eo^T Lt_e J_eo (the even/odd Hamiltonian
+reduction, Kapitula & Promislow, Spectral and Dynamical Stability of
+Nonlinear Waves, 2013, ch. 7).  When Lt_o = V D V^T is positive
+semidefinite the mu are the eigenvalues of the symmetric
 
     M = -(J_eo V D^1/2)^T Lt_e (J_eo V D^1/2),
 
 so every mu is real, with absolute round-off eps |M|.  Odd eigenvalues
 within n eps max|D| below zero count as round-off of a semidefinite block;
 one further below (supersonic waves) sends JL to a full nonsymmetric
-eigensolve.  The essential-spectrum edge kappa comes from the smoothed 2x2
+eigensolve of [[0, JL_odd], [JL_even, 0]], its parity blocks laid out on
+the cosine and sine coefficients.  The odd block's eigenvectors are computed
+only for this count; the standalone Lt spectrum takes eigenvalues alone.
+The essential-spectrum edge kappa comes from the smoothed 2x2
 Fourier symbol minimized over the grid wavenumbers; the verdict does not
 need it.  The verdict combines the inertia, the sign of the index quantity,
 the parity identity
@@ -35,10 +39,10 @@ import numpy as np
 
 from .discretization import (
     Grid,
-    ReflectionParity,
     assemble_JL,
     assemble_tilde_L,
-    derivative_parity_block,
+    parity_wavenumbers,
+    swap_odd_to_even,
 )
 from .errors import EigensolveFailure, NotSubsonic
 from .index_count import IndexReport, index_report
@@ -58,7 +62,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TildeLBlocks:
-    """Lt on the reflection-parity bases: the even block, and the odd block
+    """Lt on the cosine and sine bases: the even block, and the odd block
     as odd_vectors @ diag(odd_values) @ odd_vectors.T (values ascending)."""
 
     even: np.ndarray
@@ -75,7 +79,7 @@ class SpectrumReport:
     ess_spectrum_gap: float | None
     n_unstable: int | None = None
     symmetry_defect: float | None = None
-    blocks: TildeLBlocks | None = None  # Lt only: the blocks the JL count reuses
+    blocks: TildeLBlocks | None = None  # JL only: the Lt blocks its count used
 
 
 @dataclass(frozen=True)
@@ -107,14 +111,13 @@ def _subsonic_gap(params: AbcParameters, spec: WaveSpec, grid: Grid) -> float | 
 def _tilde_L_blocks(
     params: AbcParameters, spec: WaveSpec, wave: SampledWave, grid: Grid
 ) -> TildeLBlocks:
-    """Assemble Lt, split it by reflection parity and diagonalize the odd block.
+    """Assemble the parity blocks of Lt and diagonalize the odd one.
 
-    ReflectionDefect if Lt does not commute with x -> -x.
+    ReflectionDefect if the wave is not even.
     """
-    matrix = assemble_tilde_L(params, spec, wave, grid).entries
-    even, odd = ReflectionParity(grid).split(matrix)
-    odd_values, odd_vectors = _symmetric_eigen(np.linalg.eigh, odd)
-    return TildeLBlocks(even, odd_values, odd_vectors)
+    lt = assemble_tilde_L(params, spec, wave, grid)
+    odd_values, odd_vectors = _symmetric_eigen(np.linalg.eigh, lt.odd)
+    return TildeLBlocks(lt.even, odd_values, odd_vectors)
 
 
 def discrete_spectrum_tilde_L(
@@ -124,20 +127,26 @@ def discrete_spectrum_tilde_L(
     grid: Grid,
     zero_tol: float | None = None,
     essential_gap: bool = True,
+    blocks: TildeLBlocks | None = None,
 ) -> SpectrumReport:
     """Full symmetric eigensolve of the symmetrized operator, block by block.
 
     Lt commutes with x -> -x, so its eigenvalues are the sorted union of
-    those of its even and odd blocks (ReflectionDefect if it does not); the
-    report keeps the blocks for unstable_modes_JL.  zero_tol defaults to
-    1e-6 times the spectral radius; it separates the translational kernel
-    from genuinely small eigenvalues (verified stable under N-refinement).
-    The essential-spectrum edge is reported when essential_gap is set and
-    the wave is subsonic.
+    those of its even and odd blocks (ReflectionDefect if the wave is not
+    even).  Blocks passed in, as a JL report carries them, are reused with
+    their odd eigenvalues; otherwise Lt is assembled here and both blocks
+    take eigenvalues only.  zero_tol defaults to 1e-6 times the spectral
+    radius; it separates the translational kernel from genuinely small
+    eigenvalues (verified stable under N-refinement).  The essential-spectrum
+    edge is reported when essential_gap is set and the wave is subsonic.
     """
-    blocks = _tilde_L_blocks(params, spec, wave, grid)
-    even_values = _symmetric_eigen(np.linalg.eigvalsh, blocks.even)
-    eigenvalues = np.sort(np.concatenate([even_values, blocks.odd_values]))
+    if blocks is None:
+        lt = assemble_tilde_L(params, spec, wave, grid)
+        even, odd_values = lt.even, _symmetric_eigen(np.linalg.eigvalsh, lt.odd)
+    else:
+        even, odd_values = blocks.even, blocks.odd_values
+    even_values = _symmetric_eigen(np.linalg.eigvalsh, even)
+    eigenvalues = np.sort(np.concatenate([even_values, odd_values]))
     if zero_tol is None:
         zero_tol = 1e-6 * max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
     return SpectrumReport(
@@ -146,7 +155,6 @@ def discrete_spectrum_tilde_L(
         zero_modes=int(np.sum(np.abs(eigenvalues) <= zero_tol)),
         max_real_part=None,
         ess_spectrum_gap=_subsonic_gap(params, spec, grid) if essential_gap else None,
-        blocks=blocks,
     )
 
 
@@ -177,10 +185,8 @@ def _squared_eigenvalues(grid: Grid, blocks: TildeLBlocks) -> np.ndarray | None:
     if values[0] < -floor:
         return None
     root = blocks.odd_vectors * np.sqrt(np.maximum(values, 0.0))
-    d = derivative_parity_block(grid)
-    half = len(values) // 2
-    # J_eo = -[[0, d], [d, 0]] swaps the components; its sign drops out of M
-    coupled = np.vstack([d @ root[half:], d @ root[:half]])
+    # J_eo is minus this swap; the sign drops out of M
+    coupled = swap_odd_to_even(parity_wavenumbers(grid)[1:-1], root)
     return _symmetric_eigen(np.linalg.eigvalsh, -(coupled.T @ (blocks.even @ coupled)))
 
 
@@ -190,23 +196,25 @@ def unstable_modes_JL(
     wave: SampledWave,
     grid: Grid,
     re_tol: float = 1e-6,
-    blocks: TildeLBlocks | None = None,
     essential_gap: bool = True,
 ) -> SpectrumReport:
     """Eigenvalues of JL; counts modes with real part above re_tol.
 
-    From the parity blocks of Lt (built here when not passed in): +-sqrt(mu)
+    From the parity blocks of Lt, which the report carries on: +-sqrt(mu)
     for the mu of _squared_eigenvalues and the zeros of J's even kernel
     (constants and Nyquist modes), or, when the odd block is indefinite, a
-    full eigensolve of the assembled JL.  The discretized essential spectrum
-    sits on the imaginary axis up to round-off, so re_tol = 1e-6 cleanly
-    separates genuine growth rates.
+    full eigensolve of JL from its parity blocks.  The discretized essential
+    spectrum sits on the imaginary axis up to round-off, so re_tol = 1e-6
+    cleanly separates genuine growth rates.
     """
-    if blocks is None:
-        blocks = _tilde_L_blocks(params, spec, wave, grid)
+    blocks = _tilde_L_blocks(params, spec, wave, grid)
     squares = _squared_eigenvalues(grid, blocks)
     if squares is None:
-        matrix = assemble_JL(params, spec, wave, grid).entries
+        jl = assemble_JL(params, spec, wave, grid)
+        even_size, odd_size = len(jl.odd), len(jl.even)
+        matrix = np.block(
+            [[np.zeros((even_size, even_size)), jl.odd], [jl.even, np.zeros((odd_size, odd_size))]]
+        )
         try:
             eigenvalues = np.linalg.eigvals(matrix)
         except np.linalg.LinAlgError as exc:
@@ -225,6 +233,7 @@ def unstable_modes_JL(
         ess_spectrum_gap=_subsonic_gap(params, spec, grid) if essential_gap else None,
         n_unstable=int(np.sum(eigenvalues.real > re_tol)),
         symmetry_defect=hamiltonian_symmetry_defect(eigenvalues),
+        blocks=blocks,
     )
 
 
@@ -271,13 +280,12 @@ def stability_verdict(
     unstable     <=  index > index_tol or a direct unstable mode exists
     inconclusive <=  |index| <= index_tol, or the inertia assumption fails
     """
-    # Lt is assembled, split and diagonalized once; the JL count reuses its
-    # blocks, and the verdict needs no essential-spectrum edge
+    # Lt is assembled once and its odd block diagonalized once, with the
+    # eigenvectors the JL count needs; the inertia reuses the blocks, and the
+    # verdict needs no essential-spectrum edge
+    jl_report = unstable_modes_JL(params, spec, wave, grid, re_tol=re_tol, essential_gap=False)
     tilde_report = discrete_spectrum_tilde_L(
-        params, spec, wave, grid, zero_tol=zero_tol, essential_gap=False
-    )
-    jl_report = unstable_modes_JL(
-        params, spec, wave, grid, re_tol=re_tol, blocks=tilde_report.blocks, essential_gap=False
+        params, spec, wave, grid, zero_tol=zero_tol, essential_gap=False, blocks=jl_report.blocks
     )
     report = index_report(params, spec, wave, grid)
     index_value = report.index_value

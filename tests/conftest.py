@@ -3,12 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from pulsestab import (
-    AbcParameters,
-    build_grid,
-    resolve_wave_parameters,
-    sample_wave,
-)
+from pulsestab.discretization import build_grid
+from pulsestab.waves import AbcParameters, resolve_wave_parameters, sample_wave
 
 
 def make_case1(eta0, b=1.0, sign=+1, n=512, lfac=40.0):
@@ -27,6 +23,24 @@ def make_standing(a=-1.0, b=1.0, sign=+1, n=512, lfac=40.0):
     return params, spec, grid, sample_wave(spec, grid)
 
 
+def make_general(n):
+    """The a != c wave a = -1, b = 2, c = -1.2, eta0 = -9/8 on L = 40/lambda."""
+    params = AbcParameters(a=-1.0, b=2.0, c=-1.2)
+    spec = resolve_wave_parameters(params, -1.125, +1)
+    grid = build_grid(n, 40.0 / spec.lam)
+    return params, spec, grid, sample_wave(spec, grid)
+
+
+# one wave of each kind, by grid size: standing z = 1 and z = 12, free
+# amplitude eta0 = -1, and the general a != c wave
+WAVE_CASES = {
+    "standing_z1": lambda n: make_standing(b=1.0, n=n),
+    "standing_z12": lambda n: make_standing(b=12.0, n=n, lfac=50.0),
+    "case1_eta_minus1": lambda n: make_case1(-1.0, n=n),
+    "general": make_general,
+}
+
+
 @pytest.fixture(scope="session")
 def case1_eta_minus1():
     return make_case1(-1.0)
@@ -35,10 +49,6 @@ def case1_eta_minus1():
 @pytest.fixture(scope="session")
 def standing_z1():
     return make_standing()
-
-
-def dense_eigenvalues(operator):
-    return np.linalg.eigvalsh(operator.entries)
 
 
 def count_calls(monkeypatch, module, name):

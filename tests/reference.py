@@ -1,0 +1,121 @@
+"""Physical-space reference operators, built independently of the
+cosine/sine assembly in pulsestab.discretization.
+
+A multiplier is its symbol applied to every unit vector (the FFT of the
+identity), a potential is a diagonal matrix, and compositions are explicit
+matrix products.  parity_basis holds the cosine and sine basis vectors
+sampled explicitly, so C^T A C gives the parity blocks of a reference matrix
+A, and to_physical takes assembled blocks back to the grid.
+"""
+
+import numpy as np
+
+from pulsestab.discretization import standing_wave_profile
+
+
+def multiplier_matrix(grid, symbol):
+    """Dense real matrix of the Fourier multiplier: the symbol applied to each unit vector."""
+    spectral = np.fft.fft(np.eye(grid.n_points), axis=0)
+    return np.real(np.fft.ifft(symbol[:, None] * spectral, axis=0))
+
+
+def derivative_symbol(grid, order):
+    symbol = (1j * grid.wavenumbers) ** order
+    if order % 2 == 1:
+        symbol[grid.n_points // 2] = 0.0  # the unpaired Nyquist mode
+    return symbol
+
+
+def spectral_derivative(grid, order):
+    return multiplier_matrix(grid, derivative_symbol(grid, order))
+
+
+def smoother_power(grid, b, power):
+    """(1 - b dxx)^power as the multiplier (1 + b xi^2)^power."""
+    return multiplier_matrix(grid, (1.0 + b * grid.wavenumbers**2) ** power)
+
+
+def two_component(block11, block12, block22):
+    return np.block([[block11, block12], [block12, block22]])
+
+
+def system_operator_L(params, spec, wave, grid):
+    eye = np.eye(grid.n_points)
+    d2 = spectral_derivative(grid, 2)
+    off = params.b * spec.w * d2 - spec.w * eye + np.diag(wave.psi)
+    return two_component(eye + params.c * d2, off, eye + params.a * d2 + np.diag(wave.phi))
+
+
+def tilde_L(params, spec, wave, grid):
+    half = smoother_power(grid, params.b, -0.5)
+    smoother = np.kron(np.eye(2), half)
+    return smoother @ system_operator_L(params, spec, wave, grid) @ smoother
+
+
+def J(params, grid):
+    """-dx (1 - b dxx)^(-1) swap."""
+    k = spectral_derivative(grid, 1) @ smoother_power(grid, params.b, -1.0)
+    zero = np.zeros_like(k)
+    return -np.block([[zero, k], [k, zero]])
+
+
+def JL(params, spec, wave, grid):
+    return J(params, grid) @ system_operator_L(params, spec, wave, grid)
+
+
+def rotated_operator(params, spec, wave, grid):
+    """Pointwise orthogonal rotation of L for a = c:
+
+        [[ (a + b w) dxx + (1 - w) + psi + phi/2,   phi/2                ],
+         [ phi/2,   (a - b w) dxx + (1 + w) - psi + phi/2                ]]
+
+    orthogonally similar to L on the grid.
+    """
+    eye = np.eye(grid.n_points)
+    d2 = spectral_derivative(grid, 2)
+    w = spec.w
+    m11 = (params.a + params.b * w) * d2 + (1.0 - w) * eye + np.diag(wave.psi + 0.5 * wave.phi)
+    m22 = (params.a - params.b * w) * d2 + (1.0 + w) * eye + np.diag(-wave.psi + 0.5 * wave.phi)
+    return two_component(m11, np.diag(0.5 * wave.phi), m22)
+
+
+def scalar_operator(kind, params, grid):
+    """kdv = a dxx + 1 + 2 phi0, hill = a dxx + 1 - phi0."""
+    phi0 = standing_wave_profile(params.a, grid)
+    sign = {"kdv": 2.0, "hill": -1.0}[kind]
+    eye = np.eye(grid.n_points)
+    return params.a * spectral_derivative(grid, 2) + eye + np.diag(sign * phi0)
+
+
+def generic_hill(grid, hill):
+    """-dxx + alpha^2 - Q sech^2(lambda x) for a HillSpec."""
+    potential = hill.Q / np.cosh(hill.lam * grid.nodes) ** 2
+    eye = np.eye(grid.n_points)
+    return -spectral_derivative(grid, 2) + hill.alpha**2 * eye - np.diag(potential)
+
+
+def parity_basis(grid, components=1):
+    """Orthonormal cosine and sine basis vectors as columns: c_k cos(xi_k x_j),
+    k = 0..N/2, and sqrt(2/N) sin(xi_k x_j), k = 1..N/2-1, per component."""
+    n = grid.n_points
+    k = np.arange(n // 2 + 1)
+    # xi_k x_j = 2 pi k j / N - pi k; the angle is reduced exactly, mod 2 pi
+    angle = 2.0 * np.pi * (np.outer(np.arange(n), k) % n) / n
+    sign = (-1.0) ** k
+    cosine = np.sqrt(2.0 / n) * sign * np.cos(angle)
+    cosine[:, [0, -1]] /= np.sqrt(2.0)
+    sine = np.sqrt(2.0 / n) * (sign * np.sin(angle))[:, 1:-1]
+    stack = np.eye(components)
+    return np.kron(stack, cosine), np.kron(stack, sine)
+
+
+def to_physical(grid, blocks):
+    """The grid matrix of assembled ParityBlocks; each block's row count
+    tells which basis its image lies in (JL maps each parity onto the other)."""
+    columns = blocks.even.shape[1] + blocks.odd.shape[1]
+    even, odd = parity_basis(grid, columns // grid.n_points)
+
+    def image(block):
+        return even if len(block) == even.shape[1] else odd
+
+    return image(blocks.even) @ blocks.even @ even.T + image(blocks.odd) @ blocks.odd @ odd.T

@@ -23,27 +23,34 @@ import time
 import numpy as np
 import pytest
 
+import reference
 from conftest import make_case1, make_standing
-from pulsestab import (
-    NoSignChange,
+from pulsestab.discretization import (
     build_grid,
-    case1_diagonal_reduction,
+    derivative_of_samples,
+    inner_product,
+    standing_wave_profile,
+)
+from pulsestab.errors import NoSignChange
+from pulsestab.hill import case1_diagonal_reduction, hill_spectrum_closed_form
+from pulsestab.index_count import (
     case1_index_closed_form,
     case2_index,
+    closed_form_inner_products,
     critical_ratio_bisection,
+    general_index_numeric,
+    index_lower_bound_poly,
+    index_upper_bound_poly,
+    kdv_index_numeric,
+    standing_wave_a_derivative,
+)
+from pulsestab.spectra import (
     discrete_spectrum_tilde_L,
     essential_spectrum_gap,
-    general_index_numeric,
-    hill_spectrum_closed_form,
-    assemble_scalar_operator,
-    closed_form_inner_products,
-    inner_product,
-    kdv_index_numeric,
-    traveling_residual,
+    stability_verdict,
     unstable_modes_JL,
 )
-from pulsestab.discretization import derivative_of_samples, standing_wave_profile
-from pulsestab.index_count import standing_wave_a_derivative
+from pulsestab.waves import traveling_residual
 
 CASE1_ETAS = [-2.2, -1.75, -1.2, -0.8, -0.3]
 CASE1_BS = [0.5, 1.0, 2.0]
@@ -94,9 +101,7 @@ def criterion_2():
         if closed.negative_count != 1 or abs(closed.discrete_eigenvalues[1]) > 1e-13 / b:
             return False, "level structure wrong"
         grid = build_grid(1024, 40.0 / hill1.lam)
-        dense = np.linalg.eigvalsh(
-            assemble_scalar_operator("generic", None, grid, hill=hill1).entries
-        )
+        dense = np.linalg.eigvalsh(reference.generic_hill(grid, hill1))
         for level in closed.discrete_eigenvalues:
             worst = max(worst, float(np.min(np.abs(dense - level))))
     return worst < 1e-6, f"worst level error {worst:.2e}"
@@ -264,8 +269,6 @@ def test_criterion_7_sandwich_stated():
 
 
 def test_criterion_7_sandwich_corrected():
-    from pulsestab import index_lower_bound_poly, index_upper_bound_poly
-
     ok, detail = _criterion_7(index_lower_bound_poly, index_upper_bound_poly)
     _report("7 (corrected)", ok, detail)
     assert ok, detail
@@ -354,8 +357,6 @@ def test_criterion_10_direct_spectra():
 # --- criterion 11: parity identity -------------------------------------------
 
 def criterion_11():
-    from pulsestab import stability_verdict
-
     stable_z = np.linspace(0.5, 9.0, 14)
     unstable_z = [12.0, 13.0, 14.0, 15.0, 16.0, 17.0]
     for z in list(stable_z) + list(unstable_z):
@@ -426,8 +427,6 @@ def main() -> int:
     ]
 
     def corrected_7():
-        from pulsestab import index_lower_bound_poly, index_upper_bound_poly
-
         return _criterion_7(index_lower_bound_poly, index_upper_bound_poly)
 
     checks.insert(9, ("7 (corrected)", corrected_7))

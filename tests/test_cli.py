@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from conftest import count_calls
-from pulsestab import DomainError, EigensolveFailure, cli, index_count
+from pulsestab import cli, index_count
+from pulsestab.errors import DomainError, EigensolveFailure
 from pulsestab.cli import main
 
 FAST = ["--grid-n", "512"]
@@ -310,23 +311,31 @@ def test_output_file_written(capsys, tmp_path):
 
 
 def test_index_command_imports_numpy_only():
-    # numpy is the only declared runtime dependency; an index command run in
-    # a fresh interpreter must not pull in scipy
+    # numpy is the only declared runtime dependency; an index, threshold or
+    # spectrum command run in a fresh interpreter must not pull in scipy
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     inherited = [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []
     env["PYTHONPATH"] = os.pathsep.join([str(src)] + inherited)
-    argv = ["index", "--a", "-1", "--b", "4", "--c", "-1", "--eta0", "-1.5", "--grid-n", "128"]
-    program = (
-        "import sys\n"
-        "from pulsestab.cli import main\n"
-        f"code = main({argv!r})\n"
-        "print('scipy' in sys.modules, file=sys.stderr)\n"
-        "sys.exit(code)\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stderr.splitlines()[-1] == "False"
-    assert json.loads(done.stdout)["result"]["verdict"]["n_tilde_L"] == 1
+    wave = ["--a", "-1", "--b", "4", "--c", "-1", "--eta0", "-1.5", "--grid-n", "128"]
+    commands = {
+        "index": ["index", *wave],
+        "threshold": ["threshold", "--zmin", "9", "--zmax", "11", "--tol", "0.5", "--grid-n", "256"],
+        "spectrum": ["spectrum", *wave],
+    }
+    results = {}
+    for name, argv in commands.items():
+        program = (
+            "import sys\n"
+            "from pulsestab.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print('scipy' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, (name, done.stderr)
+        assert done.stderr.splitlines()[-1] == "False", name
+        results[name] = json.loads(done.stdout)["result"]
+    assert results["index"]["verdict"]["n_tilde_L"] == 1

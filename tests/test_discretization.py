@@ -3,34 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_case1, make_standing
-from pulsestab import (
-    AbcParameters,
-    DomainError,
-    HillSpec,
-    InvalidGrid,
-    ReflectionDefect,
-    ReflectionParity,
-    WaveSpec,
-    assemble_J,
+import reference
+from conftest import WAVE_CASES, make_case1, make_standing
+from pulsestab.discretization import (
+    _derivative_symbol,
+    apply_multiplier,
     assemble_JL,
-    assemble_rotated_operator,
     assemble_scalar_operator,
     assemble_system_operator_L,
     assemble_tilde_L,
     build_grid,
-    case1_diagonal_reduction,
-    inner_product,
-    sample_wave,
-    smoother_power,
-    spectral_derivative,
-)
-from pulsestab.discretization import (
-    _derivative_symbol,
     derivative_of_samples,
-    multiplier_matrix,
+    inner_product,
+    parity_coefficients,
+    parity_wavenumbers,
+    potential_blocks,
     standing_wave_profile,
 )
+from pulsestab.errors import DomainError, InvalidGrid, ReflectionDefect
+from pulsestab.hill import HillSpec, case1_diagonal_reduction
+from pulsestab.waves import AbcParameters, WaveSpec, sample_wave
+from reference import smoother_power, spectral_derivative, to_physical
+
+
+def block_eigenvalues(blocks):
+    return np.sort(np.concatenate([np.linalg.eigvalsh(blocks.even), np.linalg.eigvalsh(blocks.odd)]))
 
 
 def test_build_grid_validation():
@@ -57,56 +54,64 @@ def test_grid_fields():
 
 def test_spectral_exactness_bandlimited():
     grid = build_grid(128, 10.0)
-    d1 = spectral_derivative(grid, 1).entries
     f = np.sin(math.pi * grid.nodes / grid.half_length)
     expected = (math.pi / grid.half_length) * np.cos(math.pi * grid.nodes / grid.half_length)
-    assert np.max(np.abs(d1 @ f - expected)) < 1e-10
+    assert np.max(np.abs(derivative_of_samples(grid, f, 1) - expected)) < 1e-10
 
 
 def test_derivative_matrix_structure():
+    # the reference matrices the block assembly is compared against
     grid = build_grid(64, 5.0)
-    d1 = spectral_derivative(grid, 1).entries
-    d2 = spectral_derivative(grid, 2).entries
+    d1 = spectral_derivative(grid, 1)
+    d2 = spectral_derivative(grid, 2)
     assert np.max(np.abs(d1 @ np.ones(64))) < 1e-13
     assert np.max(np.abs(d1 + d1.T)) < 1e-12
     assert np.max(np.abs(d2 - d2.T)) < 1e-12
     assert np.max(np.linalg.eigvalsh(d2)) < 1e-12  # negative semidefinite
-    with pytest.raises(ValueError):
-        spectral_derivative(grid, 3)
 
 
 def test_sech2_second_derivative_analytic():
     lam = 0.5
     grid = build_grid(512, 40.0 / lam)
-    d2 = spectral_derivative(grid, 2).entries
     s2 = 1.0 / np.cosh(lam * grid.nodes) ** 2
     expected = 2 * lam**2 * s2 * (2.0 - 3.0 * s2)
-    assert np.max(np.abs(d2 @ s2 - expected)) < 1e-8
+    assert np.max(np.abs(derivative_of_samples(grid, s2, 2) - expected)) < 1e-8
 
 
 @pytest.mark.parametrize("kind", ["order1", "order2", "smoother"])
 def test_multiplier_matrix_matches_fft_of_identity(kind):
+    # the multiplier applied to every unit vector is, on the cosine and sine
+    # bases, the diagonal of its symbol at xi_k; dx maps sin_k to xi_k cos_k
     grid = build_grid(128, 20.0)
     if kind == "smoother":
         symbol = (1.0 + 1.3 * grid.wavenumbers**2) ** -0.5
     else:
         symbol = _derivative_symbol(grid, int(kind[-1]))
-    # reference: the multiplier applied to every unit vector
-    spectral = np.fft.fft(np.eye(grid.n_points), axis=0)
-    reference = np.real(np.fft.ifft(symbol[:, None] * spectral, axis=0))
-    scale = np.max(np.abs(reference))
-    np.testing.assert_allclose(multiplier_matrix(grid, symbol), reference, rtol=0, atol=1e-13 * scale)
+    matrix = reference.multiplier_matrix(grid, symbol)
+    scale = np.max(np.abs(matrix))
+    even, odd = reference.parity_basis(grid)
+    xi = parity_wavenumbers(grid)
+    if kind == "order1":
+        expected = np.zeros((len(xi), len(xi) - 2))
+        expected[1:-1] = np.diag(xi[1:-1])
+        blocks = [(even.T @ matrix @ odd, expected), (odd.T @ matrix @ even, -expected.T)]
+    else:
+        diagonal = symbol[: len(xi)].real
+        blocks = [
+            (even.T @ matrix @ even, np.diag(diagonal)),
+            (odd.T @ matrix @ odd, np.diag(diagonal[1:-1])),
+        ]
+    for computed, expected in blocks:
+        np.testing.assert_allclose(computed, expected, rtol=0, atol=1e-13 * scale)
 
 
 def test_smoother_power_properties():
     grid = build_grid(128, 20.0)
-    identity = smoother_power(grid, 1.3, 0.0).entries
+    identity = smoother_power(grid, 1.3, 0.0)
     assert np.max(np.abs(identity - np.eye(128))) < 1e-13
-    half = smoother_power(grid, 1.3, 0.5).entries
-    full = smoother_power(grid, 1.3, 1.0).entries
+    half = smoother_power(grid, 1.3, 0.5)
+    full = smoother_power(grid, 1.3, 1.0)
     assert np.max(np.abs(half @ half - full)) < 1e-10
-    with pytest.raises(DomainError):
-        smoother_power(grid, -1.0, 0.5)
 
 
 def test_smoother_inverse_on_decaying_profile():
@@ -115,8 +120,8 @@ def test_smoother_inverse_on_decaying_profile():
     f = 1.0 / np.cosh(lam * grid.nodes) ** 2
     b = 2.0
     forward = f - b * derivative_of_samples(grid, f, 2)
-    inverse = smoother_power(grid, b, -1.0).entries
-    assert np.max(np.abs(inverse @ forward - f)) < 1e-9
+    inverse = 1.0 / (1.0 + b * grid.wavenumbers**2)
+    assert np.max(np.abs(apply_multiplier(grid, inverse, forward) - f)) < 1e-9
 
 
 def test_inner_product_table_and_parity(standing_z1):
@@ -133,10 +138,10 @@ def test_inner_product_table_and_parity(standing_z1):
 
 def test_system_operator_kernel_and_symmetry():
     params, spec, grid, wave = make_case1(-1.0, n=1024)
-    lop = assemble_system_operator_L(params, spec, wave, grid)
-    assert np.max(np.abs(lop.entries - lop.entries.T)) < 1e-12
+    lop = to_physical(grid, assemble_system_operator_L(params, spec, wave, grid))
+    assert np.max(np.abs(lop - lop.T)) < 1e-12
     kernel = np.concatenate([wave.phi_dx, wave.psi_dx])
-    assert np.max(np.abs(lop.entries @ kernel)) < 1e-8
+    assert np.max(np.abs(lop @ kernel)) < 1e-8
 
 
 def test_system_operator_zero_wave_blocks():
@@ -144,9 +149,9 @@ def test_system_operator_zero_wave_blocks():
     spec = WaveSpec(eta0=0.0, lam=0.5, B=1.0, w=0.0, sign_branch=+1)
     grid = build_grid(128, 80.0)
     wave = sample_wave(spec, grid)
-    lop = assemble_system_operator_L(params, spec, wave, grid).entries
+    lop = to_physical(grid, assemble_system_operator_L(params, spec, wave, grid))
     n = grid.n_points
-    d2 = spectral_derivative(grid, 2).entries
+    d2 = spectral_derivative(grid, 2)
     assert np.max(np.abs(lop[:n, :n] - (np.eye(n) + params.c * d2))) < 1e-12
     assert np.max(np.abs(lop[n:, n:] - (np.eye(n) + params.a * d2))) < 1e-12
     assert np.max(np.abs(lop[:n, n:])) < 1e-12
@@ -154,8 +159,8 @@ def test_system_operator_zero_wave_blocks():
 
 def test_tilde_L_kernel():
     params, spec, grid, wave = make_case1(-1.0, n=1024)
-    tilde = assemble_tilde_L(params, spec, wave, grid).entries
-    half = smoother_power(grid, params.b, 0.5).entries
+    tilde = to_physical(grid, assemble_tilde_L(params, spec, wave, grid))
+    half = smoother_power(grid, params.b, 0.5)
     kernel = np.concatenate([half @ wave.phi_dx, half @ wave.psi_dx])
     assert np.max(np.abs(tilde @ kernel)) < 1e-8
 
@@ -167,8 +172,7 @@ def test_tilde_L_zero_wave_symbol_oracle():
     spec = WaveSpec(eta0=0.0, lam=0.5, B=1.0, w=0.3, sign_branch=+1)
     grid = build_grid(64, 80.0)
     wave = sample_wave(spec, grid)
-    tilde = assemble_tilde_L(params, spec, wave, grid).entries
-    computed = np.sort(np.linalg.eigvalsh(tilde))
+    computed = block_eigenvalues(assemble_tilde_L(params, spec, wave, grid))
     xi2 = grid.wavenumbers**2
     smooth = 1.0 + params.b * xi2
     t11 = (1.0 - params.c * xi2) / smooth
@@ -181,8 +185,7 @@ def test_tilde_L_zero_wave_symbol_oracle():
 
 def test_tilde_L_inertia_matches_hill_pair(case1_eta_minus1):
     params, spec, grid, wave = case1_eta_minus1
-    tilde = assemble_tilde_L(params, spec, wave, grid).entries
-    evals = np.linalg.eigvalsh(tilde)
+    evals = block_eigenvalues(assemble_tilde_L(params, spec, wave, grid))
     ztol = 1e-6 * max(abs(evals[0]), abs(evals[-1]))
     _, _, n_expected = case1_diagonal_reduction(spec.eta0, params.b)
     assert int(np.sum(evals < -ztol)) == n_expected == 1
@@ -191,56 +194,94 @@ def test_tilde_L_inertia_matches_hill_pair(case1_eta_minus1):
 @pytest.mark.parametrize("fixture", ["standing_z1", "case1_eta_minus1"])
 def test_block_assembly_matches_explicit_products(fixture, request):
     params, spec, grid, wave = request.getfixturevalue(fixture)
-    lop = assemble_system_operator_L(params, spec, wave, grid).entries
-    s1 = smoother_power(grid, params.b, -0.5).entries
-    zero = np.zeros_like(s1)
-    smoother = np.block([[s1, zero], [zero, s1]])
+    lop = reference.system_operator_L(params, spec, wave, grid)
+    smoother = np.kron(np.eye(2), smoother_power(grid, params.b, -0.5))
     for assembled, expected in [
         (assemble_tilde_L(params, spec, wave, grid), smoother @ lop @ smoother),
-        (assemble_JL(params, spec, wave, grid), assemble_J(params, grid).entries @ lop),
+        (assemble_JL(params, spec, wave, grid), reference.J(params, grid) @ lop),
     ]:
         scale = np.max(np.abs(expected))
-        assert np.max(np.abs(assembled.entries - expected)) <= 1e-13 * scale
+        assert np.max(np.abs(to_physical(grid, assembled) - expected)) <= 1e-13 * scale
+
+
+BLOCK_CASES = [
+    (operator, case) for operator in ("Lt", "L", "JL") for case in sorted(WAVE_CASES)
+] + [("kdv", "standing_z1"), ("hill", "standing_z1")]
+
+
+@pytest.mark.parametrize("operator, case", BLOCK_CASES)
+def test_parity_blocks_match_the_reference_on_the_explicit_basis(operator, case):
+    # C^T A_ref C with C the sampled cosine and sine vectors; the reference
+    # couples the two parities only at round-off, which the blocks drop
+    params, spec, grid, wave = WAVE_CASES[case](256)
+    if operator in ("kdv", "hill"):
+        assembled = assemble_scalar_operator(operator, params, grid)
+        matrix = reference.scalar_operator(operator, params, grid)
+    else:
+        assembler, build = {
+            "Lt": (assemble_tilde_L, reference.tilde_L),
+            "L": (assemble_system_operator_L, reference.system_operator_L),
+            "JL": (assemble_JL, reference.JL),
+        }[operator]
+        assembled = assembler(params, spec, wave, grid)
+        matrix = build(params, spec, wave, grid)
+    radius = np.linalg.norm(matrix, 2)  # the spectral radius of the symmetric ones
+    even, odd = reference.parity_basis(grid, len(matrix) // grid.n_points)
+    if operator == "JL":  # maps each parity onto the other
+        expected = [(assembled.even, odd.T @ matrix @ even), (assembled.odd, even.T @ matrix @ odd)]
+        dropped = max(np.max(np.abs(even.T @ matrix @ even)), np.max(np.abs(odd.T @ matrix @ odd)))
+    else:
+        expected = [(assembled.even, even.T @ matrix @ even), (assembled.odd, odd.T @ matrix @ odd)]
+        dropped = max(np.max(np.abs(odd.T @ matrix @ even)), np.max(np.abs(even.T @ matrix @ odd)))
+    for block, projected in expected:
+        assert block.shape == projected.shape
+        assert np.max(np.abs(block - projected)) <= 1e-13 * radius
+    assert dropped <= 1e-13 * radius
 
 
 def test_parity_fold_and_unfold(standing_z1):
+    # cosine and sine coefficients by FFT: the shapes, no sine part for an
+    # even function, and P^T v for the explicit basis P
     params, spec, grid, wave = standing_z1
-    parity = ReflectionParity(grid)
     n = grid.n_points
     for even in (wave.phi, np.concatenate([wave.phi, wave.psi])):
         components = len(even) // n
-        assert parity.fold(even, "even").shape == (components * (n // 2 + 1),)
-        assert np.max(np.abs(parity.fold(even, "odd"))) < 1e-15 * np.max(np.abs(even))
+        cosine, sine = parity_coefficients(grid, even)
+        assert cosine.shape == (components * (n // 2 + 1),)
+        assert np.max(np.abs(sine)) < 1e-15 * np.max(np.abs(even))
+        basis, _ = reference.parity_basis(grid, components)
+        np.testing.assert_allclose(cosine, basis.T @ even, rtol=0, atol=1e-13 * np.max(np.abs(even)))
     odd = wave.phi_dx
-    assert parity.fold(odd, "odd").shape == (n // 2 - 1,)
+    cosine, sine = parity_coefficients(grid, odd)
+    assert sine.shape == (n // 2 - 1,)
+    assert np.max(np.abs(cosine)) < 1e-14 * np.max(np.abs(odd))
+    _, basis = reference.parity_basis(grid)
+    np.testing.assert_allclose(sine, basis.T @ odd, rtol=0, atol=1e-13 * np.max(np.abs(odd)))
     with pytest.raises(ValueError):
-        parity.fold(wave.phi, "neither")
-    with pytest.raises(ValueError):
-        parity.fold(wave.phi[:-2], "even")
+        parity_coefficients(grid, wave.phi[:-2])
 
 
 def test_parity_split_is_an_orthogonal_change_of_basis():
     grid = build_grid(32, 10.0)
-    parity = ReflectionParity(grid)
-    # fold(I) = P^T, so its transpose holds the basis vectors as columns
-    identity = np.eye(grid.n_points)
-    basis = np.vstack([parity.fold(identity, "even"), parity.fold(identity, "odd")]).T
+    even_basis, odd_basis = reference.parity_basis(grid)
+    basis = np.hstack([even_basis, odd_basis])
     np.testing.assert_allclose(basis.T @ basis, np.eye(grid.n_points), rtol=0, atol=1e-15)
     rng = np.random.default_rng(0)
-    matrix = rng.standard_normal((grid.n_points, grid.n_points))
+    values = rng.standard_normal(grid.n_points)
     mirror = (-np.arange(grid.n_points)) % grid.n_points
-    symmetric = matrix + matrix[np.ix_(mirror, mirror)]  # commutes with the reflection
-    even, odd = parity.split(symmetric)
+    symmetric = values + values[mirror]  # an even potential
+    blocks = potential_blocks(grid, symmetric)
     m = grid.n_points // 2 + 1
-    np.testing.assert_allclose(even, (basis.T @ symmetric @ basis)[:m, :m], rtol=0, atol=1e-13)
-    np.testing.assert_allclose(odd, (basis.T @ symmetric @ basis)[m:, m:], rtol=0, atol=1e-13)
+    rotated = basis.T @ np.diag(symmetric) @ basis
+    np.testing.assert_allclose(blocks.even, rotated[:m, :m], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(blocks.odd, rotated[m:, m:], rtol=0, atol=1e-13)
     with pytest.raises(ReflectionDefect):
-        parity.split(matrix)
+        potential_blocks(grid, values)
 
 
 def test_jl_kernel_and_spectral_symmetry(case1_eta_minus1):
     params, spec, grid, wave = case1_eta_minus1
-    jl = assemble_JL(params, spec, wave, grid).entries
+    jl = to_physical(grid, assemble_JL(params, spec, wave, grid))
     kernel = np.concatenate([wave.phi_dx, wave.psi_dx])
     assert np.max(np.abs(jl @ kernel)) < 1e-8
     evals = np.linalg.eigvals(jl)
@@ -256,7 +297,7 @@ def test_jl_zero_wave_purely_imaginary():
     spec = WaveSpec(eta0=0.0, lam=0.5, B=1.0, w=0.2, sign_branch=+1)
     grid = build_grid(64, 80.0)
     wave = sample_wave(spec, grid)
-    jl = assemble_JL(params, spec, wave, grid).entries
+    jl = to_physical(grid, assemble_JL(params, spec, wave, grid))
     evals = np.linalg.eigvals(jl)
     assert np.max(np.abs(evals.real)) < 1e-10
 
@@ -264,22 +305,22 @@ def test_jl_zero_wave_purely_imaginary():
 def test_skew_antisymmetry_relations():
     params = AbcParameters(-1.0, 1.5, -1.0)
     grid = build_grid(64, 20.0)
-    j = assemble_J(params, grid).entries
+    j = reference.J(params, grid)
     assert np.max(np.abs(j + j.T)) < 1e-12
-    d2 = spectral_derivative(grid, 2).entries
+    d2 = spectral_derivative(grid, 2)
     n = grid.n_points
     zero = np.zeros((n, n))
     smooth2 = np.block([[np.eye(n) - params.b * d2, zero], [zero, np.eye(n) - params.b * d2]])
     assert np.max(np.abs(j.T @ smooth2 + smooth2 @ j)) < 1e-12
-    d1 = spectral_derivative(grid, 1).entries
+    d1 = spectral_derivative(grid, 1)
     j_tilde = -np.block([[zero, d1], [d1, zero]])
     assert np.max(np.abs(j_tilde + j_tilde.T)) < 1e-12
 
 
 def test_scalar_operators_exact_identities():
     params, spec, grid, wave = make_standing(n=1024)
-    kdv = assemble_scalar_operator("kdv", params, grid).entries
-    hill = assemble_scalar_operator("hill", params, grid).entries
+    kdv = to_physical(grid, assemble_scalar_operator("kdv", params, grid))
+    hill = to_physical(grid, assemble_scalar_operator("hill", params, grid))
     phi = standing_wave_profile(params.a, grid)
     dphi = derivative_of_samples(grid, phi, 1)
     ddphi = derivative_of_samples(grid, phi, 2)
@@ -289,9 +330,9 @@ def test_scalar_operators_exact_identities():
 
 def test_generic_scalar_operator_free_case():
     grid = build_grid(256, 40.0)
-    op = assemble_scalar_operator("generic", None, grid, hill=HillSpec(1.3, 1.0, 0.0))
-    evals = np.linalg.eigvalsh(op.entries)
+    evals = np.linalg.eigvalsh(reference.generic_hill(grid, HillSpec(1.3, 1.0, 0.0)))
     assert evals[0] == pytest.approx(1.3**2, rel=1e-12)
+    # the generic Hill operator is a test reference, not a scalar kind
     with pytest.raises(DomainError):
         assemble_scalar_operator("generic", None, grid)
     with pytest.raises(DomainError):
@@ -309,20 +350,14 @@ def test_inertia_chain_exact_agreement():
     # congruence/similarity chain: L, rotated form, diagonalized Hill pair
     for eta0, b in [(-1.0, 1.0), (-1.5, 1.0), (-0.5, 2.0)]:
         params, spec, grid, wave = make_case1(eta0, b=b, n=256)
-        lop = assemble_system_operator_L(params, spec, wave, grid).entries
-        rot = assemble_rotated_operator(params, spec, wave, grid).entries
-        ev_l = np.linalg.eigvalsh(lop)
-        ev_m = np.linalg.eigvalsh(rot)
+        ev_l = block_eigenvalues(assemble_system_operator_L(params, spec, wave, grid))
+        ev_m = np.linalg.eigvalsh(reference.rotated_operator(params, spec, wave, grid))
         np.testing.assert_allclose(ev_l, ev_m, rtol=0, atol=1e-9 * np.max(np.abs(ev_l)))
-        tilde = assemble_tilde_L(params, spec, wave, grid).entries
-        ev_t = np.linalg.eigvalsh(tilde)
+        ev_t = block_eigenvalues(assemble_tilde_L(params, spec, wave, grid))
         ztol_l = 1e-6 * np.max(np.abs(ev_l))
         ztol_t = 1e-6 * np.max(np.abs(ev_t))
         hill1, hill2, _ = case1_diagonal_reduction(eta0, b)
-        pair = [
-            assemble_scalar_operator("generic", None, grid, hill=hill1).entries,
-            assemble_scalar_operator("generic", None, grid, hill=hill2).entries,
-        ]
+        pair = [reference.generic_hill(grid, hill1), reference.generic_hill(grid, hill2)]
         ev_pair = np.concatenate([np.linalg.eigvalsh(m) for m in pair])
         n_l = int(np.sum(ev_l < -ztol_l))
         n_m = int(np.sum(ev_m < -ztol_l))
@@ -337,7 +372,6 @@ def test_spectral_convergence_under_refinement():
     discrete = {}
     for n in (384, 768):
         params, spec, grid, wave = make_case1(-1.0, n=n, lfac=40.0)
-        tilde = assemble_tilde_L(params, spec, wave, grid).entries
-        evals = np.linalg.eigvalsh(tilde)
+        evals = block_eigenvalues(assemble_tilde_L(params, spec, wave, grid))
         discrete[n] = evals[:2]  # negative eigenvalue and kernel
     np.testing.assert_allclose(discrete[384], discrete[768], rtol=0, atol=1e-8)

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pulsestab import (
-    DomainError,
+import reference
+from pulsestab.discretization import build_grid
+from pulsestab.errors import DomainError, PoleError
+from pulsestab.hill import (
     HillSpec,
-    PoleError,
-    assemble_scalar_operator,
-    build_grid,
     case1_diagonal_reduction,
     hill_nonnegativity_test,
     hill_spectrum_closed_form,
@@ -147,9 +146,7 @@ def test_closed_form_matches_dense_eigensolve_random_sample():
         Q = rng.uniform(-5.0, 20.0)
         spec = HillSpec(alpha, lam, Q)
         grid = build_grid(1024, 40.0 / lam)
-        dense = np.linalg.eigvalsh(
-            assemble_scalar_operator("generic", None, grid, hill=spec).entries
-        )
+        dense = np.linalg.eigvalsh(reference.generic_hill(grid, spec))
         closed = hill_spectrum_closed_form(spec).discrete_eigenvalues
         # levels too close to the essential edge are domain-truncation limited
         margin = (8.0 * lam / 40.0) ** 2

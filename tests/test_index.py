@@ -3,17 +3,26 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from conftest import make_case1, make_standing
-from pulsestab import (
-    AbcParameters,
-    DiscreteOperator,
+from pulsestab import index_count
+from pulsestab.discretization import (
+    ParityBlocks,
+    apply_multiplier,
+    build_grid,
+    derivative_of_samples,
+    inner_product,
+    standing_wave_profile,
+)
+from pulsestab.errors import (
     DomainError,
     IllConditioned,
     KernelDefect,
     NoSignChange,
-    SampledWave,
     SolveFailure,
-    build_grid,
+)
+from pulsestab.index_count import (
+    _standing_rhs,
     case1_index_closed_form,
     case2_index,
     closed_form_inner_products,
@@ -23,20 +32,12 @@ from pulsestab import (
     index_lower_bound_poly,
     index_report,
     index_upper_bound_poly,
-    inner_product,
     kdv_index_closed_form,
     kdv_index_numeric,
     kdv_inverse_apply,
-    resolve_wave_parameters,
-    sample_wave,
+    standing_wave_a_derivative,
 )
-from pulsestab.discretization import (
-    apply_multiplier,
-    derivative_of_samples,
-    standing_wave_profile,
-)
-from pulsestab import index_count
-from pulsestab.index_count import _standing_rhs, standing_wave_a_derivative
+from pulsestab.waves import AbcParameters, resolve_wave_parameters, sample_wave
 
 
 @pytest.fixture(scope="module")
@@ -165,11 +166,13 @@ def test_hill_positive_definiteness_checked_on_both_parity_blocks(monkeypatch, s
     grid = standing_grid
     odd = derivative_of_samples(grid, standing_wave_profile(-1.0, grid), 1)
     odd /= np.linalg.norm(odd)
+    _, sine_basis = reference.parity_basis(grid)
+    odd_coefficients = sine_basis.T @ odd  # the rank-one term lies in the odd block
     assemble = index_count.assemble_scalar_operator
 
-    def indefinite(kind, params, grid, hill=None):
-        entries = assemble(kind, params, grid, hill).entries
-        return DiscreteOperator(entries - 10.0 * np.outer(odd, odd))
+    def indefinite(kind, params, grid):
+        blocks = assemble(kind, params, grid)
+        return ParityBlocks(blocks.even, blocks.odd - 10.0 * np.outer(odd_coefficients, odd_coefficients))
 
     monkeypatch.setattr(index_count, "assemble_scalar_operator", indefinite)
     with pytest.raises(SolveFailure):
@@ -342,21 +345,19 @@ def test_general_index_parity_defect(case1_eta_minus1):
     assert abs(np.dot(kernel, rhs)) / np.linalg.norm(rhs) < 1e-10
 
 
-def test_general_index_kernel_defect_raised(case1_eta_minus1):
+def test_general_index_kernel_defect_raised(monkeypatch, case1_eta_minus1):
     params, spec, grid, wave = case1_eta_minus1
-    # contaminate the wave with an odd component so the RHS overlaps the kernel
-    phi = wave.phi + 0.05 * wave.phi_dx
-    broken = SampledWave(
-        grid=grid,
-        phi=phi,
-        psi=wave.psi,
-        phi_dx=derivative_of_samples(grid, phi, 1),
-        phi_dxx=derivative_of_samples(grid, phi, 2),
-        psi_dx=wave.psi_dx,
-        psi_dxx=wave.psi_dxx,
-    )
+    # contaminate the RHS with an odd component so it overlaps the kernel; a
+    # wave with an odd part is refused earlier, as a ReflectionDefect
+    general_rhs = index_count._general_rhs
+
+    def contaminated(params, wave, grid):
+        rhs = general_rhs(params, wave, grid)
+        return rhs + 0.05 * np.concatenate([wave.phi_dx, wave.psi_dx])
+
+    monkeypatch.setattr(index_count, "_general_rhs", contaminated)
     with pytest.raises(KernelDefect):
-        general_index_numeric(params, spec, broken, grid)
+        general_index_numeric(params, spec, wave, grid)
 
 
 def test_bisection_brackets_the_crossing():

@@ -1,29 +1,23 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import count_calls, make_case1, make_standing
-from pulsestab import (
-    AbcParameters,
-    NotSubsonic,
-    ReflectionDefect,
-    SampledWave,
-    SolverError,
-    WaveSpec,
-    assemble_JL,
-    assemble_tilde_L,
-    build_grid,
+import reference
+from conftest import WAVE_CASES, count_calls, make_case1, make_standing
+from pulsestab import spectra
+from pulsestab.discretization import build_grid, derivative_of_samples
+from pulsestab.errors import NotSubsonic, ReflectionDefect, SolverError
+from pulsestab.index_count import general_index_numeric
+from pulsestab.spectra import (
     discrete_spectrum_tilde_L,
     essential_spectrum_gap,
-    resolve_wave_parameters,
-    sample_wave,
-    spectra,
+    hamiltonian_symmetry_defect,
     stability_verdict,
     unstable_modes_JL,
 )
-from pulsestab.discretization import derivative_of_samples
-from pulsestab.spectra import hamiltonian_symmetry_defect
+from pulsestab.waves import AbcParameters, WaveSpec
 
 
 def test_tilde_spectrum_case1(case1_eta_minus1):
@@ -48,27 +42,30 @@ def test_tilde_spectrum_standing_branch(standing_z1):
 def test_tilde_spectrum_blocks_match_full_eigensolve(fixture, request):
     params, spec, grid, wave = request.getfixturevalue(fixture)
     report = discrete_spectrum_tilde_L(params, spec, wave, grid)
-    full = np.linalg.eigvalsh(assemble_tilde_L(params, spec, wave, grid).entries)
+    full = np.linalg.eigvalsh(reference.tilde_L(params, spec, wave, grid))
     radius = np.max(np.abs(full))
     np.testing.assert_allclose(report.eigenvalues, full, rtol=0, atol=1e-12 * radius)
 
 
-def test_tilde_spectrum_refuses_a_wave_with_an_odd_part(case1_eta_minus1):
+@pytest.mark.parametrize("component", ["phi", "psi"])
+def test_tilde_spectrum_refuses_a_wave_with_an_odd_part(case1_eta_minus1, component):
     params, spec, grid, wave = case1_eta_minus1
     # an odd component breaks the reflection symmetry the parity blocks rely on
-    phi = wave.phi + 0.05 * wave.phi_dx
-    broken = SampledWave(
-        grid=grid,
-        phi=phi,
-        psi=wave.psi,
-        phi_dx=derivative_of_samples(grid, phi, 1),
-        phi_dxx=derivative_of_samples(grid, phi, 2),
-        psi_dx=wave.psi_dx,
-        psi_dxx=wave.psi_dxx,
+    values = getattr(wave, component)
+    values = values + 0.05 * derivative_of_samples(grid, values, 1)
+    broken = dataclasses.replace(
+        wave,
+        **{
+            component: values,
+            f"{component}_dx": derivative_of_samples(grid, values, 1),
+            f"{component}_dxx": derivative_of_samples(grid, values, 2),
+        },
     )
     with pytest.raises(ReflectionDefect) as raised:
         discrete_spectrum_tilde_L(params, spec, broken, grid)
     assert isinstance(raised.value, SolverError)
+    with pytest.raises(ReflectionDefect):
+        general_index_numeric(params, spec, broken, grid)
 
 
 def test_counts_stable_under_refinement():
@@ -216,22 +213,6 @@ def test_verdict_parity_identity_mixed_scan():
         assert verdict.n_unstable_direct % 2 == verdict.parity_rhs, f"z={z}"
 
 
-def make_general(n):
-    """The a != c wave a = -1, b = 2, c = -1.2, eta0 = -9/8 on L = 40/lambda."""
-    params = AbcParameters(a=-1.0, b=2.0, c=-1.2)
-    spec = resolve_wave_parameters(params, -1.125, +1)
-    grid = build_grid(n, 40.0 / spec.lam)
-    return params, spec, grid, sample_wave(spec, grid)
-
-
-JL_CASES = {
-    "standing_z1": lambda n: make_standing(b=1.0, n=n),
-    "standing_z12": lambda n: make_standing(b=12.0, n=n, lfac=50.0),
-    "case1_eta_minus1": lambda n: make_case1(-1.0, n=n),
-    "general": make_general,
-}
-
-
 def count_eigvals(monkeypatch):
     """Record the calls to np.linalg.eigvals."""
     original = np.linalg.eigvals
@@ -246,16 +227,16 @@ def count_eigvals(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [256, 512])
-@pytest.mark.parametrize("case", sorted(JL_CASES))
+@pytest.mark.parametrize("case", sorted(WAVE_CASES))
 def test_jl_parity_reduction_matches_full_eigensolve(case, n, monkeypatch):
-    params, spec, grid, wave = JL_CASES[case](n)
-    reference = np.linalg.eigvals(assemble_JL(params, spec, wave, grid).entries)
+    params, spec, grid, wave = WAVE_CASES[case](n)
+    full = np.linalg.eigvals(reference.JL(params, spec, wave, grid))
     calls = count_eigvals(monkeypatch)
     report = unstable_modes_JL(params, spec, wave, grid)
     assert calls == []  # every odd block here is semidefinite
     re_tol = 1e-6
-    assert report.n_unstable == int(np.sum(reference.real > re_tol))
-    growth = float(np.max(reference.real))
+    assert report.n_unstable == int(np.sum(full.real > re_tol))
+    growth = float(np.max(full.real))
     if growth > re_tol:
         # relative 1e-9, plus the reference's own round-off on a small mode:
         # an error eps_2 in lambda^2 moves lambda by eps_2 / (2 lambda), and
@@ -264,10 +245,10 @@ def test_jl_parity_reduction_matches_full_eigensolve(case, n, monkeypatch):
         assert abs(report.max_real_part - growth) <= 1e-9 * growth + 1e-15 / growth
     else:
         assert report.max_real_part <= re_tol
-    assert len(report.eigenvalues) == len(reference)
-    radius = np.max(np.abs(reference))
+    assert len(report.eigenvalues) == len(full)
+    radius = np.max(np.abs(full))
     np.testing.assert_allclose(
-        np.sort(np.abs(report.eigenvalues)), np.sort(np.abs(reference)), rtol=0, atol=1e-7 * radius
+        np.sort(np.abs(report.eigenvalues)), np.sort(np.abs(full)), rtol=0, atol=1e-7 * radius
     )
     assert report.symmetry_defect == 0.0  # the pairs +-sqrt(mu) are exact
 
@@ -275,7 +256,7 @@ def test_jl_parity_reduction_matches_full_eigensolve(case, n, monkeypatch):
 def test_jl_indefinite_odd_block_takes_the_full_eigensolve(monkeypatch):
     # the supersonic free-amplitude wave has an odd block of Lt down to -1
     params, spec, grid, wave = make_case1(-2.6, n=128, lfac=50.0)
-    assert discrete_spectrum_tilde_L(params, spec, wave, grid).blocks.odd_values[0] < -0.5
+    assert spectra._tilde_L_blocks(params, spec, wave, grid).odd_values[0] < -0.5
     calls = count_eigvals(monkeypatch)
     report = unstable_modes_JL(params, spec, wave, grid)
     assert calls == [(256, 256)]

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_case1, make_standing
-from pulsestab import (
+from pulsestab.discretization import build_grid, derivative_of_samples, inner_product
+from pulsestab.errors import DomainError, GridTooSmall
+from pulsestab.waves import (
     AbcParameters,
-    DomainError,
-    GridTooSmall,
+    SampledWave,
     WaveSpec,
-    build_grid,
-    inner_product,
     resolve_wave_parameters,
     sample_wave,
     traveling_residual,
@@ -163,9 +162,6 @@ def test_zero_profile_residual():
 
 
 def test_perturbed_profile_residual_scale(case1_eta_minus1):
-    from pulsestab import SampledWave
-    from pulsestab.discretization import derivative_of_samples
-
     params, spec, grid, wave = case1_eta_minus1
     phi = wave.phi + 0.1 / np.cosh(spec.lam * grid.nodes) ** 2
     perturbed = SampledWave(
