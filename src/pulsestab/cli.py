@@ -159,6 +159,7 @@ def cmd_threshold(config: RunConfig) -> tuple[dict, int]:
         "bracket_hi": result.bracket_hi,
         "iterations": result.iterations,
         "evaluations": result.evaluations,
+        "z_root": result.z_root,
         "tol": config.tol,
     }, 0
 

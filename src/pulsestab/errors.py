@@ -56,7 +56,3 @@ class KernelDefect(SolverError):
 
 class ReflectionDefect(SolverError):
     """Operator does not commute with the grid reflection x -> -x."""
-
-
-class ResidualError(SolverError):
-    """A closed-form identity failed its numerical residual check."""

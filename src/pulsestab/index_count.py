@@ -34,18 +34,30 @@ exist:
 
   with equality of the two bounds at z = 1.  The bounds change sign at
   (107 + 9 sqrt(237)) / 26 ~ 9.44436 and (517 + 9 sqrt(5385)) / 112
-  ~ 10.51288; the bisection below pins the actual crossing numerically.
+  ~ 10.51288.
+
+  Neither operator depends on b, and f = phi - z (-a phi'') is linear in z,
+  so on every grid each part is exactly a quadratic in z:
+
+      <A^(-1) f, f> = h00 - 2 z h01 + z^2 h11,   h_ij = <A^(-1) c_i, c_j>,
+
+  with c_0 = phi and c_1 = -a phi''.  One factorization per operator with
+  the two right-hand sides c_0, c_1 gives the Gram matrix h (StandingQuadratic),
+  and every z is then a polynomial evaluation; the numeric kdv triple is the
+  closed form sqrt(-a) (-9/2, 3/2, 3/10).  The bisection runs on these
+  quadratics, and z_root, the root of 3 I(z) inside its final bracket,
+  reports where the discrete crossing lies.
 
 The numeric routes (kdv and hill parts, general L) only assemble their
 operator's parity blocks, which raises ReflectionDefect when a potential is
-not even, and their right-hand side; one solve, _even_block_index, does the
-rest on the cosine block.  Every right-hand side here is even and the
-translation kernel (phi', psi') is odd, so the even block is nonsingular and
-no kernel needs deflating.  In order, that solve raises KernelDefect when
-the right-hand side's sine coefficients reach 1e-8 of its norm,
-SolveFailure when the hill operator fails a Cholesky factorization of
-either parity block or the even solve fails, and IllConditioned when the
-even residual exceeds 1e-6 * max(1, |rhs|_inf) on the cosine coefficients.
+not even, and their right-hand-side columns; one solve, _even_block_index,
+does the rest on the cosine block.  Every right-hand side here is even and
+the translation kernel (phi', psi') is odd, so the even block is nonsingular
+and no kernel needs deflating.  In order, that solve raises KernelDefect when
+a column's sine coefficients reach 1e-8 of its norm, SolveFailure when the
+hill operator fails a Cholesky factorization of either parity block or the
+even solve fails, and IllConditioned when a column's even residual exceeds
+1e-6 * max(1, |column|_inf) on its cosine coefficients.
 """
 
 from __future__ import annotations
@@ -70,28 +82,28 @@ from .errors import (
     IllConditioned,
     KernelDefect,
     NoSignChange,
-    ResidualError,
     SolveFailure,
 )
 from .waves import AbcParameters
 
-# largest relative odd part an index right-hand side may carry
+# largest relative odd part an index right-hand-side column may carry
 _DEFECT_TOL = 1e-8
-# largest even-block residual, relative to max(1, |rhs_even|_inf)
+# largest even-block residual of a column, relative to max(1, |column_even|_inf)
 _RESIDUAL_TOL = 1e-6
 
 __all__ = [
     "InnerProductTable",
     "IndexReport",
     "BisectionResult",
+    "StandingQuadratic",
     "closed_form_inner_products",
     "standing_wave_a_derivative",
-    "kdv_inverse_apply",
     "kdv_index_closed_form",
     "kdv_index_numeric",
     "hill_index_numeric",
     "index_lower_bound_poly",
     "index_upper_bound_poly",
+    "standing_quadratic",
     "case2_index",
     "case1_index_closed_form",
     "general_index_numeric",
@@ -132,6 +144,7 @@ class BisectionResult:
     bracket_hi: float
     iterations: int
     evaluations: int
+    z_root: float  # root of the discrete 3 I(z) inside [bracket_lo, bracket_hi]
 
 
 def closed_form_inner_products(a: float) -> InnerProductTable:
@@ -161,26 +174,10 @@ def standing_wave_a_derivative(a: float, grid: Grid) -> np.ndarray:
     return 3.0 * lam_a * x / np.cosh(lam * x) ** 2 * np.tanh(lam * x)
 
 
-def _standing_rhs(a: float, b: float, grid: Grid) -> np.ndarray:
-    """f = (1 - b dxx) phi for the standing-wave profile."""
+def _standing_columns(a: float, grid: Grid) -> np.ndarray:
+    """c_0 = phi and c_1 = -a phi'', so that f = (1 - b dxx) phi = c_0 - z c_1."""
     phi = standing_wave_profile(a, grid)
-    return phi - b * derivative_of_samples(grid, phi, 2)
-
-
-def kdv_inverse_apply(a: float, b: float, grid: Grid) -> np.ndarray:
-    """Exact preimage v = (a + b) phi_a - phi of f under the kdv operator.
-
-    Verifies | (a dxx + 1 + 2 phi) v - f |_inf < 1e-7 and raises
-    ResidualError otherwise.
-    """
-    phi = standing_wave_profile(a, grid)
-    v = (a + b) * standing_wave_a_derivative(a, grid) - phi
-    f = _standing_rhs(a, b, grid)
-    residual = a * derivative_of_samples(grid, v, 2) + v + 2.0 * phi * v - f
-    defect = float(np.max(np.abs(residual)))
-    if defect >= 1e-7:
-        raise ResidualError(f"kdv inverse identity residual {defect:.3e} >= 1e-7")
-    return v
+    return np.stack([phi, -a * derivative_of_samples(grid, phi, 2)])
 
 
 def kdv_index_closed_form(a: float, b: float) -> float:
@@ -197,18 +194,24 @@ def kdv_index_closed_form(a: float, b: float) -> float:
 
 
 def _even_block_index(
-    grid: Grid, blocks: ParityBlocks, rhs: np.ndarray, positive_definite: bool = False
-) -> float:
-    """<A^(-1) rhs, rhs> for an operator A that commutes with x -> -x.
+    grid: Grid, blocks: ParityBlocks, columns: np.ndarray, positive_definite: bool = False
+) -> np.ndarray:
+    """Gram matrix G[i, j] = <A^(-1) c_i, c_j> of right-hand-side columns c_i
+    for an operator A that commutes with x -> -x.
 
-    Solved on the even block alone, with the checks listed in the module
-    docstring; the Cholesky check runs when positive_definite is set.  The
-    cosine basis P is orthonormal, so <P u, rhs> = u . P^T rhs.
+    One factorization solves every column on the even block alone, with the
+    checks listed in the module docstring; the Cholesky check runs when
+    positive_definite is set.  The cosine basis P is orthonormal, so
+    <P u, c> = u . P^T c.
     """
-    rhs_even, rhs_odd = parity_coefficients(grid, rhs)
-    defect = float(np.linalg.norm(rhs_odd)) / float(np.linalg.norm(rhs))
-    if defect >= _DEFECT_TOL:
-        raise KernelDefect(f"odd part of the right-hand side {defect:.3e} >= {_DEFECT_TOL}")
+    evens = []
+    for column in columns:
+        column_even, column_odd = parity_coefficients(grid, column)
+        defect = float(np.linalg.norm(column_odd)) / float(np.linalg.norm(column))
+        if defect >= _DEFECT_TOL:
+            raise KernelDefect(f"odd part of a right-hand side {defect:.3e} >= {_DEFECT_TOL}")
+        evens.append(column_even)
+    rhs = np.column_stack(evens)
     even_block = blocks.even
     if positive_definite:
         try:
@@ -217,30 +220,49 @@ def _even_block_index(
         except np.linalg.LinAlgError as exc:
             raise SolveFailure(f"operator not positive definite: {exc}") from exc
     try:
-        u = np.linalg.solve(even_block, rhs_even)
+        u = np.linalg.solve(even_block, rhs)
     except np.linalg.LinAlgError as exc:
         raise SolveFailure(f"even-block solve failed: {exc}") from exc
-    residual = float(np.max(np.abs(even_block @ u - rhs_even)))
-    if residual > _RESIDUAL_TOL * max(1.0, float(np.max(np.abs(rhs_even)))):
-        raise IllConditioned(f"even-block solve residual {residual:.3e} too large")
-    return float(grid.quad_weight * np.dot(u, rhs_even))
+    residual = np.max(np.abs(even_block @ u - rhs), axis=0)
+    excess = residual / (_RESIDUAL_TOL * np.maximum(1.0, np.max(np.abs(rhs), axis=0)))
+    if np.any(excess > 1.0):
+        raise IllConditioned(f"even-block solve residual {residual.max():.3e} too large")
+    return grid.quad_weight * (u.T @ rhs)
+
+
+def _standing_coefficients(kind: str, a: float, grid: Grid) -> tuple[float, float, float]:
+    """(h00, h01, h11) of <A^(-1) f, f> = h00 - 2 z h01 + z^2 h11 for kind kdv or hill."""
+    # the operators do not depend on b; b = -a only makes the parameters valid
+    blocks = assemble_scalar_operator(kind, AbcParameters(a=a, b=-a, c=a), grid)
+    gram = _even_block_index(
+        grid, blocks, _standing_columns(a, grid), positive_definite=kind == "hill"
+    )
+    return float(gram[0, 0]), 0.5 * float(gram[0, 1] + gram[1, 0]), float(gram[1, 1])
+
+
+def _quadratic(coefficients: tuple[float, float, float], z: float) -> float:
+    h00, h01, h11 = coefficients
+    return h00 - 2.0 * z * h01 + z * z * h11
+
+
+def _ratio(a: float, b: float) -> float:
+    """z = b / (-a), refusing parameters off the standing branch's domain."""
+    return AbcParameters(a=a, b=b, c=a).ratio_z
 
 
 def kdv_index_numeric(a: float, b: float, grid: Grid) -> float:
-    """<kdv^(-1) f, f> by a dense solve on the even block (the kernel phi' is odd)."""
-    blocks = assemble_scalar_operator("kdv", AbcParameters(a=a, b=b, c=a), grid)
-    return _even_block_index(grid, blocks, _standing_rhs(a, b, grid))
+    """<kdv^(-1) f, f> from an even-block solve (the kernel phi' is odd)."""
+    return _quadratic(_standing_coefficients("kdv", a, grid), _ratio(a, b))
 
 
 def hill_index_numeric(a: float, b: float, grid: Grid) -> float:
-    """<hill^(-1) f, f> by a dense solve on the even block.
+    """<hill^(-1) f, f> from an even-block solve.
 
     Raises SolveFailure when the operator is not numerically positive
     definite, which is checked by a Cholesky factorization of both parity
     blocks.
     """
-    blocks = assemble_scalar_operator("hill", AbcParameters(a=a, b=b, c=a), grid)
-    return _even_block_index(grid, blocks, _standing_rhs(a, b, grid), positive_definite=True)
+    return _quadratic(_standing_coefficients("hill", a, grid), _ratio(a, b))
 
 
 def index_lower_bound_poly(z: float) -> float:
@@ -253,26 +275,57 @@ def index_upper_bound_poly(z: float) -> float:
     return (2.0 / 45.0) * (65.0 * z * z - 535.0 * z - 745.0)
 
 
-def case2_index(a: float, b: float, grid: Grid) -> IndexReport:
-    """Index report for the standing-wave branch (a = c < 0).
+@dataclass(frozen=True)
+class StandingQuadratic:
+    """The kdv and hill parts of the standing-branch index at one (a, grid).
 
-    index_value = (1/3) (8 kdv_part + hill_part), both parts from numeric
-    solves.  The two bound polynomials bracket 3 I / sqrt(-a) up to solver
-    tolerance, coinciding at z = 1.
+    Each is a coefficient triple (h00, h01, h11) of h00 - 2 z h01 + z^2 h11
+    in z = b / (-a); see the module docstring.
     """
-    kdv_part = kdv_index_numeric(a, b, grid)
-    hill_part = hill_index_numeric(a, b, grid)
-    index_value = (8.0 * kdv_part + hill_part) / 3.0
-    z = b / (-a)
-    return IndexReport(
-        index_value=index_value,
-        kdv_part=kdv_part,
-        hill_part=hill_part,
-        lower_bound_3I=index_lower_bound_poly(z),
-        upper_bound_3I=index_upper_bound_poly(z),
-        method="numeric",
-        stable_by_index=index_value < 0,
+
+    kdv: tuple[float, float, float]
+    hill: tuple[float, float, float]
+
+    def report(self, z: float) -> IndexReport:
+        """Index report at ratio z.
+
+        index_value = (1/3) (8 kdv_part + hill_part).  The two bound
+        polynomials bracket 3 I / sqrt(-a) up to solver tolerance,
+        coinciding at z = 1.
+        """
+        kdv_part = _quadratic(self.kdv, z)
+        hill_part = _quadratic(self.hill, z)
+        index_value = (8.0 * kdv_part + hill_part) / 3.0
+        return IndexReport(
+            index_value=index_value,
+            kdv_part=kdv_part,
+            hill_part=hill_part,
+            lower_bound_3I=index_lower_bound_poly(z),
+            upper_bound_3I=index_upper_bound_poly(z),
+            method="numeric",
+            stable_by_index=index_value < 0,
+        )
+
+    def root(self, lo: float, hi: float) -> float:
+        """The root of 3 I(z) = h00 - 2 z h01 + z^2 h11 nearest the midpoint of [lo, hi]."""
+        h00, h01, h11 = (8.0 * k + h for k, h in zip(self.kdv, self.hill))
+        # the two roots q / h11 and h00 / q, without cancellation
+        q = h01 + math.copysign(math.sqrt(max(h01 * h01 - h00 * h11, 0.0)), h01)
+        mid = 0.5 * (lo + hi)
+        return min((q / h11, h00 / q), key=lambda z: abs(z - mid))
+
+
+def standing_quadratic(a: float, grid: Grid) -> StandingQuadratic:
+    """Both parts' coefficients: one even-block factorization per operator."""
+    return StandingQuadratic(
+        kdv=_standing_coefficients("kdv", a, grid),
+        hill=_standing_coefficients("hill", a, grid),
     )
+
+
+def case2_index(a: float, b: float, grid: Grid) -> IndexReport:
+    """Index report for the standing-wave branch (a = c < 0), both parts numeric."""
+    return standing_quadratic(a, grid).report(_ratio(a, b))
 
 
 def case1_index_closed_form(eta0: float, b: float, sign_branch: int = +1) -> float:
@@ -306,7 +359,7 @@ def general_index_numeric(params: AbcParameters, spec, wave, grid: Grid) -> floa
     side (KernelDefect otherwise).
     """
     blocks = assemble_system_operator_L(params, spec, wave, grid)
-    return _even_block_index(grid, blocks, _general_rhs(params, wave, grid))
+    return float(_even_block_index(grid, blocks, [_general_rhs(params, wave, grid)])[0, 0])
 
 
 def index_report(params: AbcParameters, spec, wave, grid: Grid) -> IndexReport:
@@ -347,20 +400,27 @@ def critical_ratio_bisection(
 
     a is fixed to -1 and b = z varies; by the scaling covariance
     index(a, b) = sqrt(-a) index(-1, b / (-a)) the crossing is independent
-    of |a|.  Raises NoSignChange when the endpoint signs agree.
+    of |a|.  The coefficients are computed once, and each evaluation is the
+    quadratic that case2_index would report at that z.  Raises NoSignChange
+    when the endpoint signs agree.
     """
     if not (z_lo < z_hi and tol > 0):
         raise DomainError(f"need z_lo < z_hi and tol > 0, got ({z_lo}, {z_hi}, {tol})")
 
+    quadratic = standing_quadratic(-1.0, grid)
+
     def value(z: float) -> float:
-        return case2_index(-1.0, z, grid).index_value
+        return quadratic.report(z).index_value
+
+    def result(z: float, lo: float, hi: float, iterations: int) -> BisectionResult:
+        return BisectionResult(z, lo, hi, iterations, evaluations, quadratic.root(lo, hi))
 
     f_lo, f_hi = value(z_lo), value(z_hi)
     evaluations = 2
     if f_lo == 0.0:
-        return BisectionResult(z_lo, z_lo, z_lo, 0, evaluations)
+        return result(z_lo, z_lo, z_lo, 0)
     if f_hi == 0.0:
-        return BisectionResult(z_hi, z_hi, z_hi, 0, evaluations)
+        return result(z_hi, z_hi, z_hi, 0)
     if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise NoSignChange(
             f"index has the same sign at z={z_lo} ({f_lo:.4g}) and z={z_hi} ({f_hi:.4g})"
@@ -373,9 +433,9 @@ def critical_ratio_bisection(
         evaluations += 1
         iterations += 1
         if f_mid == 0.0:
-            return BisectionResult(mid, mid, mid, iterations, evaluations)
+            return result(mid, mid, mid, iterations)
         if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
-    return BisectionResult(0.5 * (lo + hi), lo, hi, iterations, evaluations)
+    return result(0.5 * (lo + hi), lo, hi, iterations)

@@ -6,11 +6,23 @@ identity), a potential is a diagonal matrix, and compositions are explicit
 matrix products.  parity_basis holds the cosine and sine basis vectors
 sampled explicitly, so C^T A C gives the parity blocks of a reference matrix
 A, and to_physical takes assembled blocks back to the grid.
+
+The standing-branch references work with f = (1 - b dxx) phi itself: the
+exact kdv preimage of f, and one even-block solve with f as the single
+right-hand side (on the library's blocks), which the coefficient triples of
+pulsestab.index_count must reproduce at every b.
 """
 
 import numpy as np
 
-from pulsestab.discretization import standing_wave_profile
+from pulsestab.discretization import (
+    assemble_scalar_operator,
+    derivative_of_samples,
+    parity_coefficients,
+    standing_wave_profile,
+)
+from pulsestab.index_count import standing_wave_a_derivative
+from pulsestab.waves import AbcParameters
 
 
 def multiplier_matrix(grid, symbol):
@@ -119,3 +131,33 @@ def to_physical(grid, blocks):
         return even if len(block) == even.shape[1] else odd
 
     return image(blocks.even) @ blocks.even @ even.T + image(blocks.odd) @ blocks.odd @ odd.T
+
+
+def standing_rhs(a, b, grid):
+    """f = (1 - b dxx) phi for the standing-wave profile."""
+    phi = standing_wave_profile(a, grid)
+    return phi - b * derivative_of_samples(grid, phi, 2)
+
+
+def kdv_inverse_apply(a, b, grid):
+    """Exact preimage v = (a + b) phi_a - phi of f under the kdv operator.
+
+    Verifies | (a dxx + 1 + 2 phi) v - f |_inf < 1e-7 and raises
+    AssertionError otherwise.
+    """
+    phi = standing_wave_profile(a, grid)
+    v = (a + b) * standing_wave_a_derivative(a, grid) - phi
+    f = standing_rhs(a, b, grid)
+    residual = a * derivative_of_samples(grid, v, 2) + v + 2.0 * phi * v - f
+    defect = float(np.max(np.abs(residual)))
+    if defect >= 1e-7:
+        raise AssertionError(f"kdv inverse identity residual {defect:.3e} >= 1e-7")
+    return v
+
+
+def standing_index_part(kind, a, b, grid):
+    """<A^(-1) f, f> for A = kdv or hill: one even-block solve with f itself."""
+    blocks = assemble_scalar_operator(kind, AbcParameters(a=a, b=b, c=a), grid)
+    f_even, _ = parity_coefficients(grid, standing_rhs(a, b, grid))
+    u = np.linalg.solve(blocks.even, f_even)
+    return float(grid.quad_weight * np.dot(u, f_even))

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import count_calls
-from pulsestab import cli, index_count
+from pulsestab import cli, discretization, index_count
 from pulsestab.errors import DomainError, EigensolveFailure
 from pulsestab.cli import main
 
@@ -153,6 +153,33 @@ def test_threshold_command(capsys):
     unstable_edge = (517.0 + 9.0 * math.sqrt(5385.0)) / 112.0
     assert stable_edge < result["z_star"] < unstable_edge
     assert result["bracket_hi"] - result["bracket_lo"] < 1e-3
+
+
+def test_threshold_reports_the_root_of_the_discrete_index(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "threshold", "--zmin", "9.0", "--zmax", "11.0", "--tol", "1e-3", *FAST,
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["bracket_lo"] <= result["z_root"] <= result["bracket_hi"]
+    stable_edge = (107.0 + 9.0 * math.sqrt(237.0)) / 26.0
+    unstable_edge = (517.0 + 9.0 * math.sqrt(5385.0)) / 112.0
+    assert stable_edge < result["z_root"] < unstable_edge
+
+
+@pytest.mark.parametrize("tol", ["0.5", "1e-3"])
+def test_threshold_factors_each_scalar_operator_once(capsys, monkeypatch, tol):
+    # the bisection evaluates the coefficient triples, not fresh solves
+    assembled = count_calls(monkeypatch, discretization, "assemble_scalar_operator")
+    reports = count_calls(monkeypatch, index_count, "case2_index")
+    code, out, _ = run_cli(
+        capsys, "threshold", "--zmin", "9", "--zmax", "11", "--tol", tol, "--grid-n", "256"
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["evaluations"] > 2
+    assert [call[0] for call in assembled] == ["kdv", "hill"]
+    assert len(reports) <= 1
 
 
 def test_threshold_no_sign_change_is_domain_error(capsys):

@@ -22,7 +22,6 @@ from pulsestab.errors import (
     SolveFailure,
 )
 from pulsestab.index_count import (
-    _standing_rhs,
     case1_index_closed_form,
     case2_index,
     closed_form_inner_products,
@@ -34,7 +33,7 @@ from pulsestab.index_count import (
     index_upper_bound_poly,
     kdv_index_closed_form,
     kdv_index_numeric,
-    kdv_inverse_apply,
+    standing_quadratic,
     standing_wave_a_derivative,
 )
 from pulsestab.waves import AbcParameters, resolve_wave_parameters, sample_wave
@@ -92,19 +91,19 @@ def test_amplitude_derivative_finite_difference():
 def test_kdv_inverse_identities(standing_grid):
     a, b = -1.0, 2.0
     grid = standing_grid
-    v = kdv_inverse_apply(a, b, grid)
+    v = reference.kdv_inverse_apply(a, b, grid)
     phi = standing_wave_profile(a, grid)
     phi_a = standing_wave_a_derivative(a, grid)
     # the kdv operator maps phi_a to -phi''
     image = a * derivative_of_samples(grid, phi_a, 2) + phi_a + 2 * phi * phi_a
     assert np.max(np.abs(image + derivative_of_samples(grid, phi, 2))) < 1e-7
-    f = _standing_rhs(a, b, grid)
+    f = reference.standing_rhs(a, b, grid)
     assert inner_product(v, f, grid) == pytest.approx(kdv_index_closed_form(a, b), rel=1e-6)
 
 
 def test_kdv_inverse_collapses_at_equal_coefficients(standing_grid):
     # b = -a: the preimage reduces to -phi
-    v = kdv_inverse_apply(-1.0, 1.0, standing_grid)
+    v = reference.kdv_inverse_apply(-1.0, 1.0, standing_grid)
     phi = standing_wave_profile(-1.0, standing_grid)
     np.testing.assert_allclose(v, -phi, rtol=0, atol=1e-14)
 
@@ -132,7 +131,7 @@ def projection_split(a, b, grid):
     """f = c (a phi'' + phi) + g: the coefficient c and |g|^2."""
     phi = standing_wave_profile(a, grid)
     h = a * derivative_of_samples(grid, phi, 2) + phi
-    f = _standing_rhs(a, b, grid)
+    f = reference.standing_rhs(a, b, grid)
     coeff = inner_product(f, h, grid) / inner_product(h, h, grid)
     g = f - coeff * h
     return coeff, inner_product(g, g, grid)
@@ -192,14 +191,16 @@ def numeric_route(name, standing_grid, case1):
 def test_standing_routes_refuse_an_odd_right_hand_side(
     monkeypatch, standing_grid, case1_eta_minus1, route
 ):
-    # f' is odd: 1e-3 of it overlaps the odd kernel far beyond the 1e-8 bound
-    standing_rhs = index_count._standing_rhs
+    # c' is odd: 1e-3 of it overlaps the odd kernel far beyond the 1e-8 bound;
+    # only the phi'' column is contaminated, so every column must be checked
+    standing_columns = index_count._standing_columns
 
-    def contaminated(a, b, grid):
-        f = standing_rhs(a, b, grid)
-        return f + 1e-3 * derivative_of_samples(grid, f, 1)
+    def contaminated(a, grid):
+        columns = standing_columns(a, grid)
+        columns[1] += 1e-3 * derivative_of_samples(grid, columns[1], 1)
+        return columns
 
-    monkeypatch.setattr(index_count, "_standing_rhs", contaminated)
+    monkeypatch.setattr(index_count, "_standing_columns", contaminated)
     with pytest.raises(KernelDefect):
         numeric_route(route, standing_grid, case1_eta_minus1)
 
@@ -358,6 +359,58 @@ def test_general_index_kernel_defect_raised(monkeypatch, case1_eta_minus1):
     monkeypatch.setattr(index_count, "_general_rhs", contaminated)
     with pytest.raises(KernelDefect):
         general_index_numeric(params, spec, wave, grid)
+
+
+# z at which the coefficient triples must reproduce the single-right-hand-side
+# solve: both sides of z = 1, the critical ratio and both unstable points
+AGREEMENT_Z = (0.1, 1.0, 4.0, 9.98584, 10.5, 12.0, 12.5)
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_case2_parts_match_the_single_rhs_solve(n):
+    grid = build_grid(n, 100.0)  # the threshold grid at a = -1
+    for z in AGREEMENT_Z:
+        report = case2_index(-1.0, z, grid)
+        kdv_part = reference.standing_index_part("kdv", -1.0, z, grid)
+        hill_part = reference.standing_index_part("hill", -1.0, z, grid)
+        tolerance = 1e-12 * (8.0 * abs(kdv_part) + abs(hill_part)) / 3.0
+        assert report.kdv_part == pytest.approx(kdv_part, rel=0, abs=tolerance), z
+        assert report.hill_part == pytest.approx(hill_part, rel=0, abs=tolerance), z
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_bisection_midpoint_signs_match_the_single_rhs_solve(n):
+    # rerun the bisection on the reference solve; at each midpoint the
+    # quadratic must give the same sign, so the brackets coincide
+    grid = build_grid(n, 100.0)
+    quadratic = standing_quadratic(-1.0, grid)
+    lo, hi = 9.0, 11.0
+    while hi - lo >= 1e-3:
+        mid = 0.5 * (lo + hi)
+        kdv_part = reference.standing_index_part("kdv", -1.0, mid, grid)
+        hill_part = reference.standing_index_part("hill", -1.0, mid, grid)
+        stable = 8.0 * kdv_part + hill_part < 0
+        assert (quadratic.report(mid).index_value < 0) == stable, mid
+        lo, hi = (mid, hi) if stable else (lo, mid)
+    result = critical_ratio_bisection(9.0, 11.0, 1e-3, grid)
+    assert (result.bracket_lo, result.bracket_hi) == (lo, hi)
+
+
+@pytest.mark.parametrize("a", [-1.0, -4.0])
+def test_numeric_kdv_coefficients_are_the_closed_form(a):
+    # sqrt(-a) (-9/2 - 3 z + (3/10) z^2) = h00 - 2 z h01 + z^2 h11
+    lam = 1.0 / (2.0 * math.sqrt(-a))
+    quadratic = standing_quadratic(a, build_grid(512, 40.0 / lam))
+    expected = [math.sqrt(-a) * c for c in (-4.5, 1.5, 0.3)]
+    np.testing.assert_allclose(quadratic.kdv, expected, rtol=0, atol=1e-12)
+
+
+def test_bisection_root_lies_in_its_bracket():
+    grid = build_grid(512, 100.0)
+    result = critical_ratio_bisection(9.0, 11.0, 1e-3, grid)
+    assert result.bracket_lo <= result.z_root <= result.bracket_hi
+    report = standing_quadratic(-1.0, grid).report(result.z_root)
+    assert report.index_value == pytest.approx(0.0, abs=1e-10)
 
 
 def test_bisection_brackets_the_crossing():
