@@ -29,13 +29,23 @@ Assembled operators:
     L   = [[1 + c dxx,            b w dxx + psi - w],
            [b w dxx + psi - w,    1 + a dxx + phi  ]]          (two-component)
     Lt  = S L S,  S = (1 - b dxx)^(-1/2)                       (symmetrized)
-          the smoothed symbols, plus diag(s) V diag(s) per potential
+          the smoothed symbols, plus diag(s) V diag(s) per potential;
+          a RotatedBlocks (U x I) blockdiag(parts) (U x I)^T
     JL  = J L,  J = -dx (1 - b dxx)^(-1) swap                  (evolution)
           J anticommutes with the reflection, so JL maps each parity onto
           the other; assembled only when the parity reduction of JL does
           not apply
     scalar kinds: kdv  = a dxx + 1 + 2 phi0
                   hill = a dxx + 1 - phi0      (phi0 the standing-wave profile)
+
+On the standing branch (a = c, eta0 = -3/2, w = 0) whose samples satisfy
+psi = B phi exactly, L = (1 + a dxx) I + phi P with the constant
+P = [[0, B], [B, 1]] = U diag(p) U^T, p = (2, -1) at B = sqrt(2).  S is
+scalar, so Lt = (U x I) diag(S kdv S, S hill S) (U x I)^T and assemble_tilde_L
+returns the two scalar parts, blocks of size N/2 + 1 and N/2 - 1 each, from
+one potential_blocks of phi.  Any other wave (or a psi that is not B phi
+sample for sample, which then meets the ReflectionDefect check of its own
+potential) stays one two-component part with U = I.
 
 A potential whose samples are not even to REFLECTION_DEFECT_TOL raises
 ReflectionDefect (see Kapitula & Promislow, Spectral and Dynamical
@@ -53,6 +63,7 @@ from .errors import DomainError, InvalidGrid, ReflectionDefect
 __all__ = [
     "Grid",
     "ParityBlocks",
+    "RotatedBlocks",
     "build_grid",
     "apply_multiplier",
     "derivative_of_samples",
@@ -60,7 +71,6 @@ __all__ = [
     "parity_wavenumbers",
     "parity_coefficients",
     "potential_blocks",
-    "swap_odd_to_even",
     "assemble_system_operator_L",
     "assemble_tilde_L",
     "assemble_JL",
@@ -98,6 +108,34 @@ class ParityBlocks:
 
     even: np.ndarray
     odd: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class RotatedBlocks:
+    """A two-component operator as (U x I) blockdiag(parts) (U x I)^T.
+
+    U is a constant orthogonal 2x2 matrix on the components.  Either U = I
+    and the one part is the operator's own ParityBlocks, or U diagonalizes
+    the operator and each of the two parts is a scalar operator on one
+    rotated component (column of U).  even and odd compose the
+    two-component blocks.
+    """
+
+    rotation: np.ndarray
+    parts: tuple[ParityBlocks, ...]
+
+    @property
+    def even(self) -> np.ndarray:
+        return self._compose([part.even for part in self.parts])
+
+    @property
+    def odd(self) -> np.ndarray:
+        return self._compose([part.odd for part in self.parts])
+
+    def _compose(self, blocks: list[np.ndarray]) -> np.ndarray:
+        if len(blocks) == 1:
+            return blocks[0]
+        return sum(np.kron(np.outer(u, u), block) for u, block in zip(self.rotation.T, blocks))
 
 
 def build_grid(n_points: int, half_length: float) -> Grid:
@@ -202,7 +240,7 @@ def potential_blocks(grid: Grid, values: np.ndarray) -> ParityBlocks:
     return ParityBlocks(even, odd)
 
 
-def swap_odd_to_even(factor: np.ndarray, odd_rows: np.ndarray) -> np.ndarray:
+def _swap_odd_to_even(factor: np.ndarray, odd_rows: np.ndarray) -> np.ndarray:
     """[[0, D], [D, 0]] @ odd_rows, D = diag(factor) from sine k to cosine k.
 
     odd_rows holds two-component sine coefficients (k = 1, ..., N/2 - 1 per
@@ -247,7 +285,7 @@ def assemble_system_operator_L(params, spec, wave, grid: Grid) -> ParityBlocks:
     )
 
 
-def assemble_tilde_L(params, spec, wave, grid: Grid) -> ParityBlocks:
+def assemble_tilde_L(params, spec, wave, grid: Grid) -> RotatedBlocks:
     """Symmetrized operator (1 - b dxx)^(-1/2) L (1 - b dxx)^(-1/2).
 
     Shares the inertia of L (congruence with a positive definite factor) and
@@ -255,19 +293,38 @@ def assemble_tilde_L(params, spec, wave, grid: Grid) -> ParityBlocks:
     S = (1 - b dxx)^(-1/2) is the diagonal s_k = (1 + b xi_k^2)^(-1/2), so
     the constant parts are their symbols divided by 1 + b xi_k^2 and each
     potential block V becomes diag(s) V diag(s).
+
+    On the standing branch with psi = B phi sample for sample,
+    L = (1 + a dxx) I + phi P with P = [[0, B], [B, 1]] = U diag(p) U^T, so
+    Lt splits into the scalar parts (1 + a dxx) + p phi, smoothed: kdv
+    (p = 2) and hill (p = -1) at B = sqrt(2).  Any other wave stays one
+    two-component part with U = I.
     """
     _check_sizes(wave, grid)
     xi = parity_wavenumbers(grid)
     smooth = 1.0 + params.b * xi**2
     s = 1.0 / np.sqrt(smooth)
-    symbols = [symbol / smooth for symbol in _constant_symbols(params, spec, xi)]
     even_scale, odd_scale = np.outer(s, s), np.outer(s[1:-1], s[1:-1])
 
     def smoothed(values: np.ndarray) -> ParityBlocks:
         blocks = potential_blocks(grid, values)
         return ParityBlocks(even_scale * blocks.even, odd_scale * blocks.odd)
 
-    return _system_blocks(symbols, smoothed(wave.psi), smoothed(wave.phi))
+    if params.standing_branch(spec) and np.array_equal(wave.psi, spec.B * wave.phi):
+        # p^2 - p - B^2 = 0 with eigenvectors (B, p); kdv (p > 0) first
+        p = 0.5 * (1.0 + np.array([1.0, -1.0]) * np.sqrt(1.0 + 4.0 * spec.B**2))
+        rotation = np.array([[spec.B, spec.B], p]) / np.hypot(spec.B, p)
+        symbol = (1.0 - params.a * xi**2) / smooth
+        phi = smoothed(wave.phi)
+        parts = tuple(
+            ParityBlocks(np.diag(symbol) + pk * phi.even, np.diag(symbol[1:-1]) + pk * phi.odd)
+            for pk in p
+        )
+        return RotatedBlocks(rotation, parts)
+    symbols = [symbol / smooth for symbol in _constant_symbols(params, spec, xi)]
+    return RotatedBlocks(
+        np.eye(2), (_system_blocks(symbols, smoothed(wave.psi), smoothed(wave.phi)),)
+    )
 
 
 def assemble_JL(params, spec, wave, grid: Grid) -> ParityBlocks:
@@ -286,7 +343,7 @@ def assemble_JL(params, spec, wave, grid: Grid) -> ParityBlocks:
     # -J_eo^T = [[0, D^T], [D^T, 0]] takes the cosine rows k = 1, ..., N/2 - 1
     # of the other component, scaled
     scaled = np.tile(k, 2)[:, None] * np.vstack([lop.even[half + 1 : -1], lop.even[1 : half - 1]])
-    return ParityBlocks(scaled, -swap_odd_to_even(k, lop.odd))
+    return ParityBlocks(scaled, -_swap_odd_to_even(k, lop.odd))
 
 
 def standing_wave_profile(a: float, grid: Grid) -> np.ndarray:

@@ -371,7 +371,7 @@ def index_report(params: AbcParameters, spec, wave, grid: Grid) -> IndexReport:
     general even-block solve.  At the z = 1 coincidence, where both
     branches meet, the standing route wins.
     """
-    if params.equal_dispersion and abs(spec.eta0 + 1.5) < 1e-12 and abs(spec.w) < 1e-12:
+    if params.standing_branch(spec):
         return case2_index(params.a, params.b, grid)
     if params.kdv_scaling and -2.25 < spec.eta0 < 0.0:
         value = case1_index_closed_form(spec.eta0, params.b, spec.sign_branch)

@@ -2,25 +2,34 @@
 
 The symmetrized operator Lt is assembled as its cosine and sine blocks and
 diagonalized block by block, to read off its inertia (one negative
-eigenvalue and a simple kernel for every admissible pulse).  The evolution
-generator JL is counted from the same blocks: with S = (1 - b dxx)^(-1/2)
-and J0 = -dx swap, J = S J0 S, so JL = S (J0 Lt) S^-1 shares the spectrum of
+eigenvalue and a simple kernel for every admissible pulse).  On the
+standing branch the blocks are those of the two scalar parts of
+Lt = (U x I) diag(S kdv S, S hill S) (U x I)^T, U the constant rotation that
+diagonalizes the potential matrix [[0, B], [B, 1]] (see
+discretization.assemble_tilde_L), so each solve has half the size; every
+other wave is one two-component part with U = I.  The evolution generator
+JL is counted from the same blocks: with S = (1 - b dxx)^(-1/2) and
+J0 = -dx swap, J = S J0 S, so JL = S (J0 Lt) S^-1 shares the spectrum of
 J0 Lt, which couples the even block Lt_e and the odd block Lt_o through
-J_eo = -[[0, D], [D, 0]], D = diag(xi_k) from sine k to cosine k.  Its
-eigenvalues are the four zeros of J's even kernel and +-sqrt(mu) for the
-eigenvalues mu of -G Lt_o, G = J_eo^T Lt_e J_eo (the even/odd Hamiltonian
-reduction, Kapitula & Promislow, Spectral and Dynamical Stability of
-Nonlinear Waves, 2013, ch. 7).  When Lt_o = V D V^T is positive
+J_eo = -[[0, D], [D, 0]] = -(swap x D), D = diag(xi_k) from sine k to
+cosine k.  In the rotated components J_eo is -(Sigma x D) with
+Sigma = U^T swap U, the plain swap when U = I.  The eigenvalues of JL are
+the four zeros of J's even kernel and +-sqrt(mu) for the eigenvalues mu of
+-G Lt_o, G = J_eo^T Lt_e J_eo (the even/odd Hamiltonian reduction,
+Kapitula & Promislow, Spectral and Dynamical Stability of Nonlinear Waves,
+2013, ch. 7).  When every part's odd block V_i D_i V_i^T is positive
 semidefinite the mu are the eigenvalues of the symmetric
 
-    M = -(J_eo V D^1/2)^T Lt_e (J_eo V D^1/2),
+    M = -R^T G R,   R = blockdiag(V_i D_i^1/2),
 
-so every mu is real, with absolute round-off eps |M|.  Odd eigenvalues
-within n eps max|D| below zero count as round-off of a semidefinite block;
-one further below (supersonic waves) sends JL to a full nonsymmetric
-eigensolve of [[0, JL_odd], [JL_even, 0]], its parity blocks laid out on
-the cosine and sine coefficients.  The odd block's eigenvectors are computed
-only for this count; the standalone Lt spectrum takes eigenvalues alone.
+one solve of size N - 2 however many parts, so every mu is real, with
+absolute round-off eps |M|.  Odd eigenvalues within n eps max|D| below
+zero, over the union of the parts, count as round-off of a semidefinite
+block; one further below (supersonic waves, never standing ones) sends JL
+to a full nonsymmetric eigensolve of [[0, JL_odd], [JL_even, 0]], its
+parity blocks laid out on the cosine and sine coefficients.  The odd
+blocks' eigenvectors are computed only for this count; the standalone Lt
+spectrum takes eigenvalues alone.
 The essential-spectrum edge kappa comes from the smoothed 2x2
 Fourier symbol minimized over the grid wavenumbers; the verdict does not
 need it.  The verdict combines the inertia, the sign of the index quantity,
@@ -42,7 +51,6 @@ from .discretization import (
     assemble_JL,
     assemble_tilde_L,
     parity_wavenumbers,
-    swap_odd_to_even,
 )
 from .errors import EigensolveFailure, NotSubsonic
 from .index_count import IndexReport, index_report
@@ -62,12 +70,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TildeLBlocks:
-    """Lt on the cosine and sine bases: the even block, and the odd block
-    as odd_vectors @ diag(odd_values) @ odd_vectors.T (values ascending)."""
+    """Lt as assembled (RotatedBlocks) with the odd block of each part
+    diagonalized: part i has the even block even[i] and the odd block
+    V diag(values) V^T for odd_eigen[i] = (values, V), values ascending."""
 
-    even: np.ndarray
-    odd_values: np.ndarray
-    odd_vectors: np.ndarray
+    rotation: np.ndarray
+    even: tuple[np.ndarray, ...]
+    odd_eigen: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @property
+    def odd_values(self) -> np.ndarray:
+        """The odd-block eigenvalues of every part, ascending."""
+        return np.sort(np.concatenate([values for values, _ in self.odd_eigen]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,13 +125,16 @@ def _subsonic_gap(params: AbcParameters, spec: WaveSpec, grid: Grid) -> float | 
 def _tilde_L_blocks(
     params: AbcParameters, spec: WaveSpec, wave: SampledWave, grid: Grid
 ) -> TildeLBlocks:
-    """Assemble the parity blocks of Lt and diagonalize the odd one.
+    """Assemble the parity blocks of Lt and diagonalize each odd one.
 
     ReflectionDefect if the wave is not even.
     """
     lt = assemble_tilde_L(params, spec, wave, grid)
-    odd_values, odd_vectors = _symmetric_eigen(np.linalg.eigh, lt.odd)
-    return TildeLBlocks(lt.even, odd_values, odd_vectors)
+    return TildeLBlocks(
+        lt.rotation,
+        tuple(part.even for part in lt.parts),
+        tuple(_symmetric_eigen(np.linalg.eigh, part.odd) for part in lt.parts),
+    )
 
 
 def discrete_spectrum_tilde_L(
@@ -131,22 +148,24 @@ def discrete_spectrum_tilde_L(
 ) -> SpectrumReport:
     """Full symmetric eigensolve of the symmetrized operator, block by block.
 
-    Lt commutes with x -> -x, so its eigenvalues are the sorted union of
-    those of its even and odd blocks (ReflectionDefect if the wave is not
-    even).  Blocks passed in, as a JL report carries them, are reused with
-    their odd eigenvalues; otherwise Lt is assembled here and both blocks
-    take eigenvalues only.  zero_tol defaults to 1e-6 times the spectral
-    radius; it separates the translational kernel from genuinely small
-    eigenvalues (verified stable under N-refinement).  The essential-spectrum
-    edge is reported when essential_gap is set and the wave is subsonic.
+    Lt commutes with x -> -x and is an orthogonal rotation of its parts, so
+    its eigenvalues are the sorted union of those of each part's even and
+    odd blocks (ReflectionDefect if the wave is not even).  Blocks passed
+    in, as a JL report carries them, are reused with their odd eigenvalues;
+    otherwise Lt is assembled here and every block takes eigenvalues only.
+    zero_tol defaults to 1e-6 times the spectral radius; it separates the
+    translational kernel from genuinely small eigenvalues (verified stable
+    under N-refinement).  The essential-spectrum edge is reported when
+    essential_gap is set and the wave is subsonic.
     """
     if blocks is None:
         lt = assemble_tilde_L(params, spec, wave, grid)
-        even, odd_values = lt.even, _symmetric_eigen(np.linalg.eigvalsh, lt.odd)
+        evens = [part.even for part in lt.parts]
+        odd_values = [_symmetric_eigen(np.linalg.eigvalsh, part.odd) for part in lt.parts]
     else:
-        even, odd_values = blocks.even, blocks.odd_values
-    even_values = _symmetric_eigen(np.linalg.eigvalsh, even)
-    eigenvalues = np.sort(np.concatenate([even_values, odd_values]))
+        evens, odd_values = blocks.even, [blocks.odd_values]
+    even_values = [_symmetric_eigen(np.linalg.eigvalsh, even) for even in evens]
+    eigenvalues = np.sort(np.concatenate(even_values + odd_values))
     if zero_tol is None:
         zero_tol = 1e-6 * max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
     return SpectrumReport(
@@ -170,24 +189,71 @@ def hamiltonian_symmetry_defect(eigenvalues: np.ndarray, re_floor: float = 1e-8)
     return defect
 
 
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _coupled_even_block(blocks: TildeLBlocks, xi: np.ndarray) -> np.ndarray:
+    """G = (Sigma x D)^T Lt_e (Sigma x D) on the sine coefficients of the
+    rotated components, Sigma = U^T swap U, D = diag(xi_k) from sine k to
+    cosine k.
+
+    D^T E D keeps rows and columns k = 1, ..., N/2 - 1 of a component block
+    E of Lt_e and scales them by xi_k xi_l, so G costs O(N^2).
+    """
+    sigma = blocks.rotation.T @ _SWAP @ blocks.rotation
+    m = len(xi)
+    if len(blocks.even) == 1:
+        even = blocks.even[0].reshape(2, m + 2, 2, m + 2)
+        inner = {(a, b): even[a, 1:-1, b, 1:-1] for a in range(2) for b in range(2)}
+    else:
+        inner = {(a, a): even[1:-1, 1:-1] for a, even in enumerate(blocks.even)}
+    g = np.zeros((2 * m, 2 * m))
+    for c in range(2):
+        for d in range(2):
+            for (a, b), block in inner.items():
+                weight = sigma[a, c] * sigma[b, d]
+                if weight != 0.0:  # U = I leaves one nonzero weight per block
+                    g[c * m : (c + 1) * m, d * m : (d + 1) * m] += weight * block
+    scale = np.tile(xi, 2)
+    g *= scale[:, None]
+    g *= scale
+    return g
+
+
+def _reduced_matrix(blocks: TildeLBlocks, xi: np.ndarray) -> np.ndarray:
+    """R^T G R = -M, R = blockdiag(V_i D_i^1/2), block by block, so R's zero
+    blocks cost nothing; G and R are dropped on return."""
+    g = _coupled_even_block(blocks, xi)
+    roots = [vectors * np.sqrt(np.maximum(part, 0.0)) for part, vectors in blocks.odd_eigen]
+    edges = np.cumsum([0] + [len(root) for root in roots])
+    reduced = np.empty((edges[-1], edges[-1]))
+    for i, left in enumerate(roots):
+        rows = slice(edges[i], edges[i + 1])
+        for j in range(i, len(roots)):
+            cols = slice(edges[j], edges[j + 1])
+            np.matmul(left.T, g[rows, cols] @ roots[j], out=reduced[rows, cols])
+            if j != i:
+                reduced[cols, rows] = reduced[rows, cols].T
+    return reduced
+
+
 def _squared_eigenvalues(grid: Grid, blocks: TildeLBlocks) -> np.ndarray | None:
     """Eigenvalues mu = lambda^2 of JL off J's kernel, or None when the odd
     block of Lt is indefinite.
 
-    With Lt_o = V D V^T and D >= 0 the mu are the eigenvalues of the
-    symmetric M = -(J_eo V D^1/2)^T Lt_e (J_eo V D^1/2), so each is real and
-    carries the absolute round-off eps |M|.  Odd eigenvalues within
-    n eps max|D| below zero are round-off of a semidefinite block and count
+    With each part's odd block V_i D_i V_i^T and every D_i >= 0 the mu are
+    the eigenvalues of the symmetric M = -R^T G R, R = blockdiag(V_i D_i^1/2)
+    and G from _coupled_even_block, so each is real and carries the absolute
+    round-off eps |M|.  Odd eigenvalues within n eps max|D| below zero, over
+    the union of the parts, are round-off of a semidefinite block and count
     as zero.
     """
     values = blocks.odd_values
     floor = len(values) * np.finfo(float).eps * np.max(np.abs(values))
     if values[0] < -floor:
         return None
-    root = blocks.odd_vectors * np.sqrt(np.maximum(values, 0.0))
-    # J_eo is minus this swap; the sign drops out of M
-    coupled = swap_odd_to_even(parity_wavenumbers(grid)[1:-1], root)
-    return _symmetric_eigen(np.linalg.eigvalsh, -(coupled.T @ (blocks.even @ coupled)))
+    reduced = _reduced_matrix(blocks, parity_wavenumbers(grid)[1:-1])
+    return -_symmetric_eigen(np.linalg.eigvalsh, reduced)
 
 
 def unstable_modes_JL(
@@ -221,7 +287,8 @@ def unstable_modes_JL(
             raise EigensolveFailure(f"general eigensolve failed: {exc}") from exc
     else:
         roots = np.sqrt(squares.astype(complex))
-        kernel = np.zeros(len(blocks.even) - len(squares), dtype=complex)
+        even_size = sum(len(even) for even in blocks.even)
+        kernel = np.zeros(even_size - len(squares), dtype=complex)
         eigenvalues = np.concatenate([roots, -roots, kernel])
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
     eigenvalues = eigenvalues[order]

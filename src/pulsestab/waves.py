@@ -80,6 +80,14 @@ class AbcParameters:
             1.0, abs(self.a), self.b
         )
 
+    def standing_branch(self, spec: WaveSpec) -> bool:
+        """True for the standing wave: a = c, eta0 = -3/2, w = 0.
+
+        Then the constant part of L is a multiple of the identity, which
+        both the standing index route and the rotated assembly of Lt use.
+        """
+        return self.equal_dispersion and abs(spec.eta0 + 1.5) < 1e-12 and abs(spec.w) < 1e-12
+
 
 @dataclass(frozen=True)
 class WaveSpec:

@@ -47,13 +47,8 @@ def test_tilde_spectrum_blocks_match_full_eigensolve(fixture, request):
     np.testing.assert_allclose(report.eigenvalues, full, rtol=0, atol=1e-12 * radius)
 
 
-@pytest.mark.parametrize("component", ["phi", "psi"])
-def test_tilde_spectrum_refuses_a_wave_with_an_odd_part(case1_eta_minus1, component):
-    params, spec, grid, wave = case1_eta_minus1
-    # an odd component breaks the reflection symmetry the parity blocks rely on
-    values = getattr(wave, component)
-    values = values + 0.05 * derivative_of_samples(grid, values, 1)
-    broken = dataclasses.replace(
+def with_samples(wave, grid, component, values):
+    return dataclasses.replace(
         wave,
         **{
             component: values,
@@ -61,6 +56,28 @@ def test_tilde_spectrum_refuses_a_wave_with_an_odd_part(case1_eta_minus1, compon
             f"{component}_dxx": derivative_of_samples(grid, values, 2),
         },
     )
+
+
+@pytest.mark.parametrize(
+    "fixture, component, keep_ratio",
+    [
+        pytest.param("case1_eta_minus1", "phi", False, id="phi"),
+        pytest.param("case1_eta_minus1", "psi", False, id="psi"),
+        pytest.param("standing_z1", "phi", False, id="standing-phi"),
+        pytest.param("standing_z1", "psi", False, id="standing-psi"),
+        pytest.param("standing_z1", "phi", True, id="standing-both"),
+    ],
+)
+def test_tilde_spectrum_refuses_a_wave_with_an_odd_part(fixture, component, keep_ratio, request):
+    params, spec, grid, wave = request.getfixturevalue(fixture)
+    # an odd component breaks the reflection symmetry the parity blocks rely on
+    values = getattr(wave, component)
+    values = values + 0.05 * derivative_of_samples(grid, values, 1)
+    broken = with_samples(wave, grid, component, values)
+    if keep_ratio:
+        # psi = B phi still holds sample for sample, so a standing wave
+        # reaches the scalar split and its one potential, phi
+        broken = with_samples(broken, grid, "psi", spec.B * broken.phi)
     with pytest.raises(ReflectionDefect) as raised:
         discrete_spectrum_tilde_L(params, spec, broken, grid)
     assert isinstance(raised.value, SolverError)
@@ -213,25 +230,30 @@ def test_verdict_parity_identity_mixed_scan():
         assert verdict.n_unstable_direct % 2 == verdict.parity_rhs, f"z={z}"
 
 
-def count_eigvals(monkeypatch):
-    """Record the calls to np.linalg.eigvals."""
-    original = np.linalg.eigvals
+def solve_shapes(monkeypatch, name="eigvals"):
+    """Record the shapes of the matrices passed to np.linalg.<name>."""
+    original = getattr(np.linalg, name)
     calls = []
 
     def counted(matrix):
         calls.append(matrix.shape)
         return original(matrix)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
-@pytest.mark.parametrize("n", [256, 512])
-@pytest.mark.parametrize("case", sorted(WAVE_CASES))
+# N = 128 on the standing cases: the rotated count against the reference
+# where a spurious translation pair decides the answer
+@pytest.mark.parametrize(
+    "case, n",
+    [(case, n) for case in sorted(WAVE_CASES) for n in (256, 512)]
+    + [("standing_z1", 128), ("standing_z12", 128)],
+)
 def test_jl_parity_reduction_matches_full_eigensolve(case, n, monkeypatch):
     params, spec, grid, wave = WAVE_CASES[case](n)
     full = np.linalg.eigvals(reference.JL(params, spec, wave, grid))
-    calls = count_eigvals(monkeypatch)
+    calls = solve_shapes(monkeypatch)
     report = unstable_modes_JL(params, spec, wave, grid)
     assert calls == []  # every odd block here is semidefinite
     re_tol = 1e-6
@@ -257,7 +279,7 @@ def test_jl_indefinite_odd_block_takes_the_full_eigensolve(monkeypatch):
     # the supersonic free-amplitude wave has an odd block of Lt down to -1
     params, spec, grid, wave = make_case1(-2.6, n=128, lfac=50.0)
     assert spectra._tilde_L_blocks(params, spec, wave, grid).odd_values[0] < -0.5
-    calls = count_eigvals(monkeypatch)
+    calls = solve_shapes(monkeypatch)
     report = unstable_modes_JL(params, spec, wave, grid)
     assert calls == [(256, 256)]
     assert report.n_unstable == 8
@@ -279,3 +301,25 @@ def test_standalone_jl_report_keeps_the_essential_gap(case1_eta_minus1):
     params, spec, grid, wave = case1_eta_minus1
     report = unstable_modes_JL(params, spec, wave, grid)
     assert report.ess_spectrum_gap == pytest.approx(1.0 - abs(spec.w), rel=1e-12)
+
+
+def test_standing_verdict_solves_half_size_lt_blocks(monkeypatch):
+    # the rotation splits Lt into kdv and hill parts: each parity block has
+    # N/2 +- 1 rows, and the one solve left at N - 2 is M of the JL count;
+    # the free-amplitude wave keeps its two-component blocks of N +- 2
+    n = 512
+    shapes = {
+        name: solve_shapes(monkeypatch, name) for name in ("eigh", "eigvalsh", "eigvals")
+    }
+    params, spec, grid, wave = make_standing(b=4.0, n=n)
+    stability_verdict(params, spec, wave, grid)
+    assert shapes["eigh"] == [(n // 2 - 1,) * 2] * 2
+    assert sorted(shapes["eigvalsh"]) == [(n // 2 + 1,) * 2] * 2 + [(n - 2,) * 2]
+    assert shapes["eigvals"] == []
+    for recorded in shapes.values():
+        recorded.clear()
+    params, spec, grid, wave = make_case1(-1.0, n=n)
+    stability_verdict(params, spec, wave, grid)
+    assert shapes["eigh"] == [(n - 2,) * 2]
+    assert sorted(shapes["eigvalsh"]) == [(n - 2,) * 2, (n + 2,) * 2]
+    assert shapes["eigvals"] == []
