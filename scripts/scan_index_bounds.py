@@ -19,9 +19,9 @@ import numpy as np
 
 from pulsestab import (
     build_grid,
-    case2_index,
     index_lower_bound_poly,
     index_upper_bound_poly,
+    standing_quadratic,
 )
 
 
@@ -34,12 +34,16 @@ def main() -> None:
     parser.add_argument("--grid-len", type=float, default=100.0)
     parser.add_argument("--out", type=str, default="results/index_bounds.csv")
     args = parser.parse_args()
+    if not args.zmin > 0:
+        parser.error(f"z = b/(-a) must be positive, got --zmin {args.zmin}")
 
     grid = build_grid(args.grid_n, args.grid_len)
+    # the index at a = -1 is a quadratic in z: one solve per operator serves every row
+    quadratic = standing_quadratic(-1.0, grid)
     rows = []
     previous_sign = None
     for z in np.linspace(args.zmin, args.zmax, args.steps):
-        report = case2_index(-1.0, float(z), grid)
+        report = quadratic.report(float(z))
         normalized = 3.0 * report.index_value
         rows.append((z, normalized, index_lower_bound_poly(z), index_upper_bound_poly(z)))
         sign = normalized > 0

@@ -14,10 +14,10 @@ __version__ = "0.1.0"
 
 from .discretization import build_grid
 from .index_count import (
-    case2_index,
     critical_ratio_bisection,
     index_lower_bound_poly,
     index_upper_bound_poly,
+    standing_quadratic,
 )
 from .spectra import stability_verdict
 from .waves import AbcParameters, resolve_wave_parameters, sample_wave
@@ -25,11 +25,11 @@ from .waves import AbcParameters, resolve_wave_parameters, sample_wave
 __all__ = [
     "AbcParameters",
     "build_grid",
-    "case2_index",
     "critical_ratio_bisection",
     "index_lower_bound_poly",
     "index_upper_bound_poly",
     "resolve_wave_parameters",
     "sample_wave",
     "stability_verdict",
+    "standing_quadratic",
 ]

@@ -12,12 +12,14 @@ Single runs emit JSON (identical configs give byte-identical files apart
 from the generated_at field); scans emit CSV.  Exit codes: 0 success,
 2 domain error, 3 solver failure, 4 inconclusive verdict (threshold and
 scan annotate instead of failing).  Flag values override config-file values
-(plain key=value lines) which override defaults.  Scan rows are evaluated
-in input order; a row whose verdict raises a solver error is written with
-verdict solver_failure and empty cells for what it could not compute, the
-remaining rows still run, and the scan exits 3.  A domain error aborts the
-scan.  A z scan takes a from --a alone (default -1) and evaluates the
-standing waves c = a, b = z (-a); --b or --c on a z scan is a domain error.
+(plain key=value lines) which override defaults; an unreadable config file,
+an unknown key or a value that does not parse is a domain error.  Scan rows
+are evaluated in input order; a row whose verdict raises a solver error is
+written with verdict solver_failure and empty cells for what it could not
+compute, the remaining rows still run, and the scan exits 3.  A domain
+error aborts the scan.  A z scan takes a from --a alone (default -1) and
+evaluates the standing waves c = a, b = z (-a); --b or --c on a z scan is a
+domain error.
 """
 
 from __future__ import annotations
@@ -297,42 +299,48 @@ def run(config: RunConfig) -> int:
     return code
 
 
-def _parse_config_file(path: str) -> dict:
-    values = {}
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"config line is not key=value: {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
-
-
 _FLOAT_KEYS = {
     "a", "b", "c", "eta0", "grid_len", "zero_tol", "re_tol", "index_tol",
     "zmin", "zmax", "tol", "from", "to",
 }
 _INT_KEYS = {"sign_branch", "grid_n", "steps"}
-_STR_KEYS = {"param", "output", "format"}
+_STR_KEYS = {"param", "output"}
+_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+
+
+def _parse_config_file(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read config file: {exc}") from exc
+    values = {}
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"config line is not key=value: {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _KEYS:
+            raise DomainError(f"unknown config key {key!r}")
+        values[key] = value.strip()
+    return values
 
 
 def _merge(args: argparse.Namespace, file_values: dict) -> dict:
     merged = {}
-    for key in _FLOAT_KEYS | _INT_KEYS | _STR_KEYS:
-        flag = getattr(args, key.replace("-", "_"), None)
+    for key in _KEYS:
+        flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
         elif key in file_values:
-            raw = file_values[key]
-            if key in _FLOAT_KEYS:
-                merged[key] = float(raw)
-            elif key in _INT_KEYS:
-                merged[key] = int(raw)
-            else:
-                merged[key] = raw
+            convert = float if key in _FLOAT_KEYS else int if key in _INT_KEYS else str
+            try:
+                merged[key] = convert(file_values[key])
+            except ValueError as exc:
+                raise DomainError(f"config key {key!r}: {exc}") from exc
     return merged
 
 
@@ -348,7 +356,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--re-tol", dest="re_tol", type=float, default=None)
     parser.add_argument("--index-tol", dest="index_tol", type=float, default=None)
     parser.add_argument("--output", type=str, default=None, help="report path (default stdout)")
-    parser.add_argument("--format", type=str, choices=("json", "csv"), default=None)
     parser.add_argument("--config", type=str, default=None, help="key=value config file")
 
 
@@ -397,10 +404,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         re_tol=merged.get("re_tol", 1e-6),
         index_tol=merged.get("index_tol", 1e-6),
     )
-    # scans feed plotting tools (csv); single runs feed assertions (json)
-    native = "csv" if args.command == "scan" else "json"
-    if merged.get("format", native) != native:
-        raise DomainError(f"command {args.command!r} emits {native}, not {merged['format']}")
     return RunConfig(
         command=args.command,
         params=params,

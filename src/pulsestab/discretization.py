@@ -28,24 +28,26 @@ Assembled operators:
 
     L   = [[1 + c dxx,            b w dxx + psi - w],
            [b w dxx + psi - w,    1 + a dxx + phi  ]]          (two-component)
-    Lt  = S L S,  S = (1 - b dxx)^(-1/2)                       (symmetrized)
-          the smoothed symbols, plus diag(s) V diag(s) per potential;
           a RotatedBlocks (U x I) blockdiag(parts) (U x I)^T
+    Lt  = S L S,  S = (1 - b dxx)^(-1/2)                       (symmetrized)
+          each part of L with diag(s) on both sides of its blocks
     JL  = J L,  J = -dx (1 - b dxx)^(-1) swap                  (evolution)
           J anticommutes with the reflection, so JL maps each parity onto
           the other; assembled only when the parity reduction of JL does
           not apply
-    scalar kinds: kdv  = a dxx + 1 + 2 phi0
-                  hill = a dxx + 1 - phi0      (phi0 the standing-wave profile)
+    scalar pair: kdv  = a dxx + 1 + 2 phi0
+                 hill = a dxx + 1 - phi0       (phi0 the standing-wave profile)
 
 On the standing branch (a = c, eta0 = -3/2, w = 0) whose samples satisfy
 psi = B phi exactly, L = (1 + a dxx) I + phi P with the constant
-P = [[0, B], [B, 1]] = U diag(p) U^T, p = (2, -1) at B = sqrt(2).  S is
-scalar, so Lt = (U x I) diag(S kdv S, S hill S) (U x I)^T and assemble_tilde_L
-returns the two scalar parts, blocks of size N/2 + 1 and N/2 - 1 each, from
-one potential_blocks of phi.  Any other wave (or a psi that is not B phi
-sample for sample, which then meets the ReflectionDefect check of its own
-potential) stays one two-component part with U = I.
+P = [[0, B], [B, 1]] = U diag(p) U^T, p = (2, -1) at B = sqrt(2).
+assemble_system_operator_L decides this split and returns the two scalar
+parts (1 + a dxx) + p phi, blocks of size N/2 + 1 and N/2 - 1 each, from
+one potential_blocks of phi; S is scalar, so Lt keeps the rotation and
+smooths each part.  The scalar pair is the same two parts at phi0.  Any
+other wave (or a psi that is not B phi sample for sample, which then meets
+the ReflectionDefect check of its own potential) stays one two-component
+part with U = I.
 
 A potential whose samples are not even to REFLECTION_DEFECT_TOL raises
 ReflectionDefect (see Kapitula & Promislow, Spectral and Dynamical
@@ -253,36 +255,57 @@ def _swap_odd_to_even(factor: np.ndarray, odd_rows: np.ndarray) -> np.ndarray:
     return np.vstack([np.pad(scaled[half:], pad), np.pad(scaled[:half], pad)])
 
 
-def _constant_symbols(params, spec, xi: np.ndarray):
-    """Symbols of the constant-coefficient parts of L's three blocks."""
-    xi2 = xi**2
-    return (
-        1.0 - params.c * xi2,
-        -spec.w * (1.0 + params.b * xi2),
-        1.0 - params.a * xi2,
-    )
-
-
 def _system_blocks(symbols, psi: ParityBlocks, phi: ParityBlocks) -> ParityBlocks:
     """[[diag(s11), diag(s12) + Psi], [diag(s12) + Psi, diag(s22) + Phi]] on
     each parity; the symbols are given at k = 0, ..., N/2."""
 
     def block(cut: slice, psi_block: np.ndarray, phi_block: np.ndarray) -> np.ndarray:
         d11, d12, d22 = (np.diag(symbol[cut]) for symbol in symbols)
-        return np.block([[d11, d12 + psi_block], [d12 + psi_block, d22 + phi_block]])
+        d12 += psi_block
+        d22 += phi_block
+        return np.block([[d11, d12], [d12, d22]])
 
     return ParityBlocks(
         block(slice(None), psi.even, phi.even), block(slice(1, -1), psi.odd, phi.odd)
     )
 
 
-def assemble_system_operator_L(params, spec, wave, grid: Grid) -> ParityBlocks:
-    """Second-variation operator L of the linearized system (symmetric, two-component)."""
-    _check_sizes(wave, grid)
-    symbols = _constant_symbols(params, spec, parity_wavenumbers(grid))
-    return _system_blocks(
-        symbols, potential_blocks(grid, wave.psi), potential_blocks(grid, wave.phi)
-    )
+def _scalar_parts(a: float, grid: Grid, potential: ParityBlocks, p) -> tuple[ParityBlocks, ...]:
+    """diag(1 - a xi_k^2) + p_i V for each p_i: the scalar operators
+    (1 + a dxx) + p_i v of one potential v with blocks V.  The last part is
+    built in V's own arrays, so a pair holds two operators, not three."""
+    parts = [ParityBlocks(pk * potential.even, pk * potential.odd) for pk in p[:-1]]
+    np.multiply(potential.even, p[-1], out=potential.even)
+    np.multiply(potential.odd, p[-1], out=potential.odd)
+    symbol = 1.0 - a * parity_wavenumbers(grid) ** 2
+    for part in (*parts, potential):
+        for block, diagonal in ((part.even, symbol), (part.odd, symbol[1:-1])):
+            block[np.diag_indices_from(block)] += diagonal
+    return (*parts, potential)
+
+
+def assemble_system_operator_L(params, spec, wave, grid: Grid) -> RotatedBlocks:
+    """Second-variation operator L of the linearized system (symmetric, two-component).
+
+    On the standing branch with psi = B phi sample for sample,
+    L = (1 + a dxx) I + phi P with P = [[0, B], [B, 1]] = U diag(p) U^T, so
+    L splits into the scalar parts (1 + a dxx) + p phi: kdv (p = 2) and
+    hill (p = -1) at B = sqrt(2).  Any other wave stays one two-component
+    part with U = I.
+    """
+    if len(wave.phi) != grid.n_points:
+        raise DomainError(f"wave sampled on {len(wave.phi)} points, grid has {grid.n_points}")
+    if params.standing_branch(spec) and np.array_equal(wave.psi, spec.B * wave.phi):
+        # p^2 - p - B^2 = 0 with eigenvectors (B, p); kdv (p > 0) first
+        p = 0.5 * (1.0 + np.array([1.0, -1.0]) * np.sqrt(1.0 + 4.0 * spec.B**2))
+        rotation = np.array([[spec.B, spec.B], p]) / np.hypot(spec.B, p)
+        return RotatedBlocks(
+            rotation, _scalar_parts(params.a, grid, potential_blocks(grid, wave.phi), p)
+        )
+    xi2 = parity_wavenumbers(grid) ** 2
+    symbols = (1.0 - params.c * xi2, -spec.w * (1.0 + params.b * xi2), 1.0 - params.a * xi2)
+    psi, phi = potential_blocks(grid, wave.psi), potential_blocks(grid, wave.phi)
+    return RotatedBlocks(np.eye(2), (_system_blocks(symbols, psi, phi),))
 
 
 def assemble_tilde_L(params, spec, wave, grid: Grid) -> RotatedBlocks:
@@ -290,41 +313,18 @@ def assemble_tilde_L(params, spec, wave, grid: Grid) -> RotatedBlocks:
 
     Shares the inertia of L (congruence with a positive definite factor) and
     has essential spectrum bounded away from zero in the subsonic regime.
-    S = (1 - b dxx)^(-1/2) is the diagonal s_k = (1 + b xi_k^2)^(-1/2), so
-    the constant parts are their symbols divided by 1 + b xi_k^2 and each
-    potential block V becomes diag(s) V diag(s).
-
-    On the standing branch with psi = B phi sample for sample,
-    L = (1 + a dxx) I + phi P with P = [[0, B], [B, 1]] = U diag(p) U^T, so
-    Lt splits into the scalar parts (1 + a dxx) + p phi, smoothed: kdv
-    (p = 2) and hill (p = -1) at B = sqrt(2).  Any other wave stays one
-    two-component part with U = I.
+    S = (1 - b dxx)^(-1/2) is the diagonal s_k = (1 + b xi_k^2)^(-1/2) on
+    every component, so it commutes with the rotation of L: each part's
+    blocks B become diag(s) B diag(s), scaled in place.
     """
-    _check_sizes(wave, grid)
-    xi = parity_wavenumbers(grid)
-    smooth = 1.0 + params.b * xi**2
-    s = 1.0 / np.sqrt(smooth)
-    even_scale, odd_scale = np.outer(s, s), np.outer(s[1:-1], s[1:-1])
-
-    def smoothed(values: np.ndarray) -> ParityBlocks:
-        blocks = potential_blocks(grid, values)
-        return ParityBlocks(even_scale * blocks.even, odd_scale * blocks.odd)
-
-    if params.standing_branch(spec) and np.array_equal(wave.psi, spec.B * wave.phi):
-        # p^2 - p - B^2 = 0 with eigenvectors (B, p); kdv (p > 0) first
-        p = 0.5 * (1.0 + np.array([1.0, -1.0]) * np.sqrt(1.0 + 4.0 * spec.B**2))
-        rotation = np.array([[spec.B, spec.B], p]) / np.hypot(spec.B, p)
-        symbol = (1.0 - params.a * xi**2) / smooth
-        phi = smoothed(wave.phi)
-        parts = tuple(
-            ParityBlocks(np.diag(symbol) + pk * phi.even, np.diag(symbol[1:-1]) + pk * phi.odd)
-            for pk in p
-        )
-        return RotatedBlocks(rotation, parts)
-    symbols = [symbol / smooth for symbol in _constant_symbols(params, spec, xi)]
-    return RotatedBlocks(
-        np.eye(2), (_system_blocks(symbols, smoothed(wave.psi), smoothed(wave.phi)),)
-    )
+    lop = assemble_system_operator_L(params, spec, wave, grid)
+    s = 1.0 / np.sqrt(1.0 + params.b * parity_wavenumbers(grid) ** 2)
+    for part in lop.parts:
+        for block, scale in ((part.even, s), (part.odd, s[1:-1])):
+            scale = np.tile(scale, len(block) // len(scale))
+            block *= scale[:, None]
+            block *= scale
+    return lop
 
 
 def assemble_JL(params, spec, wave, grid: Grid) -> ParityBlocks:
@@ -334,15 +334,16 @@ def assemble_JL(params, spec, wave, grid: Grid) -> ParityBlocks:
     k_k cos_k and cos_k to -k_k sin_k, k_k = xi_k / (1 + b xi_k^2).  So J
     takes odd to even coefficients as J_eo = -[[0, D], [D, 0]], D = diag(k_k),
     and even to odd as -J_eo^T, and the blocks of J L are -J_eo^T L_even and
-    J_eo L_odd.
+    J_eo L_odd, with L's two-component blocks composed from its parts.
     """
     lop = assemble_system_operator_L(params, spec, wave, grid)
     xi = parity_wavenumbers(grid)
     k = (xi / (1.0 + params.b * xi**2))[1:-1]
-    half = len(lop.even) // 2
+    even = lop.even
+    half = len(even) // 2
     # -J_eo^T = [[0, D^T], [D^T, 0]] takes the cosine rows k = 1, ..., N/2 - 1
     # of the other component, scaled
-    scaled = np.tile(k, 2)[:, None] * np.vstack([lop.even[half + 1 : -1], lop.even[1 : half - 1]])
+    scaled = np.tile(k, 2)[:, None] * np.vstack([even[half + 1 : -1], even[1 : half - 1]])
     return ParityBlocks(scaled, -_swap_odd_to_even(k, lop.odd))
 
 
@@ -352,36 +353,17 @@ def standing_wave_profile(a: float, grid: Grid) -> np.ndarray:
     return -1.5 / np.cosh(lam * grid.nodes) ** 2
 
 
-def assemble_scalar_operator(kind: str, params, grid: Grid) -> ParityBlocks:
-    """Scalar symmetric operator of the requested kind.
+def assemble_scalar_operator(a: float, grid: Grid) -> tuple[ParityBlocks, ParityBlocks]:
+    """The scalar pair (kdv, hill) of the standing branch:
 
-    kind "kdv"  -> a dxx + 1 + 2 phi0   (one negative eigenvalue, kernel phi0')
-    kind "hill" -> a dxx + 1 - phi0     (positive, spectrum in [1, inf))
+    kdv  = a dxx + 1 + 2 phi0   (one negative eigenvalue, kernel phi0')
+    hill = a dxx + 1 - phi0     (positive, spectrum in [1, inf))
 
-    Both use the standing-wave profile, which exists only for equal
-    dispersion coefficients a = c < 0.
+    the parts of the split L at the standing-wave profile phi0, which exists
+    only for a = c < 0; both come from one potential_blocks of phi0.
     """
-    if kind not in ("kdv", "hill"):
-        raise DomainError(f"unknown scalar operator kind {kind!r}")
-    if params is None:
-        raise DomainError(f"kind {kind!r} requires model parameters")
-    _require_equal_dispersion(params)
-    sign = 2.0 if kind == "kdv" else -1.0
-    potential = potential_blocks(grid, sign * standing_wave_profile(params.a, grid))
-    symbol = 1.0 - params.a * parity_wavenumbers(grid) ** 2
-    return ParityBlocks(
-        np.diag(symbol) + potential.even, np.diag(symbol[1:-1]) + potential.odd
-    )
+    if not a < 0:
+        raise DomainError(f"a must be negative, got {a}")
+    potential = potential_blocks(grid, standing_wave_profile(a, grid))
+    return _scalar_parts(a, grid, potential, (2.0, -1.0))
 
-
-def _require_equal_dispersion(params) -> None:
-    scale = max(1.0, abs(params.a))
-    if abs(params.a - params.c) > 1e-12 * scale:
-        raise DomainError(f"operation requires a = c, got a={params.a}, c={params.c}")
-
-
-def _check_sizes(wave, grid: Grid) -> None:
-    if len(wave.phi) != grid.n_points:
-        raise DomainError(
-            f"wave sampled on {len(wave.phi)} points, grid has {grid.n_points}"
-        )

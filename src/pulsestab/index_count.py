@@ -14,7 +14,10 @@ exist:
   identical on both sign branches and negative throughout eta0 in (-9/4, 0);
 
 * standing-wave branch (a = c < 0): a constant orthogonal rotation block-
-  diagonalizes L into the scalar pair (kdv, hill), and with f = (1 - b dxx) phi,
+  diagonalizes L into the scalar pair (kdv, hill) (the split that
+  discretization.assemble_system_operator_L makes; assemble_scalar_operator
+  returns both parts at phi0 from one potential block), and with
+  f = (1 - b dxx) phi,
 
       I = (1/3) (8 <kdv^(-1) f, f> + <hill^(-1) f, f>).
 
@@ -42,9 +45,10 @@ exist:
       <A^(-1) f, f> = h00 - 2 z h01 + z^2 h11,   h_ij = <A^(-1) c_i, c_j>,
 
   with c_0 = phi and c_1 = -a phi''.  One factorization per operator with
-  the two right-hand sides c_0, c_1 gives the Gram matrix h (StandingQuadratic),
-  and every z is then a polynomial evaluation; the numeric kdv triple is the
-  closed form sqrt(-a) (-9/2, 3/2, 3/10).  The bisection runs on these
+  the two right-hand sides c_0, c_1, sampled once for both operators, gives
+  the Gram matrix h (StandingQuadratic), and every z is then a polynomial
+  evaluation; the numeric kdv triple is the closed form
+  sqrt(-a) (-9/2, 3/2, 3/10).  The bisection runs on these
   quadratics, and z_root, the root of 3 I(z) inside its final bracket,
   reports where the discrete crossing lies.
 
@@ -230,13 +234,12 @@ def _even_block_index(
     return grid.quad_weight * (u.T @ rhs)
 
 
-def _standing_coefficients(kind: str, a: float, grid: Grid) -> tuple[float, float, float]:
-    """(h00, h01, h11) of <A^(-1) f, f> = h00 - 2 z h01 + z^2 h11 for kind kdv or hill."""
-    # the operators do not depend on b; b = -a only makes the parameters valid
-    blocks = assemble_scalar_operator(kind, AbcParameters(a=a, b=-a, c=a), grid)
-    gram = _even_block_index(
-        grid, blocks, _standing_columns(a, grid), positive_definite=kind == "hill"
-    )
+def _standing_coefficients(
+    grid: Grid, blocks: ParityBlocks, columns: np.ndarray, positive_definite: bool = False
+) -> tuple[float, float, float]:
+    """(h00, h01, h11) of <A^(-1) f, f> = h00 - 2 z h01 + z^2 h11 for one
+    operator A of the scalar pair and the standing columns."""
+    gram = _even_block_index(grid, blocks, columns, positive_definite)
     return float(gram[0, 0]), 0.5 * float(gram[0, 1] + gram[1, 0]), float(gram[1, 1])
 
 
@@ -252,7 +255,8 @@ def _ratio(a: float, b: float) -> float:
 
 def kdv_index_numeric(a: float, b: float, grid: Grid) -> float:
     """<kdv^(-1) f, f> from an even-block solve (the kernel phi' is odd)."""
-    return _quadratic(_standing_coefficients("kdv", a, grid), _ratio(a, b))
+    kdv, _ = assemble_scalar_operator(a, grid)
+    return _quadratic(_standing_coefficients(grid, kdv, _standing_columns(a, grid)), _ratio(a, b))
 
 
 def hill_index_numeric(a: float, b: float, grid: Grid) -> float:
@@ -262,7 +266,10 @@ def hill_index_numeric(a: float, b: float, grid: Grid) -> float:
     definite, which is checked by a Cholesky factorization of both parity
     blocks.
     """
-    return _quadratic(_standing_coefficients("hill", a, grid), _ratio(a, b))
+    _, hill = assemble_scalar_operator(a, grid)
+    columns = _standing_columns(a, grid)
+    coefficients = _standing_coefficients(grid, hill, columns, positive_definite=True)
+    return _quadratic(coefficients, _ratio(a, b))
 
 
 def index_lower_bound_poly(z: float) -> float:
@@ -316,11 +323,15 @@ class StandingQuadratic:
 
 
 def standing_quadratic(a: float, grid: Grid) -> StandingQuadratic:
-    """Both parts' coefficients: one even-block factorization per operator."""
-    return StandingQuadratic(
-        kdv=_standing_coefficients("kdv", a, grid),
-        hill=_standing_coefficients("hill", a, grid),
-    )
+    """Both parts' coefficients: one even-block factorization per operator
+    of the scalar pair, on the same two columns."""
+    kdv_blocks, hill_blocks = assemble_scalar_operator(a, grid)
+    columns = _standing_columns(a, grid)
+    kdv = _standing_coefficients(grid, kdv_blocks, columns)
+    # the hill factorizations then run beside one operator's blocks, not two
+    del kdv_blocks
+    hill = _standing_coefficients(grid, hill_blocks, columns, positive_definite=True)
+    return StandingQuadratic(kdv=kdv, hill=hill)
 
 
 def case2_index(a: float, b: float, grid: Grid) -> IndexReport:

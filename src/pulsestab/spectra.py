@@ -4,10 +4,10 @@ The symmetrized operator Lt is assembled as its cosine and sine blocks and
 diagonalized block by block, to read off its inertia (one negative
 eigenvalue and a simple kernel for every admissible pulse).  On the
 standing branch the blocks are those of the two scalar parts of
-Lt = (U x I) diag(S kdv S, S hill S) (U x I)^T, U the constant rotation that
-diagonalizes the potential matrix [[0, B], [B, 1]] (see
-discretization.assemble_tilde_L), so each solve has half the size; every
-other wave is one two-component part with U = I.  The evolution generator
+Lt = (U x I) diag(S kdv S, S hill S) (U x I)^T, U the constant rotation
+that diagonalizes the potential matrix [[0, B], [B, 1]] (see
+discretization.assemble_system_operator_L), so each solve has half the
+size; every other wave is one two-component part with U = I.  The evolution generator
 JL is counted from the same blocks: with S = (1 - b dxx)^(-1/2) and
 J0 = -dx swap, J = S J0 S, so JL = S (J0 Lt) S^-1 shares the spectrum of
 J0 Lt, which couples the even block Lt_e and the odd block Lt_o through

@@ -22,7 +22,6 @@ from pulsestab.discretization import (
     standing_wave_profile,
 )
 from pulsestab.index_count import standing_wave_a_derivative
-from pulsestab.waves import AbcParameters
 
 
 def multiplier_matrix(grid, symbol):
@@ -91,12 +90,11 @@ def rotated_operator(params, spec, wave, grid):
     return two_component(m11, np.diag(0.5 * wave.phi), m22)
 
 
-def scalar_operator(kind, params, grid):
-    """kdv = a dxx + 1 + 2 phi0, hill = a dxx + 1 - phi0."""
-    phi0 = standing_wave_profile(params.a, grid)
-    sign = {"kdv": 2.0, "hill": -1.0}[kind]
-    eye = np.eye(grid.n_points)
-    return params.a * spectral_derivative(grid, 2) + eye + np.diag(sign * phi0)
+def scalar_operator(a, grid):
+    """The scalar pair (kdv, hill) = (a dxx + 1 + 2 phi0, a dxx + 1 - phi0)."""
+    phi0 = standing_wave_profile(a, grid)
+    base = a * spectral_derivative(grid, 2) + np.eye(grid.n_points)
+    return base + np.diag(2.0 * phi0), base - np.diag(phi0)
 
 
 def generic_hill(grid, hill):
@@ -155,9 +153,12 @@ def kdv_inverse_apply(a, b, grid):
     return v
 
 
-def standing_index_part(kind, a, b, grid):
-    """<A^(-1) f, f> for A = kdv or hill: one even-block solve with f itself."""
-    blocks = assemble_scalar_operator(kind, AbcParameters(a=a, b=b, c=a), grid)
+def standing_index_parts(a, b, grid):
+    """(<kdv^(-1) f, f>, <hill^(-1) f, f>): one even-block solve per operator
+    with f itself."""
     f_even, _ = parity_coefficients(grid, standing_rhs(a, b, grid))
-    u = np.linalg.solve(blocks.even, f_even)
-    return float(grid.quad_weight * np.dot(u, f_even))
+    parts = []
+    for blocks in assemble_scalar_operator(a, grid):
+        u = np.linalg.solve(blocks.even, f_even)
+        parts.append(float(grid.quad_weight * np.dot(u, f_even)))
+    return tuple(parts)

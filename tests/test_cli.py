@@ -170,15 +170,18 @@ def test_threshold_reports_the_root_of_the_discrete_index(capsys):
 
 @pytest.mark.parametrize("tol", ["0.5", "1e-3"])
 def test_threshold_factors_each_scalar_operator_once(capsys, monkeypatch, tol):
-    # the bisection evaluates the coefficient triples, not fresh solves
+    # the bisection evaluates the coefficient triples, not fresh solves, and
+    # one potential block of phi0 serves both scalar operators
     assembled = count_calls(monkeypatch, discretization, "assemble_scalar_operator")
+    potentials = count_calls(monkeypatch, discretization, "potential_blocks")
     reports = count_calls(monkeypatch, index_count, "case2_index")
     code, out, _ = run_cli(
         capsys, "threshold", "--zmin", "9", "--zmax", "11", "--tol", tol, "--grid-n", "256"
     )
     assert code == 0
     assert json.loads(out)["result"]["evaluations"] > 2
-    assert [call[0] for call in assembled] == ["kdv", "hill"]
+    assert len(assembled) == 1
+    assert len(potentials) == 1
     assert len(reports) <= 1
 
 
@@ -303,12 +306,12 @@ def test_scan_missing_arguments(capsys):
 
 
 def test_format_mismatch_rejected(capsys):
-    code, _, err = run_cli(
-        capsys, "wave", "--a", "-1", "--b", "1", "--c", "-1", "--eta0", "-1.5",
-        "--format", "csv",
-    )
-    assert code == 2
-    assert "emits json" in err
+    # each command emits its one native format, so there is no --format flag
+    argv = ["wave", "--a", "-1", "--b", "1", "--c", "-1", "--eta0", "-1.5", "--format", "json"]
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_config_file_precedence(capsys, tmp_path):
@@ -323,6 +326,26 @@ def test_config_file_precedence(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "wave", "--config", str(config), "--eta0", "-1.0")
     assert code == 0
     assert json.loads(out)["result"]["eta0"] == -1.0
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("grid-n = 128", "unknown config key 'grid-n'"),
+        ("format = json", "unknown config key 'format'"),
+        ("eta0 = abc", "config key 'eta0'"),
+        (None, "cannot read config file"),
+    ],
+    ids=["unknown-key", "format-key", "not-a-number", "missing-file"],
+)
+def test_bad_config_file_is_domain_error(capsys, tmp_path, line, message):
+    config = tmp_path / "run.cfg"
+    if line is not None:
+        config.write_text(f"a = -1\nb = 1\nc = -1\neta0 = -1.5\n{line}\n")
+    code, out, err = run_cli(capsys, "wave", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_output_file_written(capsys, tmp_path):

@@ -215,8 +215,9 @@ def test_parity_blocks_match_the_reference_on_the_explicit_basis(operator, case)
     # couples the two parities only at round-off, which the blocks drop
     params, spec, grid, wave = WAVE_CASES[case](256)
     if operator in ("kdv", "hill"):
-        assembled = assemble_scalar_operator(operator, params, grid)
-        matrix = reference.scalar_operator(operator, params, grid)
+        pick = ("kdv", "hill").index(operator)
+        assembled = assemble_scalar_operator(params.a, grid)[pick]
+        matrix = reference.scalar_operator(params.a, grid)[pick]
     else:
         assembler, build = {
             "Lt": (assemble_tilde_L, reference.tilde_L),
@@ -319,8 +320,7 @@ def test_skew_antisymmetry_relations():
 
 def test_scalar_operators_exact_identities():
     params, spec, grid, wave = make_standing(n=1024)
-    kdv = to_physical(grid, assemble_scalar_operator("kdv", params, grid))
-    hill = to_physical(grid, assemble_scalar_operator("hill", params, grid))
+    kdv, hill = (to_physical(grid, part) for part in assemble_scalar_operator(params.a, grid))
     phi = standing_wave_profile(params.a, grid)
     dphi = derivative_of_samples(grid, phi, 1)
     ddphi = derivative_of_samples(grid, phi, 2)
@@ -332,18 +332,14 @@ def test_generic_scalar_operator_free_case():
     grid = build_grid(256, 40.0)
     evals = np.linalg.eigvalsh(reference.generic_hill(grid, HillSpec(1.3, 1.0, 0.0)))
     assert evals[0] == pytest.approx(1.3**2, rel=1e-12)
-    # the generic Hill operator is a test reference, not a scalar kind
-    with pytest.raises(DomainError):
-        assemble_scalar_operator("generic", None, grid)
-    with pytest.raises(DomainError):
-        assemble_scalar_operator("weird", None, grid)
 
 
-def test_scalar_kinds_require_equal_dispersion():
+def test_scalar_pair_requires_negative_a():
+    # the standing-wave profile phi0 exists only for a < 0
     grid = build_grid(256, 80.0)
-    params = AbcParameters(-1.0, 1.0, -2.0)
-    with pytest.raises(DomainError):
-        assemble_scalar_operator("kdv", params, grid)
+    for a in (0.0, 1.0):
+        with pytest.raises(DomainError):
+            assemble_scalar_operator(a, grid)
 
 
 def test_inertia_chain_exact_agreement():

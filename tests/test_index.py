@@ -169,9 +169,10 @@ def test_hill_positive_definiteness_checked_on_both_parity_blocks(monkeypatch, s
     odd_coefficients = sine_basis.T @ odd  # the rank-one term lies in the odd block
     assemble = index_count.assemble_scalar_operator
 
-    def indefinite(kind, params, grid):
-        blocks = assemble(kind, params, grid)
-        return ParityBlocks(blocks.even, blocks.odd - 10.0 * np.outer(odd_coefficients, odd_coefficients))
+    def indefinite(a, grid):
+        kdv, hill = assemble(a, grid)
+        perturbed = hill.odd - 10.0 * np.outer(odd_coefficients, odd_coefficients)
+        return kdv, ParityBlocks(hill.even, perturbed)
 
     monkeypatch.setattr(index_count, "assemble_scalar_operator", indefinite)
     with pytest.raises(SolveFailure):
@@ -371,8 +372,7 @@ def test_case2_parts_match_the_single_rhs_solve(n):
     grid = build_grid(n, 100.0)  # the threshold grid at a = -1
     for z in AGREEMENT_Z:
         report = case2_index(-1.0, z, grid)
-        kdv_part = reference.standing_index_part("kdv", -1.0, z, grid)
-        hill_part = reference.standing_index_part("hill", -1.0, z, grid)
+        kdv_part, hill_part = reference.standing_index_parts(-1.0, z, grid)
         tolerance = 1e-12 * (8.0 * abs(kdv_part) + abs(hill_part)) / 3.0
         assert report.kdv_part == pytest.approx(kdv_part, rel=0, abs=tolerance), z
         assert report.hill_part == pytest.approx(hill_part, rel=0, abs=tolerance), z
@@ -387,8 +387,7 @@ def test_bisection_midpoint_signs_match_the_single_rhs_solve(n):
     lo, hi = 9.0, 11.0
     while hi - lo >= 1e-3:
         mid = 0.5 * (lo + hi)
-        kdv_part = reference.standing_index_part("kdv", -1.0, mid, grid)
-        hill_part = reference.standing_index_part("hill", -1.0, mid, grid)
+        kdv_part, hill_part = reference.standing_index_parts(-1.0, mid, grid)
         stable = 8.0 * kdv_part + hill_part < 0
         assert (quadratic.report(mid).index_value < 0) == stable, mid
         lo, hi = (mid, hi) if stable else (lo, mid)

@@ -6,7 +6,7 @@ import pytest
 
 import reference
 from conftest import WAVE_CASES, count_calls, make_case1, make_standing
-from pulsestab import spectra
+from pulsestab import discretization, spectra
 from pulsestab.discretization import build_grid, derivative_of_samples
 from pulsestab.errors import NotSubsonic, ReflectionDefect, SolverError
 from pulsestab.index_count import general_index_numeric
@@ -295,6 +295,19 @@ def test_verdict_splits_lt_once_and_skips_the_essential_gap(monkeypatch, standin
         "assemble_JL": 0,
         "essential_spectrum_gap": 0,
     }
+
+
+@pytest.mark.parametrize(
+    "case, built", [("standing_z1", 2), ("case1_eta_minus1", 2), ("general", 4)]
+)
+def test_verdict_potential_block_count(monkeypatch, case, built):
+    # standing: phi for the split L behind Lt and phi0 for the scalar pair of
+    # the index; free amplitude: psi and phi for Lt and a closed-form index;
+    # general: psi and phi for Lt and again for the index's L
+    params, spec, grid, wave = WAVE_CASES[case](256)
+    calls = count_calls(monkeypatch, discretization, "potential_blocks")
+    stability_verdict(params, spec, wave, grid)
+    assert len(calls) == built
 
 
 def test_standalone_jl_report_keeps_the_essential_gap(case1_eta_minus1):
