@@ -19,7 +19,8 @@ written with verdict solver_failure and empty cells for what it could not
 compute, the remaining rows still run, and the scan exits 3.  A domain
 error aborts the scan.  A z scan takes a from --a alone (default -1) and
 evaluates the standing waves c = a, b = z (-a); --b or --c on a z scan is a
-domain error.
+domain error.  threshold fixes a = -1 and bisects over z, so --a, --b, --c,
+--eta0 or --sign-branch on it is a domain error.
 """
 
 from __future__ import annotations
@@ -387,6 +388,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     merged = _merge(args, file_values)
 
     params = None
+    if args.command == "threshold" and merged.keys() & {"a", "b", "c", "eta0", "sign_branch"}:
+        raise DomainError(
+            "threshold fixes a = -1 and bisects the standing waves over z; "
+            "it takes no --a, --b, --c, --eta0 or --sign-branch"
+        )
     if args.command == "scan" and merged.get("param") == "z":
         if "b" in merged or "c" in merged:
             raise DomainError("a z scan takes --a alone: each row sets b = z (-a) and c = a")

@@ -28,7 +28,7 @@ Assembled operators:
 
     L   = [[1 + c dxx,            b w dxx + psi - w],
            [b w dxx + psi - w,    1 + a dxx + phi  ]]          (two-component)
-          a RotatedBlocks (U x I) blockdiag(parts) (U x I)^T
+          a RotatedBlocks (R x I) blockdiag(parts) (R x I)^T
     Lt  = S L S,  S = (1 - b dxx)^(-1/2)                       (symmetrized)
           each part of L with diag(s) on both sides of its blocks
     JL  = J L,  J = -dx (1 - b dxx)^(-1) swap                  (evolution)
@@ -38,16 +38,28 @@ Assembled operators:
     scalar pair: kdv  = a dxx + 1 + 2 phi0
                  hill = a dxx + 1 - phi0       (phi0 the standing-wave profile)
 
-On the standing branch (a = c, eta0 = -3/2, w = 0) whose samples satisfy
-psi = B phi exactly, L = (1 + a dxx) I + phi P with the constant
-P = [[0, B], [B, 1]] = U diag(p) U^T, p = (2, -1) at B = sqrt(2).
-assemble_system_operator_L decides this split and returns the two scalar
-parts (1 + a dxx) + p phi, blocks of size N/2 + 1 and N/2 - 1 each, from
-one potential_blocks of phi; S is scalar, so Lt keeps the rotation and
-smooths each part.  The scalar pair is the same two parts at phi0.  Any
-other wave (or a psi that is not B phi sample for sample, which then meets
-the ReflectionDefect check of its own potential) stays one two-component
-part with U = I.
+Every subsonic a = c pulse has w = 0 (the standing branch, eta0 = -3/2) or
+b = -a (the free-amplitude branch), so the smoothing 1 - b dxx that w
+multiplies is 1 + a dxx, and a wave whose samples satisfy psi = B phi
+exactly has the tensor form
+
+    L = W x (1 + a dxx) + P x phi,   W = [[1, -w], [-w, 1]],  P = [[0, B], [B, 1]].
+
+The generalized eigenpairs P v = p W v, p^2 (1 - w^2) - p (1 + 2 B w) - B^2
+= 0 and v = (B + p w, p) normalized in the W norm, give R = W V with
+R R^T = W and R diag(p) R^T = P, so L = (R x I) blockdiag(parts) (R x I)^T
+with the scalar parts (1 + a dxx) + p phi.  assemble_system_operator_L
+decides this split and returns the two parts, blocks of size N/2 + 1 and
+N/2 - 1 each, from one potential_blocks of phi; S is scalar, so Lt keeps R
+and smooths each part.  On the standing branch W = I, R is orthogonal and
+the parts (kdv p = 2 and hill p = -1 at B = sqrt(2)) are orthogonal parts,
+whose eigenvalues are L's.  On the free-amplitude branch W is positive
+definite but not I, and the parts are congruent parts: they carry L's
+inertia (Sylvester's law of inertia) but not its eigenvalues.  A supersonic
+wave (|w| > 1) has an indefinite W and no real R; it stays one
+two-component part with R = I, as does every a != c wave and a psi that is
+not B phi sample for sample (which then meets the ReflectionDefect check of
+its own potential).  The scalar pair is the standing parts at phi0.
 
 A potential whose samples are not even to REFLECTION_DEFECT_TOL raises
 ReflectionDefect (see Kapitula & Promislow, Spectral and Dynamical
@@ -114,17 +126,20 @@ class ParityBlocks:
 
 @dataclass(frozen=True, eq=False)
 class RotatedBlocks:
-    """A two-component operator as (U x I) blockdiag(parts) (U x I)^T.
+    """A two-component operator as (R x I) blockdiag(parts) (R x I)^T.
 
-    U is a constant orthogonal 2x2 matrix on the components.  Either U = I
-    and the one part is the operator's own ParityBlocks, or U diagonalizes
-    the operator and each of the two parts is a scalar operator on one
-    rotated component (column of U).  even and odd compose the
-    two-component blocks.
+    R is a constant invertible 2x2 matrix on the components with
+    R R^T = W, the weight of the operator's constant part.  Either R = I and
+    the one part is the operator's own ParityBlocks, or each of the two
+    parts is a scalar operator on one column of R.  orthogonal says that
+    W = I: then the parts' eigenvalues are the operator's own; otherwise
+    the parts are congruent to it and carry only its inertia.  even and odd
+    compose the two-component blocks.
     """
 
     rotation: np.ndarray
     parts: tuple[ParityBlocks, ...]
+    orthogonal: bool = True
 
     @property
     def even(self) -> np.ndarray:
@@ -135,9 +150,20 @@ class RotatedBlocks:
         return self._compose([part.odd for part in self.parts])
 
     def _compose(self, blocks: list[np.ndarray]) -> np.ndarray:
+        """Quadrant (i, j) is sum_k R[i, k] R[j, k] blocks[k], written in place."""
         if len(blocks) == 1:
             return blocks[0]
-        return sum(np.kron(np.outer(u, u), block) for u, block in zip(self.rotation.T, blocks))
+        m = len(blocks[0])
+        composed = np.empty((2 * m, 2 * m))
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            quadrant = composed[i * m : (i + 1) * m, j * m : (j + 1) * m]
+            weights = self.rotation[i] * self.rotation[j]
+            np.multiply(blocks[0], weights[0], out=quadrant)
+            for weight, block in zip(weights[1:], blocks[1:]):
+                quadrant += weight * block
+            if i != j:
+                composed[j * m : (j + 1) * m, i * m : (i + 1) * m] = quadrant
+        return composed
 
 
 def build_grid(n_points: int, half_length: float) -> Grid:
@@ -284,26 +310,50 @@ def _scalar_parts(a: float, grid: Grid, potential: ParityBlocks, p) -> tuple[Par
     return (*parts, potential)
 
 
+def _component_split(B: float, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """(p, R) with R R^T = W = [[1, -w], [-w, 1]] and R diag(p) R^T = [[0, B], [B, 1]].
+
+    p solves p^2 (1 - w^2) - p (1 + 2 B w) - B^2 = 0, the positive root
+    first.  With h = 1 + 2 B w, one root is q / (2 (1 - w^2)) for
+    q = h + sign(h) sqrt(h^2 + 4 (1 - w^2) B^2), free of cancellation, and
+    the other is -2 B^2 / q, from the product of the roots; near w^2 = 1
+    the textbook formula loses digits in the second.  Column i of R is
+    W v_i / |v_i|_W for v_i = (B + p_i w, p_i), with
+    |v|_W^2 = B^2 + (1 - w^2) p^2.
+    """
+    weight = 1.0 - w**2
+    h = 1.0 + 2.0 * B * w
+    q = h + np.copysign(np.sqrt(h**2 + 4.0 * weight * B**2), h)
+    p = np.sort([0.5 * q / weight, -2.0 * B**2 / q])[::-1]
+    rotation = np.array([[B, B], weight * p - w * B]) / np.hypot(B, np.sqrt(weight) * p)
+    return p, rotation
+
+
 def assemble_system_operator_L(params, spec, wave, grid: Grid) -> RotatedBlocks:
     """Second-variation operator L of the linearized system (symmetric, two-component).
 
-    On the standing branch with psi = B phi sample for sample,
-    L = (1 + a dxx) I + phi P with P = [[0, B], [B, 1]] = U diag(p) U^T, so
-    L splits into the scalar parts (1 + a dxx) + p phi: kdv (p = 2) and
-    hill (p = -1) at B = sqrt(2).  Any other wave stays one two-component
-    part with U = I.
+    On a subsonic a = c wave with w = 0 or b = -a, and psi = B phi sample
+    for sample, L = W x (1 + a dxx) + P x phi with W = [[1, -w], [-w, 1]]
+    and P = [[0, B], [B, 1]].  The generalized eigenpairs P v = p W v give
+    R = W V with R R^T = W and R diag(p) R^T = P, so L splits into the
+    scalar parts (1 + a dxx) + p phi, the positive p first: kdv (p = 2) and
+    hill (p = -1) on the standing branch, where W = I and R is orthogonal.
+    Any other wave stays one two-component part with R = I.
     """
     if len(wave.phi) != grid.n_points:
         raise DomainError(f"wave sampled on {len(wave.phi)} points, grid has {grid.n_points}")
-    if params.standing_branch(spec) and np.array_equal(wave.psi, spec.B * wave.phi):
-        # p^2 - p - B^2 = 0 with eigenvectors (B, p); kdv (p > 0) first
-        p = 0.5 * (1.0 + np.array([1.0, -1.0]) * np.sqrt(1.0 + 4.0 * spec.B**2))
-        rotation = np.array([[spec.B, spec.B], p]) / np.hypot(spec.B, p)
-        return RotatedBlocks(
-            rotation, _scalar_parts(params.a, grid, potential_blocks(grid, wave.phi), p)
-        )
+    B, w = spec.B, spec.w
+    if (
+        params.equal_dispersion
+        and (w == 0 or params.kdv_scaling)
+        and abs(w) < 1.0
+        and np.array_equal(wave.psi, B * wave.phi)
+    ):
+        p, rotation = _component_split(B, w)
+        parts = _scalar_parts(params.a, grid, potential_blocks(grid, wave.phi), p)
+        return RotatedBlocks(rotation, parts, orthogonal=w == 0)
     xi2 = parity_wavenumbers(grid) ** 2
-    symbols = (1.0 - params.c * xi2, -spec.w * (1.0 + params.b * xi2), 1.0 - params.a * xi2)
+    symbols = (1.0 - params.c * xi2, -w * (1.0 + params.b * xi2), 1.0 - params.a * xi2)
     psi, phi = potential_blocks(grid, wave.psi), potential_blocks(grid, wave.phi)
     return RotatedBlocks(np.eye(2), (_system_blocks(symbols, psi, phi),))
 

@@ -2,32 +2,38 @@
 
 The symmetrized operator Lt is assembled as its cosine and sine blocks and
 diagonalized block by block, to read off its inertia (one negative
-eigenvalue and a simple kernel for every admissible pulse).  On the
-standing branch the blocks are those of the two scalar parts of
-Lt = (U x I) diag(S kdv S, S hill S) (U x I)^T, U the constant rotation
-that diagonalizes the potential matrix [[0, B], [B, 1]] (see
+eigenvalue and a simple kernel for every admissible pulse).  On every
+subsonic a = c wave the blocks are those of the two scalar parts of
+Lt = (R x I) diag(S part_1 S, S part_2 S) (R x I)^T, R the constant 2x2
+matrix with R R^T = W, the weight of L's constant part (see
 discretization.assemble_system_operator_L), so each solve has half the
-size; every other wave is one two-component part with U = I.  The evolution generator
-JL is counted from the same blocks: with S = (1 - b dxx)^(-1/2) and
-J0 = -dx swap, J = S J0 S, so JL = S (J0 Lt) S^-1 shares the spectrum of
-J0 Lt, which couples the even block Lt_e and the odd block Lt_o through
+size; every other wave is one two-component part with R = I.  On the
+standing branch W = I and the parts are orthogonal parts, whose eigenvalues
+are Lt's; on the free-amplitude branch they are congruent parts, which
+carry Lt's inertia by Sylvester's law but not its eigenvalues, so the
+verdict classifies the parts' eigenvalues while the standalone spectrum
+composes Lt's two-component blocks and reports Lt's own.  The evolution
+generator JL is counted from the same blocks: with S = (1 - b dxx)^(-1/2)
+and J0 = -dx swap, J = S J0 S, so JL = S (J0 Lt) S^-1 shares the spectrum
+of J0 Lt, which couples the even block Lt_e and the odd block Lt_o through
 J_eo = -[[0, D], [D, 0]] = -(swap x D), D = diag(xi_k) from sine k to
-cosine k.  In the rotated components J_eo is -(Sigma x D) with
-Sigma = U^T swap U, the plain swap when U = I.  The eigenvalues of JL are
-the four zeros of J's even kernel and +-sqrt(mu) for the eigenvalues mu of
--G Lt_o, G = J_eo^T Lt_e J_eo (the even/odd Hamiltonian reduction,
-Kapitula & Promislow, Spectral and Dynamical Stability of Nonlinear Waves,
-2013, ch. 7).  When every part's odd block V_i D_i V_i^T is positive
+cosine k.  In the components of the parts J0 Lt is similar to
+(R^T J0 R) blockdiag(parts) for any invertible R, so J_eo becomes
+-(Sigma x D) with Sigma = R^T swap R, the plain swap when R = I.  The
+eigenvalues of JL are the four zeros of J's even kernel and +-sqrt(mu) for
+the eigenvalues mu of -G Lt_o, G = J_eo^T Lt_e J_eo (the even/odd
+Hamiltonian reduction, Kapitula & Promislow, Spectral and Dynamical
+Stability of Nonlinear Waves, 2013, ch. 7).  When every part's odd block V_i D_i V_i^T is positive
 semidefinite the mu are the eigenvalues of the symmetric
 
-    M = -R^T G R,   R = blockdiag(V_i D_i^1/2),
+    M = -Q^T G Q,   Q = blockdiag(V_i D_i^1/2),
 
 one solve of size N - 2 however many parts, so every mu is real, with
 absolute round-off eps |M|.  Odd eigenvalues within n eps max|D| below
 zero, over the union of the parts, count as round-off of a semidefinite
-block; one further below (supersonic waves, never standing ones) sends JL
-to a full nonsymmetric eigensolve of [[0, JL_odd], [JL_even, 0]], its
-parity blocks laid out on the cosine and sine coefficients.  The odd
+block; one further below (supersonic waves, never subsonic a = c ones)
+sends JL to a full nonsymmetric eigensolve of [[0, JL_odd], [JL_even, 0]],
+its parity blocks laid out on the cosine and sine coefficients.  The odd
 blocks' eigenvectors are computed only for this count; the standalone Lt
 spectrum takes eigenvalues alone.
 The essential-spectrum edge kappa comes from the smoothed 2x2
@@ -72,7 +78,9 @@ __all__ = [
 class TildeLBlocks:
     """Lt as assembled (RotatedBlocks) with the odd block of each part
     diagonalized: part i has the even block even[i] and the odd block
-    V diag(values) V^T for odd_eigen[i] = (values, V), values ascending."""
+    V diag(values) V^T for odd_eigen[i] = (values, V), values ascending.
+    The parts' eigenvalues are Lt's only when the rotation is orthogonal;
+    otherwise the parts carry Lt's inertia but not its eigenvalues."""
 
     rotation: np.ndarray
     even: tuple[np.ndarray, ...]
@@ -148,20 +156,25 @@ def discrete_spectrum_tilde_L(
 ) -> SpectrumReport:
     """Full symmetric eigensolve of the symmetrized operator, block by block.
 
-    Lt commutes with x -> -x and is an orthogonal rotation of its parts, so
-    its eigenvalues are the sorted union of those of each part's even and
-    odd blocks (ReflectionDefect if the wave is not even).  Blocks passed
-    in, as a JL report carries them, are reused with their odd eigenvalues;
-    otherwise Lt is assembled here and every block takes eigenvalues only.
-    zero_tol defaults to 1e-6 times the spectral radius; it separates the
+    Lt commutes with x -> -x, so its eigenvalues are the sorted union of
+    those of its even and odd blocks (ReflectionDefect if the wave is not
+    even).  Assembled here, Lt is solved part by part when its rotation is
+    orthogonal (the standing branch), and otherwise from its two-component
+    blocks, composed from the congruent parts; every block takes
+    eigenvalues only.  Blocks passed in, as a JL report carries them, are
+    reused with their odd eigenvalues: the eigenvalues classified are then
+    the parts', which carry Lt's inertia (Sylvester's law) but, for a free
+    wave, not its eigenvalues.  zero_tol defaults to 1e-6 times the
+    spectral radius of the eigenvalues classified; it separates the
     translational kernel from genuinely small eigenvalues (verified stable
     under N-refinement).  The essential-spectrum edge is reported when
     essential_gap is set and the wave is subsonic.
     """
     if blocks is None:
         lt = assemble_tilde_L(params, spec, wave, grid)
-        evens = [part.even for part in lt.parts]
-        odd_values = [_symmetric_eigen(np.linalg.eigvalsh, part.odd) for part in lt.parts]
+        pieces = lt.parts if lt.orthogonal else [lt]
+        evens = [piece.even for piece in pieces]
+        odd_values = [_symmetric_eigen(np.linalg.eigvalsh, piece.odd) for piece in pieces]
     else:
         evens, odd_values = blocks.even, [blocks.odd_values]
     even_values = [_symmetric_eigen(np.linalg.eigvalsh, even) for even in evens]
@@ -194,7 +207,7 @@ _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 def _coupled_even_block(blocks: TildeLBlocks, xi: np.ndarray) -> np.ndarray:
     """G = (Sigma x D)^T Lt_e (Sigma x D) on the sine coefficients of the
-    rotated components, Sigma = U^T swap U, D = diag(xi_k) from sine k to
+    parts' components, Sigma = R^T swap R, D = diag(xi_k) from sine k to
     cosine k.
 
     D^T E D keeps rows and columns k = 1, ..., N/2 - 1 of a component block
@@ -212,7 +225,7 @@ def _coupled_even_block(blocks: TildeLBlocks, xi: np.ndarray) -> np.ndarray:
         for d in range(2):
             for (a, b), block in inner.items():
                 weight = sigma[a, c] * sigma[b, d]
-                if weight != 0.0:  # U = I leaves one nonzero weight per block
+                if weight != 0.0:  # R = I leaves one nonzero weight per block
                     g[c * m : (c + 1) * m, d * m : (d + 1) * m] += weight * block
     scale = np.tile(xi, 2)
     g *= scale[:, None]
@@ -221,8 +234,8 @@ def _coupled_even_block(blocks: TildeLBlocks, xi: np.ndarray) -> np.ndarray:
 
 
 def _reduced_matrix(blocks: TildeLBlocks, xi: np.ndarray) -> np.ndarray:
-    """R^T G R = -M, R = blockdiag(V_i D_i^1/2), block by block, so R's zero
-    blocks cost nothing; G and R are dropped on return."""
+    """Q^T G Q = -M, Q = blockdiag(V_i D_i^1/2), block by block, so Q's zero
+    blocks cost nothing; G and Q are dropped on return."""
     g = _coupled_even_block(blocks, xi)
     roots = [vectors * np.sqrt(np.maximum(part, 0.0)) for part, vectors in blocks.odd_eigen]
     edges = np.cumsum([0] + [len(root) for root in roots])
@@ -242,7 +255,7 @@ def _squared_eigenvalues(grid: Grid, blocks: TildeLBlocks) -> np.ndarray | None:
     block of Lt is indefinite.
 
     With each part's odd block V_i D_i V_i^T and every D_i >= 0 the mu are
-    the eigenvalues of the symmetric M = -R^T G R, R = blockdiag(V_i D_i^1/2)
+    the eigenvalues of the symmetric M = -Q^T G Q, Q = blockdiag(V_i D_i^1/2)
     and G from _coupled_even_block, so each is real and carries the absolute
     round-off eps |M|.  Odd eigenvalues within n eps max|D| below zero, over
     the union of the parts, are round-off of a semidefinite block and count

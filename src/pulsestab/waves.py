@@ -83,8 +83,9 @@ class AbcParameters:
     def standing_branch(self, spec: WaveSpec) -> bool:
         """True for the standing wave: a = c, eta0 = -3/2, w = 0.
 
-        Then the constant part of L is a multiple of the identity, which
-        both the standing index route and the rotated assembly of Lt use.
+        It selects the standing index route (case2_index) alone; the split
+        of L into scalar parts covers every subsonic a = c wave and is
+        decided in discretization.assemble_system_operator_L.
         """
         return self.equal_dispersion and abs(spec.eta0 + 1.5) < 1e-12 and abs(spec.w) < 1e-12
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -260,6 +261,30 @@ def test_scan_z_rejects_b_and_c(capsys):
         assert "takes --a alone" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--a", "-4"), ("--b", "7"), ("--c", "-2"), ("--eta0", "3"), ("--sign-branch", "-1")],
+)
+def test_threshold_rejects_wave_flags(capsys, flag, value):
+    # threshold fixes a = -1; a wave flag it would ignore is refused
+    code, out, err = run_cli(
+        capsys, "threshold", "--zmin", "9", "--zmax", "11", "--tol", "0.5", "--grid-n", "256",
+        flag, value,
+    )
+    assert code == 2
+    assert out == ""
+    assert "takes no --a" in err
+
+
+def test_threshold_rejects_wave_keys_in_a_config_file(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("a = -4\nzmin = 9\nzmax = 11\n")
+    code, out, err = run_cli(capsys, "threshold", "--config", str(config), "--grid-n", "256")
+    assert code == 2
+    assert out == ""
+    assert "takes no --a" in err
+
+
 def fail_at(monkeypatch, eta0, error):
     """Make stability_verdict raise error for the pulse of amplitude eta0."""
     original = cli.stability_verdict
@@ -361,8 +386,9 @@ def test_output_file_written(capsys, tmp_path):
 
 
 def test_index_command_imports_numpy_only():
-    # numpy is the only declared runtime dependency; an index, threshold or
-    # spectrum command run in a fresh interpreter must not pull in scipy
+    # numpy is the only declared runtime dependency; an index, threshold,
+    # spectrum or eta0 scan command run in a fresh interpreter must not pull
+    # in scipy
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     inherited = [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []
@@ -372,6 +398,8 @@ def test_index_command_imports_numpy_only():
         "index": ["index", *wave],
         "threshold": ["threshold", "--zmin", "9", "--zmax", "11", "--tol", "0.5", "--grid-n", "256"],
         "spectrum": ["spectrum", *wave],
+        "scan": ["scan", "--param", "eta0", "--a", "-1", "--b", "1", "--c", "-1",
+                 "--from", "-1.5", "--to", "-0.5", "--steps", "2", "--grid-n", "128"],
     }
     results = {}
     for name, argv in commands.items():
@@ -387,5 +415,7 @@ def test_index_command_imports_numpy_only():
         )
         assert done.returncode == 0, (name, done.stderr)
         assert done.stderr.splitlines()[-1] == "False", name
-        results[name] = json.loads(done.stdout)["result"]
-    assert results["index"]["verdict"]["n_tilde_L"] == 1
+        results[name] = done.stdout
+    assert json.loads(results["index"])["result"]["verdict"]["n_tilde_L"] == 1
+    rows = list(csv.DictReader(io.StringIO(results["scan"])))
+    assert [row["n_tilde_L"] for row in rows] == ["1", "1"]

@@ -6,6 +6,7 @@ import pytest
 import reference
 from conftest import WAVE_CASES, make_case1, make_standing
 from pulsestab.discretization import (
+    _component_split,
     _derivative_symbol,
     apply_multiplier,
     assemble_JL,
@@ -202,6 +203,49 @@ def test_block_assembly_matches_explicit_products(fixture, request):
     ]:
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(to_physical(grid, assembled) - expected)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("b", [1.0, 2.5])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("eta0", [-2.24999, -2.2, -1.0, -0.1, -1e-4])
+def test_free_split_factors_the_constant_and_potential_matrices(eta0, sign, b):
+    # R R^T = W and R diag(p) R^T = P, also where 1 - w^2 nearly vanishes
+    # and the two p lie five decades apart (eta0 -> -9/4 and eta0 -> 0)
+    params, spec, grid, wave = make_case1(eta0, b=b, sign=sign, n=64)
+    p, rotation = _component_split(spec.B, spec.w)
+    weight = np.array([[1.0, -spec.w], [-spec.w, 1.0]])
+    potential = np.array([[0.0, spec.B], [spec.B, 1.0]])
+    for product, expected in [(rotation @ rotation.T, weight), (rotation * p @ rotation.T, potential)]:
+        assert np.max(np.abs(product - expected)) <= 1e-14 * np.max(np.abs(expected))
+    assert p[0] > 0 > p[1]
+    lop = assemble_system_operator_L(params, spec, wave, grid)
+    assert len(lop.parts) == 2 and not lop.orthogonal
+    assert np.array_equal(lop.rotation, rotation)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_split_at_rest_is_the_standing_closed_form(sign):
+    # at w = 0 the general formulas reduce bit for bit to the rotation that
+    # diagonalizes [[0, B], [B, 1]], B = +-sqrt(2)
+    params, spec, grid, wave = make_standing(b=4.0, sign=sign, n=64)
+    p, rotation = _component_split(spec.B, spec.w)
+    closed_p = 0.5 * (1.0 + np.array([1.0, -1.0]) * np.sqrt(1.0 + 4.0 * spec.B**2))
+    closed_rotation = np.array([[spec.B, spec.B], closed_p]) / np.hypot(spec.B, closed_p)
+    assert np.array_equal(p, closed_p)
+    assert np.array_equal(rotation, closed_rotation)
+    lop = assemble_system_operator_L(params, spec, wave, grid)
+    assert lop.orthogonal
+    assert np.array_equal(lop.rotation, closed_rotation)
+
+
+@pytest.mark.parametrize("eta0", [-2.6, 0.5])
+def test_supersonic_free_wave_stays_one_part(eta0):
+    # |w| > 1 makes W indefinite, so no real R with R R^T = W exists
+    params, spec, grid, wave = make_case1(eta0, n=64)
+    assert abs(spec.w) > 1.0
+    lop = assemble_system_operator_L(params, spec, wave, grid)
+    assert len(lop.parts) == 1
+    assert np.array_equal(lop.rotation, np.eye(2))
 
 
 BLOCK_CASES = [

@@ -275,6 +275,19 @@ def test_jl_parity_reduction_matches_full_eigensolve(case, n, monkeypatch):
     assert report.symmetry_defect == 0.0  # the pairs +-sqrt(mu) are exact
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("eta0", [-2.2, -1.6, -1.0, -0.4, -0.1])
+def test_free_verdict_counts_match_the_reference(eta0, sign):
+    # the verdict classifies the congruent parts of Lt and reduces JL in
+    # their components; the counts are those of the physical-space operators
+    params, spec, grid, wave = make_case1(eta0, sign=sign, n=256)
+    verdict = stability_verdict(params, spec, wave, grid)
+    lt = np.linalg.eigvalsh(reference.tilde_L(params, spec, wave, grid))
+    jl = np.linalg.eigvals(reference.JL(params, spec, wave, grid))
+    assert verdict.n_tilde_L == int(np.sum(lt < -1e-6 * np.max(np.abs(lt))))
+    assert verdict.n_unstable_direct == int(np.sum(jl.real > 1e-6))
+
+
 def test_jl_indefinite_odd_block_takes_the_full_eigensolve(monkeypatch):
     # the supersonic free-amplitude wave has an odd block of Lt down to -1
     params, spec, grid, wave = make_case1(-2.6, n=128, lfac=50.0)
@@ -298,12 +311,13 @@ def test_verdict_splits_lt_once_and_skips_the_essential_gap(monkeypatch, standin
 
 
 @pytest.mark.parametrize(
-    "case, built", [("standing_z1", 2), ("case1_eta_minus1", 2), ("general", 4)]
+    "case, built", [("standing_z1", 2), ("case1_eta_minus1", 1), ("general", 4)]
 )
 def test_verdict_potential_block_count(monkeypatch, case, built):
     # standing: phi for the split L behind Lt and phi0 for the scalar pair of
-    # the index; free amplitude: psi and phi for Lt and a closed-form index;
-    # general: psi and phi for Lt and again for the index's L
+    # the index; free amplitude: phi for the split L behind Lt and a
+    # closed-form index; general: psi and phi for Lt and again for the
+    # index's L
     params, spec, grid, wave = WAVE_CASES[case](256)
     calls = count_calls(monkeypatch, discretization, "potential_blocks")
     stability_verdict(params, spec, wave, grid)
@@ -319,7 +333,7 @@ def test_standalone_jl_report_keeps_the_essential_gap(case1_eta_minus1):
 def test_standing_verdict_solves_half_size_lt_blocks(monkeypatch):
     # the rotation splits Lt into kdv and hill parts: each parity block has
     # N/2 +- 1 rows, and the one solve left at N - 2 is M of the JL count;
-    # the free-amplitude wave keeps its two-component blocks of N +- 2
+    # the free-amplitude wave splits into its two congruent parts alike
     n = 512
     shapes = {
         name: solve_shapes(monkeypatch, name) for name in ("eigh", "eigvalsh", "eigvals")
@@ -333,6 +347,6 @@ def test_standing_verdict_solves_half_size_lt_blocks(monkeypatch):
         recorded.clear()
     params, spec, grid, wave = make_case1(-1.0, n=n)
     stability_verdict(params, spec, wave, grid)
-    assert shapes["eigh"] == [(n - 2,) * 2]
-    assert sorted(shapes["eigvalsh"]) == [(n - 2,) * 2, (n + 2,) * 2]
+    assert shapes["eigh"] == [(n // 2 - 1,) * 2] * 2
+    assert sorted(shapes["eigvalsh"]) == [(n // 2 + 1,) * 2] * 2 + [(n - 2,) * 2]
     assert shapes["eigvals"] == []
