@@ -48,10 +48,16 @@ exactly has the tensor form
 The generalized eigenpairs P v = p W v, p^2 (1 - w^2) - p (1 + 2 B w) - B^2
 = 0 and v = (B + p w, p) normalized in the W norm, give R = W V with
 R R^T = W and R diag(p) R^T = P, so L = (R x I) blockdiag(parts) (R x I)^T
-with the scalar parts (1 + a dxx) + p phi.  assemble_system_operator_L
-decides this split and returns the two parts, blocks of size N/2 + 1 and
-N/2 - 1 each, from one potential_blocks of phi; S is scalar, so Lt keeps R
-and smooths each part.  On the standing branch W = I, R is orthogonal and
+with the scalar parts (1 + a dxx) + p phi.  scalar_split decides this
+split, from one potential_blocks of phi, and assemble_system_operator_L
+returns the two parts, blocks of size N/2 + 1 and N/2 - 1 each; S is
+scalar, so Lt keeps R and smooths each part.  The parts differ only in p:
+with C = (1 + a dxx)^(-1/2), the diagonal (1 - a xi_k^2)^(-1/2) (no b), and
+K = C V C for the blocks V of phi, part i is C^-1 (I + p_i K) C^-1, and
+Lt's part i is T (I + p_i K) T with T = S C^-1 the diagonal
+t_k = sqrt((1 - a xi_k^2) / (1 + b xi_k^2)), T = I when b = -a.  So one
+eigenbasis of K serves both parts (spectra.stability_verdict).  On the
+standing branch W = I, R is orthogonal and
 the parts (kdv p = 2 and hill p = -1 at B = sqrt(2)) are orthogonal parts,
 whose eigenvalues are L's.  On the free-amplitude branch W is positive
 definite but not I, and the parts are congruent parts: they carry L's
@@ -78,6 +84,7 @@ __all__ = [
     "Grid",
     "ParityBlocks",
     "RotatedBlocks",
+    "ScalarSplit",
     "build_grid",
     "apply_multiplier",
     "derivative_of_samples",
@@ -85,8 +92,10 @@ __all__ = [
     "parity_wavenumbers",
     "parity_coefficients",
     "potential_blocks",
+    "scalar_split",
     "assemble_system_operator_L",
     "assemble_tilde_L",
+    "scale_blocks",
     "assemble_JL",
     "assemble_scalar_operator",
 ]
@@ -329,31 +338,54 @@ def _component_split(B: float, w: float) -> tuple[np.ndarray, np.ndarray]:
     return p, rotation
 
 
-def assemble_system_operator_L(params, spec, wave, grid: Grid) -> RotatedBlocks:
-    """Second-variation operator L of the linearized system (symmetric, two-component).
+@dataclass(frozen=True, eq=False)
+class ScalarSplit:
+    """The split L = (R x I) blockdiag(parts) (R x I)^T into the scalar parts
+    (1 + a dxx) + p_i phi: R with R R^T = W, the scales p (positive first)
+    and the parity blocks V of phi that every part shares."""
+
+    rotation: np.ndarray
+    p: np.ndarray
+    potential: ParityBlocks
+
+
+def scalar_split(params, spec, wave, grid: Grid) -> ScalarSplit | None:
+    """The scalar split of L, or None when L stays one two-component part.
 
     On a subsonic a = c wave with w = 0 or b = -a, and psi = B phi sample
     for sample, L = W x (1 + a dxx) + P x phi with W = [[1, -w], [-w, 1]]
     and P = [[0, B], [B, 1]].  The generalized eigenpairs P v = p W v give
-    R = W V with R R^T = W and R diag(p) R^T = P, so L splits into the
-    scalar parts (1 + a dxx) + p phi, the positive p first: kdv (p = 2) and
-    hill (p = -1) on the standing branch, where W = I and R is orthogonal.
-    Any other wave stays one two-component part with R = I.
+    R = W V with R R^T = W and R diag(p) R^T = P: kdv (p = 2) and hill
+    (p = -1) on the standing branch, where W = I and R is orthogonal.  The
+    one potential block is built only when L splits.
     """
     if len(wave.phi) != grid.n_points:
         raise DomainError(f"wave sampled on {len(wave.phi)} points, grid has {grid.n_points}")
     B, w = spec.B, spec.w
-    if (
+    if not (
         params.equal_dispersion
         and (w == 0 or params.kdv_scaling)
         and abs(w) < 1.0
         and np.array_equal(wave.psi, B * wave.phi)
     ):
-        p, rotation = _component_split(B, w)
-        parts = _scalar_parts(params.a, grid, potential_blocks(grid, wave.phi), p)
-        return RotatedBlocks(rotation, parts, orthogonal=w == 0)
+        return None
+    p, rotation = _component_split(B, w)
+    return ScalarSplit(rotation, p, potential_blocks(grid, wave.phi))
+
+
+def assemble_system_operator_L(params, spec, wave, grid: Grid) -> RotatedBlocks:
+    """Second-variation operator L of the linearized system (symmetric, two-component).
+
+    Split by scalar_split into the scalar parts (1 + a dxx) + p_i phi, the
+    positive p first, when it applies; any other wave stays one
+    two-component part with R = I.
+    """
+    split = scalar_split(params, spec, wave, grid)
+    if split is not None:
+        parts = _scalar_parts(params.a, grid, split.potential, split.p)
+        return RotatedBlocks(split.rotation, parts, orthogonal=spec.w == 0)
     xi2 = parity_wavenumbers(grid) ** 2
-    symbols = (1.0 - params.c * xi2, -w * (1.0 + params.b * xi2), 1.0 - params.a * xi2)
+    symbols = (1.0 - params.c * xi2, -spec.w * (1.0 + params.b * xi2), 1.0 - params.a * xi2)
     psi, phi = potential_blocks(grid, wave.psi), potential_blocks(grid, wave.phi)
     return RotatedBlocks(np.eye(2), (_system_blocks(symbols, psi, phi),))
 
@@ -370,11 +402,19 @@ def assemble_tilde_L(params, spec, wave, grid: Grid) -> RotatedBlocks:
     lop = assemble_system_operator_L(params, spec, wave, grid)
     s = 1.0 / np.sqrt(1.0 + params.b * parity_wavenumbers(grid) ** 2)
     for part in lop.parts:
-        for block, scale in ((part.even, s), (part.odd, s[1:-1])):
-            scale = np.tile(scale, len(block) // len(scale))
-            block *= scale[:, None]
-            block *= scale
+        scale_blocks(part, s)
     return lop
+
+
+def scale_blocks(blocks: ParityBlocks, scale: np.ndarray) -> ParityBlocks:
+    """diag(scale) B diag(scale) for each parity block B, in place: the
+    congruence by a multiplier with the even symbol scale, given at
+    k = 0, ..., N/2 and repeated over the components."""
+    for block, factor in ((blocks.even, scale), (blocks.odd, scale[1:-1])):
+        factor = np.tile(factor, len(block) // len(factor))
+        block *= factor[:, None]
+        block *= factor
+    return blocks
 
 
 def assemble_JL(params, spec, wave, grid: Grid) -> ParityBlocks:

@@ -3,17 +3,20 @@
 The symmetrized operator Lt is assembled as its cosine and sine blocks and
 diagonalized block by block, to read off its inertia (one negative
 eigenvalue and a simple kernel for every admissible pulse).  On every
-subsonic a = c wave the blocks are those of the two scalar parts of
+subsonic a = c wave L splits (discretization.scalar_split) and
 Lt = (R x I) diag(S part_1 S, S part_2 S) (R x I)^T, R the constant 2x2
-matrix with R R^T = W, the weight of L's constant part (see
-discretization.assemble_system_operator_L), so each solve has half the
-size; every other wave is one two-component part with R = I.  On the
-standing branch W = I and the parts are orthogonal parts, whose eigenvalues
-are Lt's; on the free-amplitude branch they are congruent parts, which
-carry Lt's inertia by Sylvester's law but not its eigenvalues, so the
-verdict classifies the parts' eigenvalues while the standalone spectrum
-composes Lt's two-component blocks and reports Lt's own.  The evolution
-generator JL is counted from the same blocks: with S = (1 - b dxx)^(-1/2)
+matrix with R R^T = W, the weight of L's constant part, and the scalar
+parts (1 + a dxx) + p_i phi; every other wave is one two-component part
+with R = I.  The split parts differ only in p_i: with C = (1 + a dxx)^(-1/2)
+and K = C V C, V the blocks of phi, S part_i S = T (I + p_i K) T, T = S C^-1
+diagonal.  So the verdict diagonalizes K once per parity, one eigh of the
+odd block K_o = V_K diag(kappa) V_K^T and one eigvalsh of K_e, and
+classifies the eigenvalues 1 + p_i kappa of the congruent I + p_i K: they
+carry Lt's inertia by Sylvester's law but not its eigenvalues.  The
+standalone spectrum reports Lt's own: it solves Lt's parts when R is
+orthogonal (the standing branch, W = I) and composes Lt's two-component
+blocks otherwise.  The evolution generator JL is counted from the same
+blocks: with S = (1 - b dxx)^(-1/2)
 and J0 = -dx swap, J = S J0 S, so JL = S (J0 Lt) S^-1 shares the spectrum
 of J0 Lt, which couples the even block Lt_e and the odd block Lt_o through
 J_eo = -[[0, D], [D, 0]] = -(swap x D), D = diag(xi_k) from sine k to
@@ -23,19 +26,24 @@ cosine k.  In the components of the parts J0 Lt is similar to
 eigenvalues of JL are the four zeros of J's even kernel and +-sqrt(mu) for
 the eigenvalues mu of -G Lt_o, G = J_eo^T Lt_e J_eo (the even/odd
 Hamiltonian reduction, Kapitula & Promislow, Spectral and Dynamical
-Stability of Nonlinear Waves, 2013, ch. 7).  When every part's odd block V_i D_i V_i^T is positive
-semidefinite the mu are the eigenvalues of the symmetric
+Stability of Nonlinear Waves, 2013, ch. 7).  When every part's odd block
+Q_i Q_i^T is positive semidefinite the mu are the eigenvalues of the
+symmetric
 
-    M = -Q^T G Q,   Q = blockdiag(V_i D_i^1/2),
+    M = -Q^T G Q,   Q = blockdiag(Q_i),
 
 one solve of size N - 2 however many parts, so every mu is real, with
-absolute round-off eps |M|.  Odd eigenvalues within n eps max|D| below
-zero, over the union of the parts, count as round-off of a semidefinite
-block; one further below (supersonic waves, never subsonic a = c ones)
-sends JL to a full nonsymmetric eigensolve of [[0, JL_odd], [JL_even, 0]],
-its parity blocks laid out on the cosine and sine coefficients.  The odd
-blocks' eigenvectors are computed only for this count; the standalone Lt
-spectrum takes eigenvalues alone.
+absolute round-off eps |M|.  One part has Q = V D^1/2 from its own eigh;
+the split parts share Q_i = T V_K Delta_i, Delta_i = diag(1 + p_i kappa)^1/2,
+so each block of Q^T G Q is a combination of two products of
+X = diag(xi_k t_k^2) V_K (see _shared_reduced_matrix), and the split
+verdict builds neither Lt's parts nor G.  Odd eigenvalues within
+n eps max|D| below zero, over the union of the parts, count as round-off
+of a semidefinite block; one further below (supersonic waves, never
+subsonic a = c ones) sends JL to a full nonsymmetric eigensolve of
+[[0, JL_odd], [JL_even, 0]], its parity blocks laid out on the cosine and
+sine coefficients.  The odd blocks' eigenvectors are computed only for
+this count; the standalone Lt spectrum takes eigenvalues alone.
 The essential-spectrum edge kappa comes from the smoothed 2x2
 Fourier symbol minimized over the grid wavenumbers; the verdict does not
 need it.  The verdict combines the inertia, the sign of the index quantity,
@@ -57,6 +65,8 @@ from .discretization import (
     assemble_JL,
     assemble_tilde_L,
     parity_wavenumbers,
+    scalar_split,
+    scale_blocks,
 )
 from .errors import EigensolveFailure, NotSubsonic
 from .index_count import IndexReport, index_report
@@ -76,20 +86,39 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class TildeLBlocks:
-    """Lt as assembled (RotatedBlocks) with the odd block of each part
-    diagonalized: part i has the even block even[i] and the odd block
-    V diag(values) V^T for odd_eigen[i] = (values, V), values ascending.
-    The parts' eigenvalues are Lt's only when the rotation is orthogonal;
-    otherwise the parts carry Lt's inertia but not its eigenvalues."""
+    """The parity blocks the verdict classifies, the odd one diagonalized:
+    the even block `even` and the odd block V diag(kappa) V^T for
+    odd_eigen = (kappa, V), kappa ascending.
+
+    Without p they are Lt's own two-component blocks, with R = I.  With p
+    (a split wave, standing or free) they are the blocks of K = C V C, which
+    both parts share, and t is the diagonal of T = S C^-1 (see
+    discretization): Lt's part i is T (I + p_i K) T.  The parts classified
+    are then the congruent I + p_i K, with eigenvalues 1 + p_i kappa: they
+    carry Lt's inertia (Sylvester's law) but not its eigenvalues, so the
+    default radius of zero_tol and the translation eigenvalue d0 are read
+    on their scale.
+    """
 
     rotation: np.ndarray
-    even: tuple[np.ndarray, ...]
-    odd_eigen: tuple[tuple[np.ndarray, np.ndarray], ...]
+    even: np.ndarray
+    odd_eigen: tuple[np.ndarray, np.ndarray]
+    p: np.ndarray | None = None
+    t: np.ndarray | None = None
+
+    def _classified(self, kappa: np.ndarray) -> np.ndarray:
+        if self.p is None:
+            return kappa
+        return np.sort(np.concatenate([1.0 + pk * kappa for pk in self.p]))
 
     @property
     def odd_values(self) -> np.ndarray:
-        """The odd-block eigenvalues of every part, ascending."""
-        return np.sort(np.concatenate([values for values, _ in self.odd_eigen]))
+        """The odd eigenvalues classified, ascending."""
+        return self._classified(self.odd_eigen[0])
+
+    def even_values(self) -> np.ndarray:
+        """The even eigenvalues classified, from one eigvalsh of the even block."""
+        return self._classified(_symmetric_eigen(np.linalg.eigvalsh, self.even))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +130,7 @@ class SpectrumReport:
     ess_spectrum_gap: float | None
     n_unstable: int | None = None
     symmetry_defect: float | None = None
-    blocks: TildeLBlocks | None = None  # JL only: the Lt blocks its count used
+    blocks: TildeLBlocks | None = None  # JL only: the blocks its count used
 
 
 @dataclass(frozen=True)
@@ -133,16 +162,23 @@ def _subsonic_gap(params: AbcParameters, spec: WaveSpec, grid: Grid) -> float | 
 def _tilde_L_blocks(
     params: AbcParameters, spec: WaveSpec, wave: SampledWave, grid: Grid
 ) -> TildeLBlocks:
-    """Assemble the parity blocks of Lt and diagonalize each odd one.
+    """The blocks the verdict classifies, with one eigh of the odd block.
 
+    A wave that discretization.scalar_split splits gives K = C V C, scaled
+    in its potential's own arrays; any other wave assembles Lt.
     ReflectionDefect if the wave is not even.
     """
-    lt = assemble_tilde_L(params, spec, wave, grid)
-    return TildeLBlocks(
-        lt.rotation,
-        tuple(part.even for part in lt.parts),
-        tuple(_symmetric_eigen(np.linalg.eigh, part.odd) for part in lt.parts),
-    )
+    split = scalar_split(params, spec, wave, grid)
+    if split is None:
+        lt = assemble_tilde_L(params, spec, wave, grid)
+        (part,) = lt.parts
+        return TildeLBlocks(lt.rotation, part.even, _symmetric_eigen(np.linalg.eigh, part.odd))
+    xi2 = parity_wavenumbers(grid) ** 2
+    symbol = 1.0 - params.a * xi2
+    shared = scale_blocks(split.potential, 1.0 / np.sqrt(symbol))
+    t = np.sqrt(symbol / (1.0 + params.b * xi2))
+    odd_eigen = _symmetric_eigen(np.linalg.eigh, shared.odd)
+    return TildeLBlocks(split.rotation, shared.even, odd_eigen, split.p, t)
 
 
 def discrete_spectrum_tilde_L(
@@ -162,9 +198,10 @@ def discrete_spectrum_tilde_L(
     orthogonal (the standing branch), and otherwise from its two-component
     blocks, composed from the congruent parts; every block takes
     eigenvalues only.  Blocks passed in, as a JL report carries them, are
-    reused with their odd eigenvalues: the eigenvalues classified are then
-    the parts', which carry Lt's inertia (Sylvester's law) but, for a free
-    wave, not its eigenvalues.  zero_tol defaults to 1e-6 times the
+    reused with their odd eigenvalues: on a split wave, standing or free,
+    the eigenvalues classified are then those of the congruent I + p_i K
+    (TildeLBlocks), which carry Lt's inertia (Sylvester's law) but not its
+    eigenvalues.  zero_tol defaults to 1e-6 times the
     spectral radius of the eigenvalues classified; it separates the
     translational kernel from genuinely small eigenvalues (verified stable
     under N-refinement).  The essential-spectrum edge is reported when
@@ -173,11 +210,10 @@ def discrete_spectrum_tilde_L(
     if blocks is None:
         lt = assemble_tilde_L(params, spec, wave, grid)
         pieces = lt.parts if lt.orthogonal else [lt]
-        evens = [piece.even for piece in pieces]
+        even_values = [_symmetric_eigen(np.linalg.eigvalsh, piece.even) for piece in pieces]
         odd_values = [_symmetric_eigen(np.linalg.eigvalsh, piece.odd) for piece in pieces]
     else:
-        evens, odd_values = blocks.even, [blocks.odd_values]
-    even_values = [_symmetric_eigen(np.linalg.eigvalsh, even) for even in evens]
+        even_values, odd_values = [blocks.even_values()], [blocks.odd_values]
     eigenvalues = np.sort(np.concatenate(even_values + odd_values))
     if zero_tol is None:
         zero_tol = 1e-6 * max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
@@ -205,48 +241,50 @@ def hamiltonian_symmetry_defect(eigenvalues: np.ndarray, re_floor: float = 1e-8)
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def _coupled_even_block(blocks: TildeLBlocks, xi: np.ndarray) -> np.ndarray:
-    """G = (Sigma x D)^T Lt_e (Sigma x D) on the sine coefficients of the
-    parts' components, Sigma = R^T swap R, D = diag(xi_k) from sine k to
-    cosine k.
-
-    D^T E D keeps rows and columns k = 1, ..., N/2 - 1 of a component block
-    E of Lt_e and scales them by xi_k xi_l, so G costs O(N^2).
-    """
-    sigma = blocks.rotation.T @ _SWAP @ blocks.rotation
-    m = len(xi)
-    if len(blocks.even) == 1:
-        even = blocks.even[0].reshape(2, m + 2, 2, m + 2)
-        inner = {(a, b): even[a, 1:-1, b, 1:-1] for a in range(2) for b in range(2)}
-    else:
-        inner = {(a, a): even[1:-1, 1:-1] for a, even in enumerate(blocks.even)}
-    g = np.zeros((2 * m, 2 * m))
-    for c in range(2):
-        for d in range(2):
-            for (a, b), block in inner.items():
-                weight = sigma[a, c] * sigma[b, d]
-                if weight != 0.0:  # R = I leaves one nonzero weight per block
-                    g[c * m : (c + 1) * m, d * m : (d + 1) * m] += weight * block
-    scale = np.tile(xi, 2)
-    g *= scale[:, None]
-    g *= scale
-    return g
-
-
 def _reduced_matrix(blocks: TildeLBlocks, xi: np.ndarray) -> np.ndarray:
-    """Q^T G Q = -M, Q = blockdiag(V_i D_i^1/2), block by block, so Q's zero
-    blocks cost nothing; G and Q are dropped on return."""
-    g = _coupled_even_block(blocks, xi)
-    roots = [vectors * np.sqrt(np.maximum(part, 0.0)) for part, vectors in blocks.odd_eigen]
-    edges = np.cumsum([0] + [len(root) for root in roots])
-    reduced = np.empty((edges[-1], edges[-1]))
-    for i, left in enumerate(roots):
-        rows = slice(edges[i], edges[i + 1])
-        for j in range(i, len(roots)):
-            cols = slice(edges[j], edges[j + 1])
-            np.matmul(left.T, g[rows, cols] @ roots[j], out=reduced[rows, cols])
-            if j != i:
-                reduced[cols, rows] = reduced[rows, cols].T
+    """Q^T G Q = -M of one two-component part, R = I and Sigma = swap.
+
+    G = (swap x D)^T Lt_e (swap x D), D = diag(xi_k) from sine k to cosine
+    k, keeps rows and columns k = 1, ..., N/2 - 1 of each component block of
+    Lt_e, swaps the components and scales by xi_k xi_l, so it costs O(N^2);
+    Q = V D^1/2.
+    """
+    m = len(xi)
+    inner = blocks.even.reshape(2, m + 2, 2, m + 2)[::-1, 1:-1, ::-1, 1:-1]
+    scale = np.tile(xi, 2)
+    g = scale[:, None] * inner.reshape(2 * m, 2 * m) * scale
+    values, vectors = blocks.odd_eigen
+    root = vectors * np.sqrt(np.maximum(values, 0.0))
+    return root.T @ (g @ root)
+
+
+def _shared_reduced_matrix(blocks: TildeLBlocks, xi: np.ndarray) -> np.ndarray:
+    """Q^T G Q = -M of the split parts T (I + p_i K) T, from K's eigenbasis.
+
+    Part i's odd block is Q_i Q_i^T with Q_i = T V Delta_i,
+    Delta_i = diag(1 + p_i kappa)^1/2, and G's block (c, d) is
+    sum_a Sigma_ac Sigma_ad D^T T (I + p_a K_e) T D on the inner cosines.
+    With X = diag(xi_k t_k^2) V, A1 = X^T X and A2 = X^T K_e X, block (c, d)
+    of Q^T G Q is Delta_c (alpha_cd A1 + beta_cd A2) Delta_d for
+    alpha = Sigma^T Sigma and beta = Sigma^T diag(p) Sigma.
+    """
+    kappa, vectors = blocks.odd_eigen
+    x = (xi * blocks.t[1:-1] ** 2)[:, None] * vectors
+    a1 = x.T @ x
+    a2 = x.T @ (blocks.even[1:-1, 1:-1] @ x)
+    sigma = blocks.rotation.T @ _SWAP @ blocks.rotation
+    alpha, beta = sigma.T @ sigma, sigma.T @ (blocks.p[:, None] * sigma)
+    deltas = [np.sqrt(np.maximum(1.0 + pk * kappa, 0.0)) for pk in blocks.p]
+    m = len(xi)
+    reduced = np.empty((2 * m, 2 * m))
+    for c, d in ((0, 0), (0, 1), (1, 1)):
+        block = reduced[c * m : (c + 1) * m, d * m : (d + 1) * m]
+        np.multiply(a1, alpha[c, d], out=block)
+        block += beta[c, d] * a2
+        block *= deltas[c][:, None]
+        block *= deltas[d]
+        if c != d:
+            reduced[d * m : (d + 1) * m, c * m : (c + 1) * m] = block.T
     return reduced
 
 
@@ -254,18 +292,19 @@ def _squared_eigenvalues(grid: Grid, blocks: TildeLBlocks) -> np.ndarray | None:
     """Eigenvalues mu = lambda^2 of JL off J's kernel, or None when the odd
     block of Lt is indefinite.
 
-    With each part's odd block V_i D_i V_i^T and every D_i >= 0 the mu are
-    the eigenvalues of the symmetric M = -Q^T G Q, Q = blockdiag(V_i D_i^1/2)
-    and G from _coupled_even_block, so each is real and carries the absolute
-    round-off eps |M|.  Odd eigenvalues within n eps max|D| below zero, over
-    the union of the parts, are round-off of a semidefinite block and count
-    as zero.
+    With the odd blocks Q_i Q_i^T semidefinite the mu are the eigenvalues of
+    the symmetric M = -Q^T G Q, Q = blockdiag(Q_i), so each is real and
+    carries the absolute round-off eps |M|; _reduced_matrix builds -M for one
+    part and _shared_reduced_matrix for split parts.  Odd eigenvalues
+    classified within n eps max|D| below zero, over the union of the parts,
+    are round-off of a semidefinite block and count as zero.
     """
     values = blocks.odd_values
     floor = len(values) * np.finfo(float).eps * np.max(np.abs(values))
     if values[0] < -floor:
         return None
-    reduced = _reduced_matrix(blocks, parity_wavenumbers(grid)[1:-1])
+    reduce = _reduced_matrix if blocks.p is None else _shared_reduced_matrix
+    reduced = reduce(blocks, parity_wavenumbers(grid)[1:-1])
     return -_symmetric_eigen(np.linalg.eigvalsh, reduced)
 
 
@@ -279,7 +318,8 @@ def unstable_modes_JL(
 ) -> SpectrumReport:
     """Eigenvalues of JL; counts modes with real part above re_tol.
 
-    From the parity blocks of Lt, which the report carries on: +-sqrt(mu)
+    From the blocks of _tilde_L_blocks (Lt's own, or K's on a split wave),
+    which the report carries on: +-sqrt(mu)
     for the mu of _squared_eigenvalues and the zeros of J's even kernel
     (constants and Nyquist modes), or, when the odd block is indefinite, a
     full eigensolve of JL from its parity blocks.  The discretized essential
@@ -300,8 +340,8 @@ def unstable_modes_JL(
             raise EigensolveFailure(f"general eigensolve failed: {exc}") from exc
     else:
         roots = np.sqrt(squares.astype(complex))
-        even_size = sum(len(even) for even in blocks.even)
-        kernel = np.zeros(even_size - len(squares), dtype=complex)
+        # J's even kernel: the constants and Nyquist modes of both components
+        kernel = np.zeros(grid.n_points + 2 - len(squares), dtype=complex)
         eigenvalues = np.concatenate([roots, -roots, kernel])
     order = np.lexsort((eigenvalues.imag, eigenvalues.real))
     eigenvalues = eigenvalues[order]
@@ -360,9 +400,9 @@ def stability_verdict(
     unstable     <=  index > index_tol or a direct unstable mode exists
     inconclusive <=  |index| <= index_tol, or the inertia assumption fails
     """
-    # Lt is assembled once and its odd block diagonalized once, with the
-    # eigenvectors the JL count needs; the inertia reuses the blocks, and the
-    # verdict needs no essential-spectrum edge
+    # the blocks are built once and their odd block diagonalized once, with
+    # the eigenvectors the JL count needs; the inertia reuses the blocks, and
+    # the verdict needs no essential-spectrum edge
     jl_report = unstable_modes_JL(params, spec, wave, grid, re_tol=re_tol, essential_gap=False)
     tilde_report = discrete_spectrum_tilde_L(
         params, spec, wave, grid, zero_tol=zero_tol, essential_gap=False, blocks=jl_report.blocks

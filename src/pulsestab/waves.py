@@ -85,7 +85,7 @@ class AbcParameters:
 
         It selects the standing index route (case2_index) alone; the split
         of L into scalar parts covers every subsonic a = c wave and is
-        decided in discretization.assemble_system_operator_L.
+        decided in discretization.scalar_split.
         """
         return self.equal_dispersion and abs(spec.eta0 + 1.5) < 1e-12 and abs(spec.w) < 1e-12
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from conftest import WAVE_CASES, count_calls, make_case1, make_standing
@@ -275,17 +277,72 @@ def test_jl_parity_reduction_matches_full_eigensolve(case, n, monkeypatch):
     assert report.symmetry_defect == 0.0  # the pairs +-sqrt(mu) are exact
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("eta0", [-2.2, -1.6, -1.0, -0.4, -0.1])
-def test_free_verdict_counts_match_the_reference(eta0, sign):
-    # the verdict classifies the congruent parts of Lt and reduces JL in
-    # their components; the counts are those of the physical-space operators
-    params, spec, grid, wave = make_case1(eta0, sign=sign, n=256)
+def assert_counts_match_the_reference(case):
+    # the verdict classifies the congruent parts I + p_i K of Lt and reduces
+    # JL in their components; the counts are those of the physical-space
+    # operators
+    params, spec, grid, wave = case
     verdict = stability_verdict(params, spec, wave, grid)
     lt = np.linalg.eigvalsh(reference.tilde_L(params, spec, wave, grid))
     jl = np.linalg.eigvals(reference.JL(params, spec, wave, grid))
     assert verdict.n_tilde_L == int(np.sum(lt < -1e-6 * np.max(np.abs(lt))))
     assert verdict.n_unstable_direct == int(np.sum(jl.real > 1e-6))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("eta0", [-2.2, -1.6, -1.0, -0.4, -0.1])
+def test_free_verdict_counts_match_the_reference(eta0, sign):
+    assert_counts_match_the_reference(make_case1(eta0, sign=sign, n=256))
+
+
+@pytest.mark.parametrize("z", [1.0, 4.0, 10.5, 12.5])
+def test_standing_verdict_counts_match_the_reference(z):
+    # T = S C^-1 is not I here: the parts classified are congruent to Lt's
+    # orthogonal parts, not equal to them
+    assert_counts_match_the_reference(make_standing(b=z, n=256, lfac=50.0))
+
+
+def shared_cases():
+    standing = [
+        pytest.param(make_standing, {"b": z, "sign": sign}, id=f"standing-z{z}-{sign}")
+        for z in (1.0, 4.0, 12.5)
+        for sign in (1, -1)
+    ]
+    free = [
+        pytest.param(make_case1, {"eta0": eta0, "sign": sign}, id=f"free-eta0{eta0}-{sign}")
+        for eta0 in (-2.2, -1.0, -0.1)
+        for sign in (1, -1)
+    ]
+    return standing + free
+
+
+def assert_shared_basis_rebuilds_lt(case):
+    # T (I + p_i K) T is Lt's part i on both parities, and with
+    # Q_i = T V_K Delta_i, Q_i Q_i^T is its odd block
+    params, spec, grid, wave = case
+    blocks = spectra._tilde_L_blocks(params, spec, wave, grid)
+    lt = discretization.assemble_tilde_L(params, spec, wave, grid)
+    kappa, vectors = blocks.odd_eigen
+    k_odd = vectors * kappa @ vectors.T
+    t = blocks.t
+    assert len(blocks.p) == len(lt.parts) == 2
+    for pk, part in zip(blocks.p, lt.parts):
+        for shared, block, scale in ((blocks.even, part.even, t), (k_odd, part.odd, t[1:-1])):
+            rebuilt = scale[:, None] * (np.eye(len(scale)) + pk * shared) * scale
+            assert np.max(np.abs(rebuilt - block)) <= 1e-13 * np.max(np.abs(block))
+        root = t[1:-1, None] * vectors * np.sqrt(np.maximum(1.0 + pk * kappa, 0.0))
+        assert np.max(np.abs(root @ root.T - part.odd)) <= 1e-13 * np.max(np.abs(part.odd))
+
+
+@pytest.mark.parametrize("make, kwargs", shared_cases())
+def test_split_parts_share_the_eigenbasis_of_k(make, kwargs):
+    assert_shared_basis_rebuilds_lt(make(n=256, **kwargs))
+
+
+@given(a=st.floats(min_value=-3.0, max_value=-0.3), z=st.floats(min_value=0.5, max_value=14.0))
+@settings(max_examples=40, deadline=None)
+def test_shared_basis_identity_holds_over_a_and_z(a, z):
+    assert_shared_basis_rebuilds_lt(make_standing(a=a, b=z * -a, n=64, lfac=50.0))
 
 
 def test_jl_indefinite_odd_block_takes_the_full_eigensolve(monkeypatch):
@@ -298,13 +355,18 @@ def test_jl_indefinite_odd_block_takes_the_full_eigensolve(monkeypatch):
     assert report.n_unstable == 8
 
 
-def test_verdict_splits_lt_once_and_skips_the_essential_gap(monkeypatch, standing_z1):
-    params, spec, grid, wave = standing_z1
+@pytest.mark.parametrize("case, assembled", [("standing_z1", 0), ("general", 1)])
+def test_verdict_assembles_lt_only_unsplit_and_skips_the_essential_gap(
+    monkeypatch, case, assembled
+):
+    # a split verdict diagonalizes K = C V C and builds no Lt; an a != c
+    # verdict assembles its one two-component Lt once
+    params, spec, grid, wave = WAVE_CASES[case](512)
     names = ("assemble_tilde_L", "assemble_JL", "essential_spectrum_gap")
     calls = {name: count_calls(monkeypatch, spectra, name) for name in names}
     stability_verdict(params, spec, wave, grid)
     assert {name: len(made) for name, made in calls.items()} == {
-        "assemble_tilde_L": 1,
+        "assemble_tilde_L": assembled,
         "assemble_JL": 0,
         "essential_spectrum_gap": 0,
     }
@@ -330,23 +392,20 @@ def test_standalone_jl_report_keeps_the_essential_gap(case1_eta_minus1):
     assert report.ess_spectrum_gap == pytest.approx(1.0 - abs(spec.w), rel=1e-12)
 
 
-def test_standing_verdict_solves_half_size_lt_blocks(monkeypatch):
-    # the rotation splits Lt into kdv and hill parts: each parity block has
-    # N/2 +- 1 rows, and the one solve left at N - 2 is M of the JL count;
-    # the free-amplitude wave splits into its two congruent parts alike
+@pytest.mark.parametrize(
+    "make", [lambda n: make_standing(b=4.0, n=n), lambda n: make_case1(-1.0, n=n)],
+    ids=["standing", "free"],
+)
+def test_split_verdict_diagonalizes_the_shared_potential_once(monkeypatch, make):
+    # both split parts are I + p_i K: one eigh of K's odd block (N/2 - 1
+    # rows) and one eigvalsh of its even block (N/2 + 1) serve both, and the
+    # one solve left at N - 2 is M of the JL count
     n = 512
     shapes = {
         name: solve_shapes(monkeypatch, name) for name in ("eigh", "eigvalsh", "eigvals")
     }
-    params, spec, grid, wave = make_standing(b=4.0, n=n)
+    params, spec, grid, wave = make(n)
     stability_verdict(params, spec, wave, grid)
-    assert shapes["eigh"] == [(n // 2 - 1,) * 2] * 2
-    assert sorted(shapes["eigvalsh"]) == [(n // 2 + 1,) * 2] * 2 + [(n - 2,) * 2]
-    assert shapes["eigvals"] == []
-    for recorded in shapes.values():
-        recorded.clear()
-    params, spec, grid, wave = make_case1(-1.0, n=n)
-    stability_verdict(params, spec, wave, grid)
-    assert shapes["eigh"] == [(n // 2 - 1,) * 2] * 2
-    assert sorted(shapes["eigvalsh"]) == [(n // 2 + 1,) * 2] * 2 + [(n - 2,) * 2]
+    assert shapes["eigh"] == [(n // 2 - 1,) * 2]
+    assert sorted(shapes["eigvalsh"]) == [(n // 2 + 1,) * 2, (n - 2,) * 2]
     assert shapes["eigvals"] == []
