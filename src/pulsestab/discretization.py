@@ -24,13 +24,12 @@ assembled directly as its even and odd blocks (ParityBlocks):
   cosine block and - on the sine block, with V(m) = (-1)^m Re fft(v)[m mod N]
   (a Toeplitz-plus-Hankel matrix, see potential_blocks).
 
-Assembled operators:
+Assembled operators, each as its two-component ParityBlocks:
 
     L   = [[1 + c dxx,            b w dxx + psi - w],
            [b w dxx + psi - w,    1 + a dxx + phi  ]]          (two-component)
-          a RotatedBlocks (R x I) blockdiag(parts) (R x I)^T
     Lt  = S L S,  S = (1 - b dxx)^(-1/2)                       (symmetrized)
-          each part of L with diag(s) on both sides of its blocks
+          S is the diagonal s_k = (1 + b xi_k^2)^(-1/2) (smoothing_diagonal)
     JL  = J L,  J = -dx (1 - b dxx)^(-1) swap                  (evolution)
           J anticommutes with the reflection, so JL maps each parity onto
           the other; assembled only when the parity reduction of JL does
@@ -48,24 +47,24 @@ exactly has the tensor form
 The generalized eigenpairs P v = p W v, p^2 (1 - w^2) - p (1 + 2 B w) - B^2
 = 0 and v = (B + p w, p) normalized in the W norm, give R = W V with
 R R^T = W and R diag(p) R^T = P, so L = (R x I) blockdiag(parts) (R x I)^T
-with the scalar parts (1 + a dxx) + p phi.  scalar_split decides this
-split, from one potential_blocks of phi, and assemble_system_operator_L
-returns the two parts, blocks of size N/2 + 1 and N/2 - 1 each; S is
-scalar, so Lt keeps R and smooths each part.  The parts differ only in p:
-with C = (1 + a dxx)^(-1/2), the diagonal (1 - a xi_k^2)^(-1/2) (no b), and
-K = C V C for the blocks V of phi, part i is C^-1 (I + p_i K) C^-1, and
-Lt's part i is T (I + p_i K) T with T = S C^-1 the diagonal
-t_k = sqrt((1 - a xi_k^2) / (1 + b xi_k^2)), T = I when b = -a.  So one
-eigenbasis of K serves both parts (spectra.stability_verdict).  On the
-standing branch W = I, R is orthogonal and
-the parts (kdv p = 2 and hill p = -1 at B = sqrt(2)) are orthogonal parts,
-whose eigenvalues are L's.  On the free-amplitude branch W is positive
-definite but not I, and the parts are congruent parts: they carry L's
-inertia (Sylvester's law of inertia) but not its eigenvalues.  A supersonic
-wave (|w| > 1) has an indefinite W and no real R; it stays one
-two-component part with R = I, as does every a != c wave and a psi that is
-not B phi sample for sample (which then meets the ReflectionDefect check of
-its own potential).  The scalar pair is the standing parts at phi0.
+with the scalar parts (1 + a dxx) + p_i phi.  scalar_split decides this
+split and returns it as a ScalarSplit: R, p and the one potential_blocks of
+phi that both parts share (_scalar_parts builds them from it).  S is
+scalar, so Lt = (R x I) blockdiag(S part_i S) (R x I)^T.  The parts differ
+only in p: with C = (1 + a dxx)^(-1/2), the diagonal (1 - a xi_k^2)^(-1/2)
+(no b), and K = C V C for the blocks V of phi, part i is
+C^-1 (I + p_i K) C^-1, and S part_i S is T (I + p_i K) T with T = S C^-1
+the diagonal t_k = sqrt((1 - a xi_k^2) / (1 + b xi_k^2)), T = I when
+b = -a.  So one eigenbasis of K serves both parts (spectra.stability_verdict).
+On the standing branch W = I, R is orthogonal and the parts (kdv p = 2 and
+hill p = -1 at B = sqrt(2)) have L's eigenvalues.  On the free-amplitude
+branch W is positive definite but not I, and the parts are congruent to L:
+they carry its inertia (Sylvester's law of inertia) but not its
+eigenvalues.  A supersonic wave (|w| > 1) has an indefinite W and no real
+R; it does not split, nor does an a != c wave or a psi that is not B phi
+sample for sample (which then meets the ReflectionDefect check of its own
+potential).  The assemblers build the two-component blocks of every wave,
+split or not; the scalar pair is the standing parts at phi0.
 
 A potential whose samples are not even to REFLECTION_DEFECT_TOL raises
 ReflectionDefect (see Kapitula & Promislow, Spectral and Dynamical
@@ -83,7 +82,6 @@ from .errors import DomainError, InvalidGrid, ReflectionDefect
 __all__ = [
     "Grid",
     "ParityBlocks",
-    "RotatedBlocks",
     "ScalarSplit",
     "build_grid",
     "apply_multiplier",
@@ -95,6 +93,7 @@ __all__ = [
     "scalar_split",
     "assemble_system_operator_L",
     "assemble_tilde_L",
+    "smoothing_diagonal",
     "scale_blocks",
     "assemble_JL",
     "assemble_scalar_operator",
@@ -131,48 +130,6 @@ class ParityBlocks:
 
     even: np.ndarray
     odd: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class RotatedBlocks:
-    """A two-component operator as (R x I) blockdiag(parts) (R x I)^T.
-
-    R is a constant invertible 2x2 matrix on the components with
-    R R^T = W, the weight of the operator's constant part.  Either R = I and
-    the one part is the operator's own ParityBlocks, or each of the two
-    parts is a scalar operator on one column of R.  orthogonal says that
-    W = I: then the parts' eigenvalues are the operator's own; otherwise
-    the parts are congruent to it and carry only its inertia.  even and odd
-    compose the two-component blocks.
-    """
-
-    rotation: np.ndarray
-    parts: tuple[ParityBlocks, ...]
-    orthogonal: bool = True
-
-    @property
-    def even(self) -> np.ndarray:
-        return self._compose([part.even for part in self.parts])
-
-    @property
-    def odd(self) -> np.ndarray:
-        return self._compose([part.odd for part in self.parts])
-
-    def _compose(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """Quadrant (i, j) is sum_k R[i, k] R[j, k] blocks[k], written in place."""
-        if len(blocks) == 1:
-            return blocks[0]
-        m = len(blocks[0])
-        composed = np.empty((2 * m, 2 * m))
-        for i, j in ((0, 0), (0, 1), (1, 1)):
-            quadrant = composed[i * m : (i + 1) * m, j * m : (j + 1) * m]
-            weights = self.rotation[i] * self.rotation[j]
-            np.multiply(blocks[0], weights[0], out=quadrant)
-            for weight, block in zip(weights[1:], blocks[1:]):
-                quadrant += weight * block
-            if i != j:
-                composed[j * m : (j + 1) * m, i * m : (i + 1) * m] = quadrant
-        return composed
 
 
 def build_grid(n_points: int, half_length: float) -> Grid:
@@ -349,8 +306,13 @@ class ScalarSplit:
     potential: ParityBlocks
 
 
+def _check_samples(wave, grid: Grid) -> None:
+    if len(wave.phi) != grid.n_points:
+        raise DomainError(f"wave sampled on {len(wave.phi)} points, grid has {grid.n_points}")
+
+
 def scalar_split(params, spec, wave, grid: Grid) -> ScalarSplit | None:
-    """The scalar split of L, or None when L stays one two-component part.
+    """The scalar split of L, or None when L does not split.
 
     On a subsonic a = c wave with w = 0 or b = -a, and psi = B phi sample
     for sample, L = W x (1 + a dxx) + P x phi with W = [[1, -w], [-w, 1]]
@@ -359,8 +321,7 @@ def scalar_split(params, spec, wave, grid: Grid) -> ScalarSplit | None:
     (p = -1) on the standing branch, where W = I and R is orthogonal.  The
     one potential block is built only when L splits.
     """
-    if len(wave.phi) != grid.n_points:
-        raise DomainError(f"wave sampled on {len(wave.phi)} points, grid has {grid.n_points}")
+    _check_samples(wave, grid)
     B, w = spec.B, spec.w
     if not (
         params.equal_dispersion
@@ -373,37 +334,31 @@ def scalar_split(params, spec, wave, grid: Grid) -> ScalarSplit | None:
     return ScalarSplit(rotation, p, potential_blocks(grid, wave.phi))
 
 
-def assemble_system_operator_L(params, spec, wave, grid: Grid) -> RotatedBlocks:
-    """Second-variation operator L of the linearized system (symmetric, two-component).
-
-    Split by scalar_split into the scalar parts (1 + a dxx) + p_i phi, the
-    positive p first, when it applies; any other wave stays one
-    two-component part with R = I.
-    """
-    split = scalar_split(params, spec, wave, grid)
-    if split is not None:
-        parts = _scalar_parts(params.a, grid, split.potential, split.p)
-        return RotatedBlocks(split.rotation, parts, orthogonal=spec.w == 0)
+def assemble_system_operator_L(params, spec, wave, grid: Grid) -> ParityBlocks:
+    """Second-variation operator L of the linearized system (symmetric, two-component)."""
+    _check_samples(wave, grid)
     xi2 = parity_wavenumbers(grid) ** 2
     symbols = (1.0 - params.c * xi2, -spec.w * (1.0 + params.b * xi2), 1.0 - params.a * xi2)
     psi, phi = potential_blocks(grid, wave.psi), potential_blocks(grid, wave.phi)
-    return RotatedBlocks(np.eye(2), (_system_blocks(symbols, psi, phi),))
+    return _system_blocks(symbols, psi, phi)
 
 
-def assemble_tilde_L(params, spec, wave, grid: Grid) -> RotatedBlocks:
+def smoothing_diagonal(b: float, grid: Grid) -> np.ndarray:
+    """s_k = (1 + b xi_k^2)^(-1/2) at k = 0, ..., N/2: S = (1 - b dxx)^(-1/2)
+    on the cosine basis, and s[1:-1] on the sine basis."""
+    return 1.0 / np.sqrt(1.0 + b * parity_wavenumbers(grid) ** 2)
+
+
+def assemble_tilde_L(params, spec, wave, grid: Grid) -> ParityBlocks:
     """Symmetrized operator (1 - b dxx)^(-1/2) L (1 - b dxx)^(-1/2).
 
     Shares the inertia of L (congruence with a positive definite factor) and
     has essential spectrum bounded away from zero in the subsonic regime.
-    S = (1 - b dxx)^(-1/2) is the diagonal s_k = (1 + b xi_k^2)^(-1/2) on
-    every component, so it commutes with the rotation of L: each part's
-    blocks B become diag(s) B diag(s), scaled in place.
+    S is diagonal on both components, so L's blocks B become
+    diag(s) B diag(s), scaled in place.
     """
     lop = assemble_system_operator_L(params, spec, wave, grid)
-    s = 1.0 / np.sqrt(1.0 + params.b * parity_wavenumbers(grid) ** 2)
-    for part in lop.parts:
-        scale_blocks(part, s)
-    return lop
+    return scale_blocks(lop, smoothing_diagonal(params.b, grid))
 
 
 def scale_blocks(blocks: ParityBlocks, scale: np.ndarray) -> ParityBlocks:
@@ -424,7 +379,7 @@ def assemble_JL(params, spec, wave, grid: Grid) -> ParityBlocks:
     k_k cos_k and cos_k to -k_k sin_k, k_k = xi_k / (1 + b xi_k^2).  So J
     takes odd to even coefficients as J_eo = -[[0, D], [D, 0]], D = diag(k_k),
     and even to odd as -J_eo^T, and the blocks of J L are -J_eo^T L_even and
-    J_eo L_odd, with L's two-component blocks composed from its parts.
+    J_eo L_odd.
     """
     lop = assemble_system_operator_L(params, spec, wave, grid)
     xi = parity_wavenumbers(grid)

@@ -15,8 +15,8 @@ exist:
 
 * standing-wave branch (a = c < 0): a constant orthogonal rotation block-
   diagonalizes L into the scalar pair (kdv, hill) (the split that
-  discretization.assemble_system_operator_L makes; assemble_scalar_operator
-  returns both parts at phi0 from one potential block), and with
+  discretization.scalar_split decides; assemble_scalar_operator returns
+  both parts at phi0 from one potential block), and with
   f = (1 - b dxx) phi,
 
       I = (1/3) (8 <kdv^(-1) f, f> + <hill^(-1) f, f>).

@@ -3,32 +3,30 @@
 The symmetrized operator Lt is assembled as its cosine and sine blocks and
 diagonalized block by block, to read off its inertia (one negative
 eigenvalue and a simple kernel for every admissible pulse).  On every
-subsonic a = c wave L splits (discretization.scalar_split) and
-Lt = (R x I) diag(S part_1 S, S part_2 S) (R x I)^T, R the constant 2x2
-matrix with R R^T = W, the weight of L's constant part, and the scalar
-parts (1 + a dxx) + p_i phi; every other wave is one two-component part
-with R = I.  The split parts differ only in p_i: with C = (1 + a dxx)^(-1/2)
-and K = C V C, V the blocks of phi, S part_i S = T (I + p_i K) T, T = S C^-1
-diagonal.  So the verdict diagonalizes K once per parity, one eigh of the
-odd block K_o = V_K diag(kappa) V_K^T and one eigvalsh of K_e, and
-classifies the eigenvalues 1 + p_i kappa of the congruent I + p_i K: they
-carry Lt's inertia by Sylvester's law but not its eigenvalues.  The
-standalone spectrum reports Lt's own: it solves Lt's parts when R is
-orthogonal (the standing branch, W = I) and composes Lt's two-component
-blocks otherwise.  The evolution generator JL is counted from the same
-blocks: with S = (1 - b dxx)^(-1/2)
-and J0 = -dx swap, J = S J0 S, so JL = S (J0 Lt) S^-1 shares the spectrum
-of J0 Lt, which couples the even block Lt_e and the odd block Lt_o through
-J_eo = -[[0, D], [D, 0]] = -(swap x D), D = diag(xi_k) from sine k to
-cosine k.  In the components of the parts J0 Lt is similar to
-(R^T J0 R) blockdiag(parts) for any invertible R, so J_eo becomes
--(Sigma x D) with Sigma = R^T swap R, the plain swap when R = I.  The
-eigenvalues of JL are the four zeros of J's even kernel and +-sqrt(mu) for
-the eigenvalues mu of -G Lt_o, G = J_eo^T Lt_e J_eo (the even/odd
-Hamiltonian reduction, Kapitula & Promislow, Spectral and Dynamical
-Stability of Nonlinear Waves, 2013, ch. 7).  When every part's odd block
-Q_i Q_i^T is positive semidefinite the mu are the eigenvalues of the
-symmetric
+subsonic a = c wave L splits (discretization.scalar_split, which derives
+it): Lt = (R x I) blockdiag(T (I + p_i K) T) (R x I)^T with R R^T = W,
+K = C V C, V the blocks of phi, and T diagonal.  So the verdict
+diagonalizes K once per parity, one eigh of the odd block
+K_o = V_K diag(kappa) V_K^T and one eigvalsh of K_e, and classifies the
+eigenvalues 1 + p_i kappa of the congruent I + p_i K: they carry Lt's
+inertia by Sylvester's law but not its eigenvalues.  Every other wave
+keeps Lt's two-component blocks, with R = I.  The standalone spectrum
+reports Lt's own eigenvalues and composes nothing: it solves the half-size
+S part_i S on the standing branch, where R is orthogonal, and Lt's
+assembled two-component blocks on every other wave.  The evolution
+generator JL is counted from the same blocks: with
+S = (1 - b dxx)^(-1/2) and J0 = -dx swap, J = S J0 S, so
+JL = S (J0 Lt) S^-1 shares the spectrum of J0 Lt, which couples the even
+block Lt_e and the odd block Lt_o through J_eo = -[[0, D], [D, 0]]
+= -(swap x D), D = diag(xi_k) from sine k to cosine k.  In the
+components of the parts J0 Lt is similar to (R^T J0 R) blockdiag(parts)
+for any invertible R, so J_eo becomes -(Sigma x D) with
+Sigma = R^T swap R, the plain swap when R = I.  The eigenvalues of JL
+are the four zeros of J's even kernel and +-sqrt(mu) for the eigenvalues
+mu of -G Lt_o, G = J_eo^T Lt_e J_eo (the even/odd Hamiltonian reduction,
+Kapitula & Promislow, Spectral and Dynamical Stability of Nonlinear Waves,
+2013, ch. 7).  When every part's odd block Q_i Q_i^T is positive
+semidefinite the mu are the eigenvalues of the symmetric
 
     M = -Q^T G Q,   Q = blockdiag(Q_i),
 
@@ -62,11 +60,13 @@ import numpy as np
 
 from .discretization import (
     Grid,
+    _scalar_parts,
     assemble_JL,
     assemble_tilde_L,
     parity_wavenumbers,
     scalar_split,
     scale_blocks,
+    smoothing_diagonal,
 )
 from .errors import EigensolveFailure, NotSubsonic
 from .index_count import IndexReport, index_report
@@ -171,8 +171,7 @@ def _tilde_L_blocks(
     split = scalar_split(params, spec, wave, grid)
     if split is None:
         lt = assemble_tilde_L(params, spec, wave, grid)
-        (part,) = lt.parts
-        return TildeLBlocks(lt.rotation, part.even, _symmetric_eigen(np.linalg.eigh, part.odd))
+        return TildeLBlocks(np.eye(2), lt.even, _symmetric_eigen(np.linalg.eigh, lt.odd))
     xi2 = parity_wavenumbers(grid) ** 2
     symbol = 1.0 - params.a * xi2
     shared = scale_blocks(split.potential, 1.0 / np.sqrt(symbol))
@@ -194,22 +193,26 @@ def discrete_spectrum_tilde_L(
 
     Lt commutes with x -> -x, so its eigenvalues are the sorted union of
     those of its even and odd blocks (ReflectionDefect if the wave is not
-    even).  Assembled here, Lt is solved part by part when its rotation is
-    orthogonal (the standing branch), and otherwise from its two-component
-    blocks, composed from the congruent parts; every block takes
-    eigenvalues only.  Blocks passed in, as a JL report carries them, are
-    reused with their odd eigenvalues: on a split wave, standing or free,
-    the eigenvalues classified are then those of the congruent I + p_i K
-    (TildeLBlocks), which carry Lt's inertia (Sylvester's law) but not its
-    eigenvalues.  zero_tol defaults to 1e-6 times the
-    spectral radius of the eigenvalues classified; it separates the
-    translational kernel from genuinely small eigenvalues (verified stable
-    under N-refinement).  The essential-spectrum edge is reported when
-    essential_gap is set and the wave is subsonic.
+    even).  Built here, the blocks are the half-size S part_i S on the
+    standing branch, where R is orthogonal, and Lt's two-component blocks
+    on every other wave; each takes eigenvalues only.  Blocks passed in, as
+    a JL report carries them, are reused with their odd eigenvalues: on a
+    split wave, standing or free, the eigenvalues classified are then those
+    of the congruent I + p_i K (TildeLBlocks), which carry Lt's inertia
+    (Sylvester's law) but not its eigenvalues.  zero_tol defaults to 1e-6
+    times the spectral radius of the eigenvalues classified; it separates
+    the translational kernel from genuinely small eigenvalues (verified
+    stable under N-refinement).  The essential-spectrum edge is reported
+    when essential_gap is set and the wave is subsonic.
     """
     if blocks is None:
-        lt = assemble_tilde_L(params, spec, wave, grid)
-        pieces = lt.parts if lt.orthogonal else [lt]
+        split = scalar_split(params, spec, wave, grid) if spec.w == 0 else None
+        if split is None:
+            pieces = [assemble_tilde_L(params, spec, wave, grid)]
+        else:
+            s = smoothing_diagonal(params.b, grid)
+            parts = _scalar_parts(params.a, grid, split.potential, split.p)
+            pieces = [scale_blocks(part, s) for part in parts]
         even_values = [_symmetric_eigen(np.linalg.eigvalsh, piece.even) for piece in pieces]
         odd_values = [_symmetric_eigen(np.linalg.eigvalsh, piece.odd) for piece in pieces]
     else:

@@ -44,6 +44,7 @@ __all__ = [
 # lambda * half_length needed so that sech^2 periodization error sits below
 # double-precision round-off (sech^2(40) ~ 7e-35)
 DECAY_MARGIN = 40.0
+_MARGIN_ROUNDOFF = 1e-12
 
 _EQ_TOL = 1e-12
 
@@ -70,7 +71,8 @@ class AbcParameters:
 
     @property
     def equal_dispersion(self) -> bool:
-        """True when a = c (the regime all spectral verdicts are restricted to)."""
+        """True when a = c, where L can split into scalar parts; every
+        command also runs on a != c waves, with L's two-component blocks."""
         return abs(self.a - self.c) <= _EQ_TOL * max(1.0, abs(self.a))
 
     @property
@@ -103,15 +105,11 @@ class WaveSpec:
 
 @dataclass(frozen=True, eq=False)
 class SampledWave:
-    """Grid samples of (phi, psi) and their spectral derivatives."""
+    """Grid samples of (phi, psi)."""
 
     grid: Grid
     phi: np.ndarray
     psi: np.ndarray
-    phi_dx: np.ndarray
-    phi_dxx: np.ndarray
-    psi_dx: np.ndarray
-    psi_dxx: np.ndarray
 
 
 def resolve_wave_parameters(
@@ -166,29 +164,22 @@ def sample_wave(spec: WaveSpec, grid: Grid) -> SampledWave:
     """Sample phi = eta0 sech^2(lambda x) and psi = B phi on the grid.
 
     Raises GridTooSmall when lambda * half_length < 40, the margin that
-    keeps the periodization error of sech^2 below round-off.
+    keeps the periodization error of sech^2 below round-off, by more than
+    a relative 1e-12 (40 / lambda itself can round to 39.999...).
     """
-    if spec.lam * grid.half_length < DECAY_MARGIN:
+    if spec.lam * grid.half_length < DECAY_MARGIN * (1.0 - _MARGIN_ROUNDOFF):
         raise GridTooSmall(
             f"half_length {grid.half_length} < {DECAY_MARGIN / spec.lam:.3f} "
             f"needed for decay margin {DECAY_MARGIN}/lambda"
         )
     phi = spec.eta0 / np.cosh(spec.lam * grid.nodes) ** 2
-    psi = spec.B * phi
-    return SampledWave(
-        grid=grid,
-        phi=phi,
-        psi=psi,
-        phi_dx=derivative_of_samples(grid, phi, 1),
-        phi_dxx=derivative_of_samples(grid, phi, 2),
-        psi_dx=derivative_of_samples(grid, psi, 1),
-        psi_dxx=derivative_of_samples(grid, psi, 2),
-    )
+    return SampledWave(grid=grid, phi=phi, psi=spec.B * phi)
 
 
 def traveling_residual(wave: SampledWave, spec: WaveSpec, params: AbcParameters):
     """Sup-norm residuals (r1, r2) of the traveling-wave system."""
     phi, psi = wave.phi, wave.psi
-    r1 = phi + params.c * wave.phi_dxx - spec.w * (psi - params.b * wave.psi_dxx) + 0.5 * psi**2
-    r2 = -spec.w * (phi - params.b * wave.phi_dxx) + psi + params.a * wave.psi_dxx + phi * psi
+    phi_dxx, psi_dxx = (derivative_of_samples(wave.grid, values, 2) for values in (phi, psi))
+    r1 = phi + params.c * phi_dxx - spec.w * (psi - params.b * psi_dxx) + 0.5 * psi**2
+    r2 = -spec.w * (phi - params.b * phi_dxx) + psi + params.a * psi_dxx + phi * psi
     return float(np.max(np.abs(r1))), float(np.max(np.abs(r2)))

@@ -57,6 +57,11 @@ def system_operator_L(params, spec, wave, grid):
     return two_component(eye + params.c * d2, off, eye + params.a * d2 + np.diag(wave.phi))
 
 
+def translation_mode(wave):
+    """(phi', psi'), the translation kernel of L, by spectral derivative."""
+    return np.concatenate([derivative_of_samples(wave.grid, v, 1) for v in (wave.phi, wave.psi)])
+
+
 def tilde_L(params, spec, wave, grid):
     half = smoother_power(grid, params.b, -0.5)
     smoother = np.kron(np.eye(2), half)

@@ -19,6 +19,7 @@ from pulsestab.discretization import (
     parity_coefficients,
     parity_wavenumbers,
     potential_blocks,
+    scalar_split,
     standing_wave_profile,
 )
 from pulsestab.errors import DomainError, InvalidGrid, ReflectionDefect
@@ -129,10 +130,11 @@ def test_inner_product_table_and_parity(standing_z1):
     params, spec, grid, wave = standing_z1
     sa = math.sqrt(-params.a)
     assert inner_product(wave.phi, wave.phi, grid) == pytest.approx(6 * sa, rel=1e-8)
-    assert inner_product(wave.phi_dxx, wave.phi_dxx, grid) == pytest.approx(
+    phi_dx, phi_dxx = (derivative_of_samples(grid, wave.phi, order) for order in (1, 2))
+    assert inner_product(phi_dxx, phi_dxx, grid) == pytest.approx(
         6.0 / (7.0 * abs(params.a) * sa), rel=1e-8
     )
-    assert abs(inner_product(wave.phi_dx, wave.phi, grid)) < 1e-12
+    assert abs(inner_product(phi_dx, wave.phi, grid)) < 1e-12
     with pytest.raises(ValueError):
         inner_product(wave.phi[:-1], wave.phi, grid)
 
@@ -141,7 +143,7 @@ def test_system_operator_kernel_and_symmetry():
     params, spec, grid, wave = make_case1(-1.0, n=1024)
     lop = to_physical(grid, assemble_system_operator_L(params, spec, wave, grid))
     assert np.max(np.abs(lop - lop.T)) < 1e-12
-    kernel = np.concatenate([wave.phi_dx, wave.psi_dx])
+    kernel = reference.translation_mode(wave)
     assert np.max(np.abs(lop @ kernel)) < 1e-8
 
 
@@ -162,7 +164,7 @@ def test_tilde_L_kernel():
     params, spec, grid, wave = make_case1(-1.0, n=1024)
     tilde = to_physical(grid, assemble_tilde_L(params, spec, wave, grid))
     half = smoother_power(grid, params.b, 0.5)
-    kernel = np.concatenate([half @ wave.phi_dx, half @ wave.psi_dx])
+    kernel = np.concatenate([half @ d for d in np.split(reference.translation_mode(wave), 2)])
     assert np.max(np.abs(tilde @ kernel)) < 1e-8
 
 
@@ -218,9 +220,9 @@ def test_free_split_factors_the_constant_and_potential_matrices(eta0, sign, b):
     for product, expected in [(rotation @ rotation.T, weight), (rotation * p @ rotation.T, potential)]:
         assert np.max(np.abs(product - expected)) <= 1e-14 * np.max(np.abs(expected))
     assert p[0] > 0 > p[1]
-    lop = assemble_system_operator_L(params, spec, wave, grid)
-    assert len(lop.parts) == 2 and not lop.orthogonal
-    assert np.array_equal(lop.rotation, rotation)
+    split = scalar_split(params, spec, wave, grid)
+    assert np.array_equal(split.p, p)
+    assert np.array_equal(split.rotation, rotation)
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -233,9 +235,9 @@ def test_split_at_rest_is_the_standing_closed_form(sign):
     closed_rotation = np.array([[spec.B, spec.B], closed_p]) / np.hypot(spec.B, closed_p)
     assert np.array_equal(p, closed_p)
     assert np.array_equal(rotation, closed_rotation)
-    lop = assemble_system_operator_L(params, spec, wave, grid)
-    assert lop.orthogonal
-    assert np.array_equal(lop.rotation, closed_rotation)
+    split = scalar_split(params, spec, wave, grid)
+    assert np.array_equal(split.p, closed_p)
+    assert np.array_equal(split.rotation, closed_rotation)
 
 
 @pytest.mark.parametrize("eta0", [-2.6, 0.5])
@@ -243,9 +245,7 @@ def test_supersonic_free_wave_stays_one_part(eta0):
     # |w| > 1 makes W indefinite, so no real R with R R^T = W exists
     params, spec, grid, wave = make_case1(eta0, n=64)
     assert abs(spec.w) > 1.0
-    lop = assemble_system_operator_L(params, spec, wave, grid)
-    assert len(lop.parts) == 1
-    assert np.array_equal(lop.rotation, np.eye(2))
+    assert scalar_split(params, spec, wave, grid) is None
 
 
 BLOCK_CASES = [
@@ -296,7 +296,7 @@ def test_parity_fold_and_unfold(standing_z1):
         assert np.max(np.abs(sine)) < 1e-15 * np.max(np.abs(even))
         basis, _ = reference.parity_basis(grid, components)
         np.testing.assert_allclose(cosine, basis.T @ even, rtol=0, atol=1e-13 * np.max(np.abs(even)))
-    odd = wave.phi_dx
+    odd = derivative_of_samples(grid, wave.phi, 1)
     cosine, sine = parity_coefficients(grid, odd)
     assert sine.shape == (n // 2 - 1,)
     assert np.max(np.abs(cosine)) < 1e-14 * np.max(np.abs(odd))
@@ -327,7 +327,7 @@ def test_parity_split_is_an_orthogonal_change_of_basis():
 def test_jl_kernel_and_spectral_symmetry(case1_eta_minus1):
     params, spec, grid, wave = case1_eta_minus1
     jl = to_physical(grid, assemble_JL(params, spec, wave, grid))
-    kernel = np.concatenate([wave.phi_dx, wave.psi_dx])
+    kernel = reference.translation_mode(wave)
     assert np.max(np.abs(jl @ kernel)) < 1e-8
     evals = np.linalg.eigvals(jl)
     # spectrum symmetric under negation and conjugation (set-to-set distance)

@@ -342,7 +342,7 @@ def test_general_index_parity_defect(case1_eta_minus1):
     rhs = np.concatenate(
         [apply_multiplier(grid, symbol, wave.psi), apply_multiplier(grid, symbol, wave.phi)]
     )
-    kernel = np.concatenate([wave.phi_dx, wave.psi_dx])
+    kernel = reference.translation_mode(wave)
     kernel /= np.linalg.norm(kernel)
     assert abs(np.dot(kernel, rhs)) / np.linalg.norm(rhs) < 1e-10
 
@@ -355,7 +355,7 @@ def test_general_index_kernel_defect_raised(monkeypatch, case1_eta_minus1):
 
     def contaminated(params, wave, grid):
         rhs = general_rhs(params, wave, grid)
-        return rhs + 0.05 * np.concatenate([wave.phi_dx, wave.psi_dx])
+        return rhs + 0.05 * reference.translation_mode(wave)
 
     monkeypatch.setattr(index_count, "_general_rhs", contaminated)
     with pytest.raises(KernelDefect):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import WAVE_CASES, count_calls, make_case1, make_standing
+from conftest import WAVE_CASES, count_calls, make_case1, make_general, make_standing
 from pulsestab import discretization, spectra
 from pulsestab.discretization import build_grid, derivative_of_samples
 from pulsestab.errors import NotSubsonic, ReflectionDefect, SolverError
@@ -49,15 +49,8 @@ def test_tilde_spectrum_blocks_match_full_eigensolve(fixture, request):
     np.testing.assert_allclose(report.eigenvalues, full, rtol=0, atol=1e-12 * radius)
 
 
-def with_samples(wave, grid, component, values):
-    return dataclasses.replace(
-        wave,
-        **{
-            component: values,
-            f"{component}_dx": derivative_of_samples(grid, values, 1),
-            f"{component}_dxx": derivative_of_samples(grid, values, 2),
-        },
-    )
+def with_samples(wave, component, values):
+    return dataclasses.replace(wave, **{component: values})
 
 
 @pytest.mark.parametrize(
@@ -75,11 +68,11 @@ def test_tilde_spectrum_refuses_a_wave_with_an_odd_part(fixture, component, keep
     # an odd component breaks the reflection symmetry the parity blocks rely on
     values = getattr(wave, component)
     values = values + 0.05 * derivative_of_samples(grid, values, 1)
-    broken = with_samples(wave, grid, component, values)
+    broken = with_samples(wave, component, values)
     if keep_ratio:
         # psi = B phi still holds sample for sample, so a standing wave
         # reaches the scalar split and its one potential, phi
-        broken = with_samples(broken, grid, "psi", spec.B * broken.phi)
+        broken = with_samples(broken, "psi", spec.B * broken.phi)
     with pytest.raises(ReflectionDefect) as raised:
         discrete_spectrum_tilde_L(params, spec, broken, grid)
     assert isinstance(raised.value, SolverError)
@@ -317,21 +310,28 @@ def shared_cases():
 
 
 def assert_shared_basis_rebuilds_lt(case):
-    # T (I + p_i K) T is Lt's part i on both parities, and with
-    # Q_i = T V_K Delta_i, Q_i Q_i^T is its odd block
+    # (R x I) blockdiag(T (I + p_i K) T) (R x I)^T is Lt on both parities,
+    # and with Q_i = T V_K Delta_i, Q_i Q_i^T is T (I + p_i K_o) T, the odd
+    # block of part i of (R^-1 x I) Lt (R^-1 x I)^T
     params, spec, grid, wave = case
     blocks = spectra._tilde_L_blocks(params, spec, wave, grid)
     lt = discretization.assemble_tilde_L(params, spec, wave, grid)
     kappa, vectors = blocks.odd_eigen
     k_odd = vectors * kappa @ vectors.T
     t = blocks.t
-    assert len(blocks.p) == len(lt.parts) == 2
-    for pk, part in zip(blocks.p, lt.parts):
-        for shared, block, scale in ((blocks.even, part.even, t), (k_odd, part.odd, t[1:-1])):
-            rebuilt = scale[:, None] * (np.eye(len(scale)) + pk * shared) * scale
-            assert np.max(np.abs(rebuilt - block)) <= 1e-13 * np.max(np.abs(block))
+    assert len(blocks.p) == 2
+    for shared, block, scale in ((blocks.even, lt.even, t), (k_odd, lt.odd, t[1:-1])):
+        parts = [scale[:, None] * (np.eye(len(scale)) + pk * shared) * scale for pk in blocks.p]
+        columns = blocks.rotation.T
+        rebuilt = sum(np.kron(np.outer(r, r), part) for r, part in zip(columns, parts))
+        assert np.max(np.abs(rebuilt - block)) <= 1e-13 * np.max(np.abs(block))
+    m = len(kappa)
+    inverse = np.kron(np.linalg.inv(blocks.rotation), np.eye(m))
+    parts_odd = inverse @ lt.odd @ inverse.T
+    for i, pk in enumerate(blocks.p):
+        part_odd = parts_odd[i * m : (i + 1) * m, i * m : (i + 1) * m]
         root = t[1:-1, None] * vectors * np.sqrt(np.maximum(1.0 + pk * kappa, 0.0))
-        assert np.max(np.abs(root @ root.T - part.odd)) <= 1e-13 * np.max(np.abs(part.odd))
+        assert np.max(np.abs(root @ root.T - part_odd)) <= 1e-13 * np.max(np.abs(part_odd))
 
 
 @pytest.mark.parametrize("make, kwargs", shared_cases())
@@ -342,7 +342,7 @@ def test_split_parts_share_the_eigenbasis_of_k(make, kwargs):
 @given(a=st.floats(min_value=-3.0, max_value=-0.3), z=st.floats(min_value=0.5, max_value=14.0))
 @settings(max_examples=40, deadline=None)
 def test_shared_basis_identity_holds_over_a_and_z(a, z):
-    assert_shared_basis_rebuilds_lt(make_standing(a=a, b=z * -a, n=64, lfac=50.0))
+    assert_shared_basis_rebuilds_lt(make_standing(a=a, b=z * -a, n=64))
 
 
 def test_jl_indefinite_odd_block_takes_the_full_eigensolve(monkeypatch):
@@ -384,6 +384,24 @@ def test_verdict_potential_block_count(monkeypatch, case, built):
     calls = count_calls(monkeypatch, discretization, "potential_blocks")
     stability_verdict(params, spec, wave, grid)
     assert len(calls) == built
+
+
+@pytest.mark.parametrize(
+    "make, sizes",
+    [
+        (lambda n: make_standing(b=4.0, n=n), [255, 255, 257, 257]),
+        (lambda n: make_case1(-1.0, n=n), [510, 514]),
+        (make_general, [510, 514]),
+    ],
+    ids=["standing", "free", "general"],
+)
+def test_standalone_spectrum_keeps_its_solve_sizes(monkeypatch, make, sizes):
+    # on the standing branch R is orthogonal, so the spectrum solves the
+    # half-size S part_i S; every other wave solves Lt's two-component blocks
+    params, spec, grid, wave = make(512)
+    shapes = solve_shapes(monkeypatch, "eigvalsh")
+    discrete_spectrum_tilde_L(params, spec, wave, grid)
+    assert sorted(shapes) == [(size, size) for size in sizes]
 
 
 def test_standalone_jl_report_keeps_the_essential_gap(case1_eta_minus1):

@@ -124,7 +124,7 @@ def test_sampled_wave_structure(case1_eta_minus1):
     assert wave.phi[grid.n_points // 2] == pytest.approx(spec.eta0, rel=1e-14)  # x = 0
     np.testing.assert_allclose(wave.psi, spec.B * wave.phi, rtol=0, atol=1e-15)
     # even/odd structure on the symmetric grid
-    assert abs(inner_product(wave.phi, wave.phi_dx, grid)) < 1e-12
+    assert abs(inner_product(wave.phi, derivative_of_samples(grid, wave.phi, 1), grid)) < 1e-12
     # boundary decay at the endpoints
     assert abs(wave.phi[0]) < 1e-12
 
@@ -142,6 +142,15 @@ def test_grid_too_small():
     spec = resolve_wave_parameters(params, -1.5)  # lam = 1/2, needs L >= 80
     with pytest.raises(GridTooSmall):
         sample_wave(spec, build_grid(256, 60.0))
+
+
+def test_decay_margin_allows_round_off():
+    # lambda * (40 / lambda) rounds to 39.999... here, inside the margin's
+    # round-off allowance; a grid short by 0.025% is still refused
+    params, spec, grid, wave = make_standing(a=-0.875, b=0.875, n=64)
+    assert spec.lam * grid.half_length < 40.0
+    with pytest.raises(GridTooSmall):
+        sample_wave(spec, build_grid(64, 39.99 / spec.lam))
 
 
 def test_exact_wave_residuals():
@@ -164,14 +173,6 @@ def test_zero_profile_residual():
 def test_perturbed_profile_residual_scale(case1_eta_minus1):
     params, spec, grid, wave = case1_eta_minus1
     phi = wave.phi + 0.1 / np.cosh(spec.lam * grid.nodes) ** 2
-    perturbed = SampledWave(
-        grid=grid,
-        phi=phi,
-        psi=wave.psi,
-        phi_dx=derivative_of_samples(grid, phi, 1),
-        phi_dxx=derivative_of_samples(grid, phi, 2),
-        psi_dx=wave.psi_dx,
-        psi_dxx=wave.psi_dxx,
-    )
+    perturbed = SampledWave(grid=grid, phi=phi, psi=wave.psi)
     r1, r2 = traveling_residual(perturbed, spec, params)
     assert 0.01 < max(r1, r2) < 1.0
