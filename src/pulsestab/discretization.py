@@ -86,7 +86,6 @@ __all__ = [
     "build_grid",
     "apply_multiplier",
     "derivative_of_samples",
-    "inner_product",
     "parity_wavenumbers",
     "parity_coefficients",
     "potential_blocks",
@@ -162,13 +161,6 @@ def _derivative_symbol(grid: Grid, order: int) -> np.ndarray:
 def derivative_of_samples(grid: Grid, values: np.ndarray, order: int) -> np.ndarray:
     """Spectral derivative of sampled values."""
     return apply_multiplier(grid, _derivative_symbol(grid, order), values)
-
-
-def inner_product(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
-    """Quadrature inner product 2L/N * sum(u_j v_j)."""
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return float(grid.quad_weight * np.dot(u, v))
 
 
 REFLECTION_DEFECT_TOL = 1e-10

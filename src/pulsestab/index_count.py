@@ -96,13 +96,9 @@ _DEFECT_TOL = 1e-8
 _RESIDUAL_TOL = 1e-6
 
 __all__ = [
-    "InnerProductTable",
     "IndexReport",
     "BisectionResult",
     "StandingQuadratic",
-    "closed_form_inner_products",
-    "standing_wave_a_derivative",
-    "kdv_index_closed_form",
     "kdv_index_numeric",
     "hill_index_numeric",
     "index_lower_bound_poly",
@@ -114,20 +110,6 @@ __all__ = [
     "index_report",
     "critical_ratio_bisection",
 ]
-
-
-@dataclass(frozen=True)
-class InnerProductTable:
-    """Closed-form inner products of the standing-wave profile phi(x; a).
-
-    phi = -(3/2) sech^2(x / (2 sqrt(-a))), phi_a its derivative in a.
-    """
-
-    phi_a_phi: float  # -3 / (2 sqrt(-a))
-    phi_phipp: float  # -6 / (5 sqrt(-a))
-    phi_a_phipp: float  # -3 / (10 |a| sqrt(-a))
-    phi_phi: float  # 6 sqrt(-a)
-    phipp_phipp: float  # 6 / (7 |a| sqrt(-a))
 
 
 @dataclass(frozen=True)
@@ -151,50 +133,10 @@ class BisectionResult:
     z_root: float  # root of the discrete 3 I(z) inside [bracket_lo, bracket_hi]
 
 
-def closed_form_inner_products(a: float) -> InnerProductTable:
-    if not a < 0:
-        raise DomainError(f"a must be negative, got {a}")
-    sa = math.sqrt(-a)
-    return InnerProductTable(
-        phi_a_phi=-1.5 / sa,
-        phi_phipp=-1.2 / sa,
-        phi_a_phipp=-0.3 / ((-a) * sa),
-        phi_phi=6.0 * sa,
-        phipp_phipp=6.0 / (7.0 * (-a) * sa),
-    )
-
-
-def standing_wave_a_derivative(a: float, grid: Grid) -> np.ndarray:
-    """Analytic derivative in a of the standing-wave profile.
-
-    d/da [-(3/2) sech^2(lam(a) x)] = 3 lam'(a) x sech^2(lam x) tanh(lam x)
-    with lam = 1 / (2 sqrt(-a)), lam' = 1 / (4 (-a)^(3/2)).
-    """
-    if not a < 0:
-        raise DomainError(f"a must be negative, got {a}")
-    lam = 1.0 / (2.0 * math.sqrt(-a))
-    lam_a = 1.0 / (4.0 * (-a) ** 1.5)
-    x = grid.nodes
-    return 3.0 * lam_a * x / np.cosh(lam * x) ** 2 * np.tanh(lam * x)
-
-
 def _standing_columns(a: float, grid: Grid) -> np.ndarray:
     """c_0 = phi and c_1 = -a phi'', so that f = (1 - b dxx) phi = c_0 - z c_1."""
     phi = standing_wave_profile(a, grid)
     return np.stack([phi, -a * derivative_of_samples(grid, phi, 2)])
-
-
-def kdv_index_closed_form(a: float, b: float) -> float:
-    """Closed form sqrt(-a) (-9/2 - 3 z + (3/10) z^2), z = b / (-a).
-
-    Follows from the exact preimage (a + b) phi_a - phi paired with
-    f = phi - b phi'' through the inner-product table; cross-validated by
-    the even-block numeric solve to spectral accuracy.
-    """
-    if not (a < 0 and b > 0):
-        raise DomainError(f"need a < 0 and b > 0, got a={a}, b={b}")
-    z = b / (-a)
-    return math.sqrt(-a) * (-4.5 - 3.0 * z + 0.3 * z * z)
 
 
 def _even_block_index(

@@ -49,7 +49,17 @@ the parity identity
 
     n_unstable = n(Lt) - n(index quantity)   (mod 2),
 
-and the direct count.
+and the direct count.  The verdict only needs to know whether some mu
+exceeds re_tol^2, an inertia question.  So when the inertia and the index
+already say stable and the odd block passes the gate, it first tries one
+Cholesky factorization of -M + c I, c = (re_tol/2)^2: if it completes,
+every mu lies below c (Sylvester's law; Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, ch. 10), the direct count is 0 and the
+verdict's max_real_part is the certified bound re_tol/2.  Otherwise, or
+when the factorization fails, it solves M as above.  On coarse grids the
+unresolved translation pair has mu > c and fails the factorization, so
+those verdicts are counted as before; the JL spectrum itself always takes
+the full solve.
 """
 
 from __future__ import annotations
@@ -130,7 +140,6 @@ class SpectrumReport:
     ess_spectrum_gap: float | None
     n_unstable: int | None = None
     symmetry_defect: float | None = None
-    blocks: TildeLBlocks | None = None  # JL only: the blocks its count used
 
 
 @dataclass(frozen=True)
@@ -196,7 +205,7 @@ def discrete_spectrum_tilde_L(
     even).  Built here, the blocks are the half-size S part_i S on the
     standing branch, where R is orthogonal, and Lt's two-component blocks
     on every other wave; each takes eigenvalues only.  Blocks passed in, as
-    a JL report carries them, are reused with their odd eigenvalues: on a
+    the verdict builds them, are reused with their odd eigenvalues: on a
     split wave, standing or free, the eigenvalues classified are then those
     of the congruent I + p_i K (TildeLBlocks), which carry Lt's inertia
     (Sylvester's law) but not its eigenvalues.  zero_tol defaults to 1e-6
@@ -291,9 +300,9 @@ def _shared_reduced_matrix(blocks: TildeLBlocks, xi: np.ndarray) -> np.ndarray:
     return reduced
 
 
-def _squared_eigenvalues(grid: Grid, blocks: TildeLBlocks) -> np.ndarray | None:
-    """Eigenvalues mu = lambda^2 of JL off J's kernel, or None when the odd
-    block of Lt is indefinite.
+def _negated_reduced_matrix(grid: Grid, blocks: TildeLBlocks) -> np.ndarray | None:
+    """-M = Q^T G Q, whose eigenvalues are minus the mu = lambda^2 of JL off
+    J's kernel, or None when the odd block of Lt is indefinite.
 
     With the odd blocks Q_i Q_i^T semidefinite the mu are the eigenvalues of
     the symmetric M = -Q^T G Q, Q = blockdiag(Q_i), so each is real and
@@ -307,31 +316,38 @@ def _squared_eigenvalues(grid: Grid, blocks: TildeLBlocks) -> np.ndarray | None:
     if values[0] < -floor:
         return None
     reduce = _reduced_matrix if blocks.p is None else _shared_reduced_matrix
-    reduced = reduce(blocks, parity_wavenumbers(grid)[1:-1])
-    return -_symmetric_eigen(np.linalg.eigvalsh, reduced)
+    return reduce(blocks, parity_wavenumbers(grid)[1:-1])
 
 
-def unstable_modes_JL(
+def _below_shift(reduced: np.ndarray, shift: float) -> bool:
+    """Whether every mu lies below shift: a Cholesky factorization of
+    -M + shift I completes (Sylvester's law; Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, ch. 10).  reduced is -M; its diagonal is
+    shifted in place and restored exactly."""
+    diagonal = np.diag_indices_from(reduced)
+    saved = reduced[diagonal]
+    reduced[diagonal] += shift
+    try:
+        np.linalg.cholesky(reduced)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        reduced[diagonal] = saved
+    return True
+
+
+def _jl_report(
     params: AbcParameters,
     spec: WaveSpec,
     wave: SampledWave,
     grid: Grid,
-    re_tol: float = 1e-6,
-    essential_gap: bool = True,
+    reduced: np.ndarray | None,
+    re_tol: float,
+    essential_gap: bool,
 ) -> SpectrumReport:
-    """Eigenvalues of JL; counts modes with real part above re_tol.
-
-    From the blocks of _tilde_L_blocks (Lt's own, or K's on a split wave),
-    which the report carries on: +-sqrt(mu)
-    for the mu of _squared_eigenvalues and the zeros of J's even kernel
-    (constants and Nyquist modes), or, when the odd block is indefinite, a
-    full eigensolve of JL from its parity blocks.  The discretized essential
-    spectrum sits on the imaginary axis up to round-off, so re_tol = 1e-6
-    cleanly separates genuine growth rates.
-    """
-    blocks = _tilde_L_blocks(params, spec, wave, grid)
-    squares = _squared_eigenvalues(grid, blocks)
-    if squares is None:
+    """Every eigenvalue of JL, from -M when there is one (+-sqrt(mu) and the
+    zeros of J's even kernel) and else from JL's parity blocks."""
+    if reduced is None:
         jl = assemble_JL(params, spec, wave, grid)
         even_size, odd_size = len(jl.odd), len(jl.even)
         matrix = np.block(
@@ -342,6 +358,7 @@ def unstable_modes_JL(
         except np.linalg.LinAlgError as exc:
             raise EigensolveFailure(f"general eigensolve failed: {exc}") from exc
     else:
+        squares = -_symmetric_eigen(np.linalg.eigvalsh, reduced)
         roots = np.sqrt(squares.astype(complex))
         # J's even kernel: the constants and Nyquist modes of both components
         kernel = np.zeros(grid.n_points + 2 - len(squares), dtype=complex)
@@ -356,8 +373,28 @@ def unstable_modes_JL(
         ess_spectrum_gap=_subsonic_gap(params, spec, grid) if essential_gap else None,
         n_unstable=int(np.sum(eigenvalues.real > re_tol)),
         symmetry_defect=hamiltonian_symmetry_defect(eigenvalues),
-        blocks=blocks,
     )
+
+
+def unstable_modes_JL(
+    params: AbcParameters,
+    spec: WaveSpec,
+    wave: SampledWave,
+    grid: Grid,
+    re_tol: float = 1e-6,
+    essential_gap: bool = True,
+) -> SpectrumReport:
+    """Eigenvalues of JL; counts modes with real part above re_tol.
+
+    From the blocks of _tilde_L_blocks (Lt's own, or K's on a split wave):
+    +-sqrt(mu) for the eigenvalues mu of M (_negated_reduced_matrix) and the
+    zeros of J's even kernel (constants and Nyquist modes), or, when the odd
+    block is indefinite, a full eigensolve of JL from its parity blocks.  The discretized essential
+    spectrum sits on the imaginary axis up to round-off, so re_tol = 1e-6
+    cleanly separates genuine growth rates.
+    """
+    reduced = _negated_reduced_matrix(grid, _tilde_L_blocks(params, spec, wave, grid))
+    return _jl_report(params, spec, wave, grid, reduced, re_tol, essential_gap)
 
 
 def essential_spectrum_gap(params: AbcParameters, spec: WaveSpec, grid: Grid) -> float:
@@ -402,13 +439,19 @@ def stability_verdict(
     stable       <=  n(Lt) = 1, index < -index_tol, no direct unstable mode
     unstable     <=  index > index_tol or a direct unstable mode exists
     inconclusive <=  |index| <= index_tol, or the inertia assumption fails
+
+    The blocks are built once and their odd block diagonalized once, and
+    the inertia and the direct count both read them.  When re_tol > 0,
+    n(Lt) = 1, the index is below -index_tol and a Cholesky factorization of
+    -M + (re_tol/2)^2 I completes, the direct count is certified (module
+    docstring): n_unstable_direct = 0, and max_real_part is the certified
+    bound re_tol/2, not an eigenvalue.  Otherwise M is solved, or JL when
+    the odd block is indefinite, and max_real_part is the largest real part
+    of JL's spectrum.
     """
-    # the blocks are built once and their odd block diagonalized once, with
-    # the eigenvectors the JL count needs; the inertia reuses the blocks, and
-    # the verdict needs no essential-spectrum edge
-    jl_report = unstable_modes_JL(params, spec, wave, grid, re_tol=re_tol, essential_gap=False)
+    blocks = _tilde_L_blocks(params, spec, wave, grid)
     tilde_report = discrete_spectrum_tilde_L(
-        params, spec, wave, grid, zero_tol=zero_tol, essential_gap=False, blocks=jl_report.blocks
+        params, spec, wave, grid, zero_tol=zero_tol, essential_gap=False, blocks=blocks
     )
     report = index_report(params, spec, wave, grid)
     index_value = report.index_value
@@ -423,7 +466,22 @@ def stability_verdict(
     n_tilde = tilde_report.negative_count
     n_index = 1 if index_value < 0 else 0
     parity_rhs = (n_tilde - n_index) % 2
-    n_unstable = jl_report.n_unstable or 0
+
+    reduced = _negated_reduced_matrix(grid, blocks)
+    bound = 0.5 * re_tol
+    # a negative re_tol counts J's kernel and the imaginary pairs too, which
+    # no bound on mu certifies, and re_tol = 0 leaves no room for a shift
+    if (
+        re_tol > 0
+        and index_sign == "neg"
+        and n_tilde == 1
+        and reduced is not None
+        and _below_shift(reduced, bound * bound)
+    ):
+        n_unstable, max_real_part = 0, bound
+    else:
+        jl_report = _jl_report(params, spec, wave, grid, reduced, re_tol, essential_gap=False)
+        n_unstable, max_real_part = jl_report.n_unstable, jl_report.max_real_part
 
     if index_sign == "pos" or n_unstable > 0:
         verdict = "unstable"
@@ -439,6 +497,6 @@ def stability_verdict(
         n_unstable_direct=n_unstable,
         verdict=verdict,
         index_value=index_value,
-        max_real_part=jl_report.max_real_part or 0.0,
+        max_real_part=max_real_part,
         index_report=report,
     )

@@ -10,8 +10,13 @@ A, and to_physical takes assembled blocks back to the grid.
 The standing-branch references work with f = (1 - b dxx) phi itself: the
 exact kdv preimage of f, and one even-block solve with f as the single
 right-hand side (on the library's blocks), which the coefficient triples of
-pulsestab.index_count must reproduce at every b.
+pulsestab.index_count must reproduce at every b.  The closed forms behind
+the kdv part (the inner products of phi, phi_a and phi'', and
+<kdv^(-1) f, f> itself) and the trapezoid inner product live here too.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +26,7 @@ from pulsestab.discretization import (
     parity_coefficients,
     standing_wave_profile,
 )
-from pulsestab.index_count import standing_wave_a_derivative
+from pulsestab.errors import DomainError
 
 
 def multiplier_matrix(grid, symbol):
@@ -134,6 +139,67 @@ def to_physical(grid, blocks):
         return even if len(block) == even.shape[1] else odd
 
     return image(blocks.even) @ blocks.even @ even.T + image(blocks.odd) @ blocks.odd @ odd.T
+
+
+def inner_product(u, v, grid):
+    """Quadrature inner product 2L/N * sum(u_j v_j)."""
+    if len(u) != len(v):
+        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
+    return float(grid.quad_weight * np.dot(u, v))
+
+
+@dataclass(frozen=True)
+class InnerProductTable:
+    """Closed-form inner products of the standing-wave profile phi(x; a).
+
+    phi = -(3/2) sech^2(x / (2 sqrt(-a))), phi_a its derivative in a.
+    """
+
+    phi_a_phi: float  # -3 / (2 sqrt(-a))
+    phi_phipp: float  # -6 / (5 sqrt(-a))
+    phi_a_phipp: float  # -3 / (10 |a| sqrt(-a))
+    phi_phi: float  # 6 sqrt(-a)
+    phipp_phipp: float  # 6 / (7 |a| sqrt(-a))
+
+
+def closed_form_inner_products(a):
+    if not a < 0:
+        raise DomainError(f"a must be negative, got {a}")
+    sa = math.sqrt(-a)
+    return InnerProductTable(
+        phi_a_phi=-1.5 / sa,
+        phi_phipp=-1.2 / sa,
+        phi_a_phipp=-0.3 / ((-a) * sa),
+        phi_phi=6.0 * sa,
+        phipp_phipp=6.0 / (7.0 * (-a) * sa),
+    )
+
+
+def standing_wave_a_derivative(a, grid):
+    """Analytic derivative in a of the standing-wave profile.
+
+    d/da [-(3/2) sech^2(lam(a) x)] = 3 lam'(a) x sech^2(lam x) tanh(lam x)
+    with lam = 1 / (2 sqrt(-a)), lam' = 1 / (4 (-a)^(3/2)).
+    """
+    if not a < 0:
+        raise DomainError(f"a must be negative, got {a}")
+    lam = 1.0 / (2.0 * math.sqrt(-a))
+    lam_a = 1.0 / (4.0 * (-a) ** 1.5)
+    x = grid.nodes
+    return 3.0 * lam_a * x / np.cosh(lam * x) ** 2 * np.tanh(lam * x)
+
+
+def kdv_index_closed_form(a, b):
+    """Closed form sqrt(-a) (-9/2 - 3 z + (3/10) z^2), z = b / (-a).
+
+    Follows from the exact preimage (a + b) phi_a - phi paired with
+    f = phi - b phi'' through the inner-product table; cross-validated by
+    the even-block numeric solve to spectral accuracy.
+    """
+    if not (a < 0 and b > 0):
+        raise DomainError(f"need a < 0 and b > 0, got a={a}, b={b}")
+    z = b / (-a)
+    return math.sqrt(-a) * (-4.5 - 3.0 * z + 0.3 * z * z)
 
 
 def standing_rhs(a, b, grid):

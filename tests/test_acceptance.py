@@ -28,7 +28,6 @@ from conftest import make_case1, make_standing
 from pulsestab.discretization import (
     build_grid,
     derivative_of_samples,
-    inner_product,
     standing_wave_profile,
 )
 from pulsestab.errors import NoSignChange
@@ -36,13 +35,11 @@ from pulsestab.hill import case1_diagonal_reduction, hill_spectrum_closed_form
 from pulsestab.index_count import (
     case1_index_closed_form,
     case2_index,
-    closed_form_inner_products,
     critical_ratio_bisection,
     general_index_numeric,
     index_lower_bound_poly,
     index_upper_bound_poly,
     kdv_index_numeric,
-    standing_wave_a_derivative,
 )
 from pulsestab.spectra import (
     discrete_spectrum_tilde_L,
@@ -51,6 +48,7 @@ from pulsestab.spectra import (
     unstable_modes_JL,
 )
 from pulsestab.waves import traveling_residual
+from reference import closed_form_inner_products, inner_product, standing_wave_a_derivative
 
 CASE1_ETAS = [-2.2, -1.75, -1.2, -0.8, -0.3]
 CASE1_BS = [0.5, 1.0, 2.0]

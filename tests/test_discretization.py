@@ -15,7 +15,6 @@ from pulsestab.discretization import (
     assemble_tilde_L,
     build_grid,
     derivative_of_samples,
-    inner_product,
     parity_coefficients,
     parity_wavenumbers,
     potential_blocks,
@@ -25,7 +24,7 @@ from pulsestab.discretization import (
 from pulsestab.errors import DomainError, InvalidGrid, ReflectionDefect
 from pulsestab.hill import HillSpec, case1_diagonal_reduction
 from pulsestab.waves import AbcParameters, WaveSpec, sample_wave
-from reference import smoother_power, spectral_derivative, to_physical
+from reference import inner_product, smoother_power, spectral_derivative, to_physical
 
 
 def block_eigenvalues(blocks):

@@ -11,7 +11,6 @@ from pulsestab.discretization import (
     apply_multiplier,
     build_grid,
     derivative_of_samples,
-    inner_product,
     standing_wave_profile,
 )
 from pulsestab.errors import (
@@ -24,19 +23,22 @@ from pulsestab.errors import (
 from pulsestab.index_count import (
     case1_index_closed_form,
     case2_index,
-    closed_form_inner_products,
     critical_ratio_bisection,
     general_index_numeric,
     hill_index_numeric,
     index_lower_bound_poly,
     index_report,
     index_upper_bound_poly,
-    kdv_index_closed_form,
     kdv_index_numeric,
     standing_quadratic,
-    standing_wave_a_derivative,
 )
 from pulsestab.waves import AbcParameters, resolve_wave_parameters, sample_wave
+from reference import (
+    closed_form_inner_products,
+    inner_product,
+    kdv_index_closed_form,
+    standing_wave_a_derivative,
+)
 
 
 @pytest.fixture(scope="module")

@@ -411,19 +411,79 @@ def test_standalone_jl_report_keeps_the_essential_gap(case1_eta_minus1):
 
 
 @pytest.mark.parametrize(
-    "make", [lambda n: make_standing(b=4.0, n=n), lambda n: make_case1(-1.0, n=n)],
-    ids=["standing", "free"],
+    "make, n, certified",
+    [
+        pytest.param(lambda n: make_standing(b=4.0, n=n), 512, True, id="standing"),
+        pytest.param(lambda n: make_case1(-1.0, n=n), 512, True, id="free"),
+        # unstable by index: the certificate is not tried
+        pytest.param(
+            lambda n: make_standing(b=12.0, n=n, lfac=50.0), 512, False, id="standing-index-pos"
+        ),
+        # the unresolved translation pair fails the certificate, and the
+        # full count keeps its spurious unstable mode
+        pytest.param(lambda n: make_standing(b=4.0, n=n), 128, False, id="standing-n128"),
+    ],
 )
-def test_split_verdict_diagonalizes_the_shared_potential_once(monkeypatch, make):
+def test_split_verdict_diagonalizes_the_shared_potential_once(monkeypatch, make, n, certified):
     # both split parts are I + p_i K: one eigh of K's odd block (N/2 - 1
-    # rows) and one eigvalsh of its even block (N/2 + 1) serve both, and the
-    # one solve left at N - 2 is M of the JL count
-    n = 512
-    shapes = {
-        name: solve_shapes(monkeypatch, name) for name in ("eigh", "eigvalsh", "eigvals")
-    }
+    # rows) and one eigvalsh of its even block (N/2 + 1) serve both.  At
+    # N - 2 a stable verdict factors -M + (re_tol/2)^2 I once and, when that
+    # certifies, solves nothing else; every other verdict solves M
+    names = ("eigh", "eigvalsh", "eigvals", "cholesky")
+    shapes = {name: solve_shapes(monkeypatch, name) for name in names}
     params, spec, grid, wave = make(n)
-    stability_verdict(params, spec, wave, grid)
+    verdict = stability_verdict(params, spec, wave, grid)
+    reduced = (n - 2,) * 2
+    # the standing index's Hill Cholesky factorizations have other sizes
+    factored = [shape for shape in shapes["cholesky"] if shape == reduced]
     assert shapes["eigh"] == [(n // 2 - 1,) * 2]
-    assert sorted(shapes["eigvalsh"]) == [(n // 2 + 1,) * 2, (n - 2,) * 2]
     assert shapes["eigvals"] == []
+    if certified:
+        assert factored == [reduced]
+        assert shapes["eigvalsh"] == [(n // 2 + 1,) * 2]
+        assert (verdict.verdict, verdict.n_unstable_direct) == ("stable", 0)
+        assert verdict.max_real_part == 0.5e-6
+        return
+    assert factored == ([] if verdict.index_sign == "pos" else [reduced])
+    assert sorted(shapes["eigvalsh"]) == [(n // 2 + 1,) * 2, reduced]
+    assert (verdict.verdict, verdict.n_unstable_direct) == ("unstable", 1)
+    assert verdict.max_real_part > 1e-6
+
+
+def test_verdict_with_a_negative_re_tol_counts_every_mode(monkeypatch):
+    # re_tol < 0 counts every eigenvalue of JL as unstable, so the verdict
+    # takes the full count, as before the certificate existed
+    params, spec, grid, wave = make_standing(b=4.0, n=512)
+    factored = solve_shapes(monkeypatch, "cholesky")
+    verdict = stability_verdict(params, spec, wave, grid, re_tol=-1e-6)
+    assert (510, 510) not in factored
+    assert (verdict.verdict, verdict.n_unstable_direct) == ("unstable", 2 * 512)
+
+
+@given(
+    case=st.one_of(
+        st.tuples(st.just("standing"), st.floats(min_value=0.5, max_value=14.0)),
+        st.tuples(
+            st.just("free"),
+            st.floats(min_value=-2.2, max_value=-0.1, exclude_min=True, exclude_max=True),
+        ),
+    ),
+    n=st.sampled_from([128, 256, 512]),
+)
+@settings(max_examples=40, deadline=None)
+def test_certified_direct_count_has_no_unstable_mu(case, n):
+    # a completed Cholesky of -M + (re_tol/2)^2 I must mean that the full
+    # eigvalsh of the same M finds no mu above re_tol^2
+    branch, value = case
+    if branch == "standing":
+        params, spec, grid, wave = make_standing(b=value, n=n, lfac=50.0)
+    else:
+        params, spec, grid, wave = make_case1(value, n=n, lfac=50.0)
+    blocks = spectra._tilde_L_blocks(params, spec, wave, grid)
+    reduced = spectra._negated_reduced_matrix(grid, blocks)
+    before = reduced.copy()
+    re_tol = 1e-6
+    certified = spectra._below_shift(reduced, (0.5 * re_tol) ** 2)
+    assert np.array_equal(reduced, before)  # the shift is undone exactly
+    if certified:
+        assert np.max(-np.linalg.eigvalsh(reduced)) <= re_tol**2

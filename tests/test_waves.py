@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_case1, make_standing
-from pulsestab.discretization import build_grid, derivative_of_samples, inner_product
+from pulsestab.discretization import build_grid, derivative_of_samples
 from pulsestab.errors import DomainError, GridTooSmall
 from pulsestab.waves import (
     AbcParameters,
@@ -16,6 +16,7 @@ from pulsestab.waves import (
     sample_wave,
     traveling_residual,
 )
+from reference import inner_product
 
 
 def test_standing_wave_parameters():
