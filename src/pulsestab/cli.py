@@ -8,19 +8,19 @@ Commands
     threshold    bisection for the critical ratio z = b/(-a) (a fixed to -1)
     scan         CSV sweep over eta0 (free-amplitude family) or z (standing)
 
-Single runs emit JSON (identical configs give byte-identical files apart
-from the generated_at field); scans emit CSV.  Exit codes: 0 success,
-2 domain error, 3 solver failure, 4 inconclusive verdict (threshold and
-scan annotate instead of failing).  Flag values override config-file values
-(plain key=value lines) which override defaults; an unreadable config file,
-an unknown key or a value that does not parse is a domain error.  Scan rows
-are evaluated in input order; a row whose verdict raises a solver error is
-written with verdict solver_failure and empty cells for what it could not
-compute, the remaining rows still run, and the scan exits 3.  A domain
-error aborts the scan.  A z scan takes a from --a alone (default -1) and
-evaluates the standing waves c = a, b = z (-a); --b or --c on a z scan is a
-domain error.  threshold fixes a = -1 and bisects over z, so --a, --b, --c,
---eta0 or --sign-branch on it is a domain error.
+Single runs emit JSON (identical configs give byte-identical files apart from
+the generated_at field); scans emit CSV.  Exit codes: 0 success, 2 domain
+error, 3 solver failure, 4 inconclusive verdict (threshold and scan annotate
+instead of failing).  Flag values override config-file values (plain
+key=value lines) which override defaults; an unreadable config file, an
+unknown key, a value that does not parse or a tolerance that is not positive
+and finite is a domain error.  Scan rows are evaluated in input order; a row
+whose verdict raises a solver error is written with verdict solver_failure
+and empty cells for what it could not compute, the remaining rows still run,
+and the scan exits 3.  A domain error aborts the scan.  A z scan takes a from
+--a alone (default -1) and evaluates the standing waves c = a, b = z (-a);
+--b or --c on a z scan is a domain error.  threshold fixes a = -1 and bisects
+over z, so --a, --b, --c, --eta0 or --sign-branch on it is a domain error.
 """
 
 from __future__ import annotations
@@ -410,6 +410,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         re_tol=merged.get("re_tol", 1e-6),
         index_tol=merged.get("index_tol", 1e-6),
     )
+    for key, value in asdict(tolerances).items():
+        if value is not None and not (np.isfinite(value) and value > 0):
+            raise DomainError(f"{key} must be positive and finite, got {value}")
     return RunConfig(
         command=args.command,
         params=params,

@@ -132,13 +132,14 @@ class ParityBlocks:
 
 
 def build_grid(n_points: int, half_length: float) -> Grid:
-    """Build the periodic grid; N must be even and at least 16."""
+    """Build the periodic grid; N must be even and >= 16, L positive with finite nodes."""
     if n_points < 16 or n_points % 2 != 0:
         raise InvalidGrid(f"n_points must be even and >= 16, got {n_points}")
-    if not half_length > 0:
-        raise InvalidGrid(f"half_length must be positive, got {half_length}")
     n = int(n_points)
     L = float(half_length)
+    # the node offsets reach 2 L and the wavenumbers pi (N/2) / L
+    if not (L > 0 and np.isfinite(2.0 * L * n) and np.isfinite(np.pi * n / L)):
+        raise InvalidGrid(f"half_length must be positive with finite nodes, got {half_length}")
     nodes = -L + 2.0 * L * np.arange(n) / n
     wavenumbers = np.pi * np.fft.fftfreq(n, d=1.0 / n) / L
     return Grid(n, L, nodes, wavenumbers, 2.0 * L / n)

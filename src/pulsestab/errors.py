@@ -15,7 +15,7 @@ class DomainError(WorkbenchError):
 
 
 class InvalidGrid(DomainError):
-    """Grid construction arguments are unusable (odd or tiny N, L <= 0)."""
+    """Grid construction arguments are unusable (odd or tiny N, L <= 0 or too extreme)."""
 
 
 class GridTooSmall(DomainError):

@@ -70,6 +70,7 @@ import numpy as np
 
 from .discretization import (
     Grid,
+    ParityBlocks,
     _scalar_parts,
     assemble_JL,
     assemble_tilde_L,
@@ -168,25 +169,36 @@ def _subsonic_gap(params: AbcParameters, spec: WaveSpec, grid: Grid) -> float | 
         return None
 
 
-def _tilde_L_blocks(
+def _verdict_operator(
     params: AbcParameters, spec: WaveSpec, wave: SampledWave, grid: Grid
-) -> TildeLBlocks:
-    """The blocks the verdict classifies, with one eigh of the odd block.
-
-    A wave that discretization.scalar_split splits gives K = C V C, scaled
-    in its potential's own arrays; any other wave assembles Lt.
-    ReflectionDefect if the wave is not even.
-    """
+) -> tuple:
+    """(blocks, R, p, t) of the verdict: K = C V C's blocks, scaled in its
+    potential's own arrays, when discretization.scalar_split splits L, else
+    Lt's with R = I.  ReflectionDefect if the wave is not even."""
     split = scalar_split(params, spec, wave, grid)
     if split is None:
-        lt = assemble_tilde_L(params, spec, wave, grid)
-        return TildeLBlocks(np.eye(2), lt.even, _symmetric_eigen(np.linalg.eigh, lt.odd))
+        return assemble_tilde_L(params, spec, wave, grid), np.eye(2), None, None
     xi2 = parity_wavenumbers(grid) ** 2
     symbol = 1.0 - params.a * xi2
     shared = scale_blocks(split.potential, 1.0 / np.sqrt(symbol))
-    t = np.sqrt(symbol / (1.0 + params.b * xi2))
-    odd_eigen = _symmetric_eigen(np.linalg.eigh, shared.odd)
-    return TildeLBlocks(split.rotation, shared.even, odd_eigen, split.p, t)
+    return shared, split.rotation, split.p, np.sqrt(symbol / (1.0 + params.b * xi2))
+
+
+def _classified(operator: ParityBlocks, rotation: np.ndarray, p, t) -> TildeLBlocks:
+    """The operator's TildeLBlocks, with one eigh of its odd block."""
+    odd_eigen = _symmetric_eigen(np.linalg.eigh, operator.odd)
+    return TildeLBlocks(rotation, operator.even, odd_eigen, p, t)
+
+
+def _tilde_L_blocks(
+    params: AbcParameters, spec: WaveSpec, wave: SampledWave, grid: Grid
+) -> TildeLBlocks:
+    return _classified(*_verdict_operator(params, spec, wave, grid))
+
+
+def _zero_tol(values: np.ndarray, zero_tol: float | None) -> float:
+    """zero_tol, by default 1e-6 times the spectral radius of the values."""
+    return 1e-6 * float(np.max(np.abs(values))) if zero_tol is None else zero_tol
 
 
 def discrete_spectrum_tilde_L(
@@ -195,53 +207,42 @@ def discrete_spectrum_tilde_L(
     wave: SampledWave,
     grid: Grid,
     zero_tol: float | None = None,
-    essential_gap: bool = True,
-    blocks: TildeLBlocks | None = None,
 ) -> SpectrumReport:
     """Full symmetric eigensolve of the symmetrized operator, block by block.
 
     Lt commutes with x -> -x, so its eigenvalues are the sorted union of
     those of its even and odd blocks (ReflectionDefect if the wave is not
-    even).  Built here, the blocks are the half-size S part_i S on the
-    standing branch, where R is orthogonal, and Lt's two-component blocks
-    on every other wave; each takes eigenvalues only.  Blocks passed in, as
-    the verdict builds them, are reused with their odd eigenvalues: on a
-    split wave, standing or free, the eigenvalues classified are then those
-    of the congruent I + p_i K (TildeLBlocks), which carry Lt's inertia
-    (Sylvester's law) but not its eigenvalues.  zero_tol defaults to 1e-6
-    times the spectral radius of the eigenvalues classified; it separates
-    the translational kernel from genuinely small eigenvalues (verified
-    stable under N-refinement).  The essential-spectrum edge is reported
-    when essential_gap is set and the wave is subsonic.
+    even).  The blocks are the half-size S part_i S on the standing branch,
+    where R is orthogonal, and Lt's two-component blocks on every other
+    wave; each takes eigenvalues only.  zero_tol defaults to 1e-6 times the
+    spectral radius; it separates the translational kernel from genuinely
+    small eigenvalues (verified stable under N-refinement).  The
+    essential-spectrum edge is reported when the wave is subsonic.
     """
-    if blocks is None:
-        split = scalar_split(params, spec, wave, grid) if spec.w == 0 else None
-        if split is None:
-            pieces = [assemble_tilde_L(params, spec, wave, grid)]
-        else:
-            s = smoothing_diagonal(params.b, grid)
-            parts = _scalar_parts(params.a, grid, split.potential, split.p)
-            pieces = [scale_blocks(part, s) for part in parts]
-        even_values = [_symmetric_eigen(np.linalg.eigvalsh, piece.even) for piece in pieces]
-        odd_values = [_symmetric_eigen(np.linalg.eigvalsh, piece.odd) for piece in pieces]
+    split = scalar_split(params, spec, wave, grid) if spec.w == 0 else None
+    if split is None:
+        pieces = [assemble_tilde_L(params, spec, wave, grid)]
     else:
-        even_values, odd_values = [blocks.even_values()], [blocks.odd_values]
+        s = smoothing_diagonal(params.b, grid)
+        parts = _scalar_parts(params.a, grid, split.potential, split.p)
+        pieces = [scale_blocks(part, s) for part in parts]
+    even_values = [_symmetric_eigen(np.linalg.eigvalsh, piece.even) for piece in pieces]
+    odd_values = [_symmetric_eigen(np.linalg.eigvalsh, piece.odd) for piece in pieces]
     eigenvalues = np.sort(np.concatenate(even_values + odd_values))
-    if zero_tol is None:
-        zero_tol = 1e-6 * max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
+    zero_tol = _zero_tol(eigenvalues, zero_tol)
     return SpectrumReport(
         eigenvalues=eigenvalues,
         negative_count=int(np.sum(eigenvalues < -zero_tol)),
         zero_modes=int(np.sum(np.abs(eigenvalues) <= zero_tol)),
         max_real_part=None,
-        ess_spectrum_gap=_subsonic_gap(params, spec, grid) if essential_gap else None,
+        ess_spectrum_gap=_subsonic_gap(params, spec, grid),
     )
 
 
-def hamiltonian_symmetry_defect(eigenvalues: np.ndarray, re_floor: float = 1e-8) -> float:
+def hamiltonian_symmetry_defect(eigenvalues: np.ndarray) -> float:
     """Largest distance from -conj(lambda) to the spectrum, over eigenvalues
-    with |Re| > re_floor.  Zero for a perfectly symmetric quartet structure."""
-    active = eigenvalues[np.abs(eigenvalues.real) > re_floor]
+    with |Re| > 1e-8.  Zero for a perfectly symmetric quartet structure."""
+    active = eigenvalues[np.abs(eigenvalues.real) > 1e-8]
     if len(active) == 0:
         return 0.0
     defect = 0.0
@@ -336,17 +337,16 @@ def _below_shift(reduced: np.ndarray, shift: float) -> bool:
     return True
 
 
-def _jl_report(
+def _jl_eigenvalues(
     params: AbcParameters,
     spec: WaveSpec,
     wave: SampledWave,
     grid: Grid,
     reduced: np.ndarray | None,
-    re_tol: float,
-    essential_gap: bool,
-) -> SpectrumReport:
-    """Every eigenvalue of JL, from -M when there is one (+-sqrt(mu) and the
-    zeros of J's even kernel) and else from JL's parity blocks."""
+) -> np.ndarray:
+    """Every eigenvalue of JL sorted by (Re, Im), from -M when there is one
+    (+-sqrt(mu) and the zeros of J's even kernel) and else from JL's parity
+    blocks."""
     if reduced is None:
         jl = assemble_JL(params, spec, wave, grid)
         even_size, odd_size = len(jl.odd), len(jl.even)
@@ -363,17 +363,7 @@ def _jl_report(
         # J's even kernel: the constants and Nyquist modes of both components
         kernel = np.zeros(grid.n_points + 2 - len(squares), dtype=complex)
         eigenvalues = np.concatenate([roots, -roots, kernel])
-    order = np.lexsort((eigenvalues.imag, eigenvalues.real))
-    eigenvalues = eigenvalues[order]
-    return SpectrumReport(
-        eigenvalues=eigenvalues,
-        negative_count=int(np.sum(eigenvalues.real < -re_tol)),
-        zero_modes=int(np.sum(np.abs(eigenvalues) <= re_tol)),
-        max_real_part=float(np.max(eigenvalues.real)),
-        ess_spectrum_gap=_subsonic_gap(params, spec, grid) if essential_gap else None,
-        n_unstable=int(np.sum(eigenvalues.real > re_tol)),
-        symmetry_defect=hamiltonian_symmetry_defect(eigenvalues),
-    )
+    return eigenvalues[np.lexsort((eigenvalues.imag, eigenvalues.real))]
 
 
 def unstable_modes_JL(
@@ -382,7 +372,6 @@ def unstable_modes_JL(
     wave: SampledWave,
     grid: Grid,
     re_tol: float = 1e-6,
-    essential_gap: bool = True,
 ) -> SpectrumReport:
     """Eigenvalues of JL; counts modes with real part above re_tol.
 
@@ -394,7 +383,16 @@ def unstable_modes_JL(
     cleanly separates genuine growth rates.
     """
     reduced = _negated_reduced_matrix(grid, _tilde_L_blocks(params, spec, wave, grid))
-    return _jl_report(params, spec, wave, grid, reduced, re_tol, essential_gap)
+    eigenvalues = _jl_eigenvalues(params, spec, wave, grid, reduced)
+    return SpectrumReport(
+        eigenvalues=eigenvalues,
+        negative_count=int(np.sum(eigenvalues.real < -re_tol)),
+        zero_modes=int(np.sum(np.abs(eigenvalues) <= re_tol)),
+        max_real_part=float(np.max(eigenvalues.real)),
+        ess_spectrum_gap=_subsonic_gap(params, spec, grid),
+        n_unstable=int(np.sum(eigenvalues.real > re_tol)),
+        symmetry_defect=hamiltonian_symmetry_defect(eigenvalues),
+    )
 
 
 def essential_spectrum_gap(params: AbcParameters, spec: WaveSpec, grid: Grid) -> float:
@@ -440,8 +438,8 @@ def stability_verdict(
     unstable     <=  index > index_tol or a direct unstable mode exists
     inconclusive <=  |index| <= index_tol, or the inertia assumption fails
 
-    The blocks are built once and their odd block diagonalized once, and
-    the inertia and the direct count both read them.  When re_tol > 0,
+    The blocks are built once; the index, the inertia and the direct count
+    all read them, and their odd block is diagonalized once.  When re_tol > 0,
     n(Lt) = 1, the index is below -index_tol and a Cholesky factorization of
     -M + (re_tol/2)^2 I completes, the direct count is certified (module
     docstring): n_unstable_direct = 0, and max_real_part is the certified
@@ -449,11 +447,11 @@ def stability_verdict(
     the odd block is indefinite, and max_real_part is the largest real part
     of JL's spectrum.
     """
-    blocks = _tilde_L_blocks(params, spec, wave, grid)
-    tilde_report = discrete_spectrum_tilde_L(
-        params, spec, wave, grid, zero_tol=zero_tol, essential_gap=False, blocks=blocks
-    )
-    report = index_report(params, spec, wave, grid)
+    operator, *split = _verdict_operator(params, spec, wave, grid)
+    report = index_report(params, spec, wave, grid, operator)
+    blocks = _classified(operator, *split)
+    # free the odd block: -M reads the even block and odd_eigen alone
+    del operator
     index_value = report.index_value
 
     if index_value < -index_tol:
@@ -463,7 +461,8 @@ def stability_verdict(
     else:
         index_sign = "indeterminate"
 
-    n_tilde = tilde_report.negative_count
+    values = np.concatenate([blocks.even_values(), blocks.odd_values])
+    n_tilde = int(np.sum(values < -_zero_tol(values, zero_tol)))
     n_index = 1 if index_value < 0 else 0
     parity_rhs = (n_tilde - n_index) % 2
 
@@ -480,8 +479,8 @@ def stability_verdict(
     ):
         n_unstable, max_real_part = 0, bound
     else:
-        jl_report = _jl_report(params, spec, wave, grid, reduced, re_tol, essential_gap=False)
-        n_unstable, max_real_part = jl_report.n_unstable, jl_report.max_real_part
+        real = _jl_eigenvalues(params, spec, wave, grid, reduced).real
+        n_unstable, max_real_part = int(np.sum(real > re_tol)), float(np.max(real))
 
     if index_sign == "pos" or n_unstable > 0:
         verdict = "unstable"

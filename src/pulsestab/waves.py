@@ -85,9 +85,9 @@ class AbcParameters:
     def standing_branch(self, spec: WaveSpec) -> bool:
         """True for the standing wave: a = c, eta0 = -3/2, w = 0.
 
-        It selects the standing index route (case2_index) alone; the split
-        of L into scalar parts covers every subsonic a = c wave and is
-        decided in discretization.scalar_split.
+        It selects the standing index route (index_count.standing_quadratic)
+        alone; the split of L into scalar parts covers every subsonic a = c
+        wave and is decided in discretization.scalar_split.
         """
         return self.equal_dispersion and abs(spec.eta0 + 1.5) < 1e-12 and abs(spec.w) < 1e-12
 

@@ -98,8 +98,9 @@ def test_index_command_standing_branch(capsys):
 
 @pytest.mark.parametrize("z", ["1", "4"])
 def test_index_command_evaluates_case2_index_once(capsys, monkeypatch, z):
-    # the verdict's index report is the one the command prints
-    calls = count_calls(monkeypatch, index_count, "case2_index")
+    # the verdict's index report is the one the command prints, from one
+    # pass of the standing route
+    calls = count_calls(monkeypatch, index_count, "standing_quadratic")
     code, _, _ = run_cli(
         capsys, "index", "--a", "-1", "--b", z, "--c", "-1", "--eta0", "-1.5", *FAST
     )
@@ -173,7 +174,7 @@ def test_threshold_reports_the_root_of_the_discrete_index(capsys):
 def test_threshold_factors_each_scalar_operator_once(capsys, monkeypatch, tol):
     # the bisection evaluates the coefficient triples, not fresh solves, and
     # one potential block of phi0 serves both scalar operators
-    assembled = count_calls(monkeypatch, discretization, "assemble_scalar_operator")
+    routes = count_calls(monkeypatch, index_count, "standing_quadratic")
     potentials = count_calls(monkeypatch, discretization, "potential_blocks")
     reports = count_calls(monkeypatch, index_count, "case2_index")
     code, out, _ = run_cli(
@@ -181,7 +182,7 @@ def test_threshold_factors_each_scalar_operator_once(capsys, monkeypatch, tol):
     )
     assert code == 0
     assert json.loads(out)["result"]["evaluations"] > 2
-    assert len(assembled) == 1
+    assert len(routes) == 1
     assert len(potentials) == 1
     assert len(reports) <= 1
 
@@ -371,6 +372,39 @@ def test_bad_config_file_is_domain_error(capsys, tmp_path, line, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("value", ["-1e-6", "0", "nan", "inf"])
+@pytest.mark.parametrize("flag", ["--zero-tol", "--re-tol", "--index-tol"])
+def test_meaningless_tolerance_flag_is_domain_error(capsys, flag, value):
+    code, out, err = run_cli(
+        capsys, "index", "--a", "-1", "--b", "4", "--c", "-1", "--eta0", "-1.5",
+        f"{flag}={value}", *FAST,
+    )
+    assert code == 2
+    assert out == ""
+    assert "must be positive and finite" in err
+
+
+@pytest.mark.parametrize("key", ["zero_tol", "re_tol", "index_tol"])
+def test_meaningless_tolerance_config_key_is_domain_error(capsys, tmp_path, key):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"a = -1\nb = 4\nc = -1\neta0 = -1.5\ngrid_n = 512\n{key} = nan\n")
+    code, out, err = run_cli(capsys, "index", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert f"{key} must be positive and finite" in err
+
+
+@pytest.mark.parametrize("length", ["inf", "1e308"])
+def test_grid_length_without_finite_nodes_is_domain_error(capsys, length):
+    code, out, err = run_cli(
+        capsys, "index", "--a", "-1", "--b", "4", "--c", "-1", "--eta0", "-1.5",
+        "--grid-len", length, *FAST,
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite nodes" in err
 
 
 def test_output_file_written(capsys, tmp_path):

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
-from conftest import make_case1, make_standing
-from pulsestab import index_count
+from conftest import make_case1, make_general, make_standing
+from pulsestab import index_count, spectra
 from pulsestab.discretization import (
-    ParityBlocks,
     apply_multiplier,
     build_grid,
     derivative_of_samples,
+    parity_wavenumbers,
+    potential_blocks,
+    scale_blocks,
     standing_wave_profile,
 )
 from pulsestab.errors import (
@@ -161,7 +165,7 @@ def test_hill_projection_coefficient_and_remainder(standing_grid):
         assert lower - 1e-9 < hill_part <= upper + 1e-9
 
 
-def test_hill_positive_definiteness_checked_on_both_parity_blocks(monkeypatch, standing_grid):
+def test_hill_positive_definiteness_checked_on_both_parity_blocks(standing_grid):
     # a negative direction along the odd phi' leaves the even block, which the
     # solve uses, positive definite; the Cholesky of the odd block refuses it
     grid = standing_grid
@@ -169,16 +173,13 @@ def test_hill_positive_definiteness_checked_on_both_parity_blocks(monkeypatch, s
     odd /= np.linalg.norm(odd)
     _, sine_basis = reference.parity_basis(grid)
     odd_coefficients = sine_basis.T @ odd  # the rank-one term lies in the odd block
-    assemble = index_count.assemble_scalar_operator
-
-    def indefinite(a, grid):
-        kdv, hill = assemble(a, grid)
-        perturbed = hill.odd - 10.0 * np.outer(odd_coefficients, odd_coefficients)
-        return kdv, ParityBlocks(hill.even, perturbed)
-
-    monkeypatch.setattr(index_count, "assemble_scalar_operator", indefinite)
+    phi0 = standing_wave_profile(-1.0, grid)
+    c = 1.0 / np.sqrt(1.0 + parity_wavenumbers(grid) ** 2)  # C = (1 - dxx)^(-1/2) at a = -1
+    shared = scale_blocks(potential_blocks(grid, phi0), c)
+    # the hill part is I - K, so its odd block loses 10 along phi'
+    shared.odd[...] += 10.0 * np.outer(odd_coefficients, odd_coefficients)
     with pytest.raises(SolveFailure):
-        hill_index_numeric(-1.0, 1.0, grid)
+        standing_quadratic(-1.0, grid, shared)
 
 
 def numeric_route(name, standing_grid, case1):
@@ -318,12 +319,16 @@ def test_general_index_matches_case2(z):
 
 def test_index_report_routes(standing_z1, case1_eta_minus1):
     # z = 1 is on both closed-form branches; the standing route takes it
+    def verdict_report(params, spec, wave, grid):
+        operator, *_ = spectra._verdict_operator(params, spec, wave, grid)
+        return index_report(params, spec, wave, grid, operator)
+
     params, spec, grid, wave = standing_z1
-    standing = index_report(params, spec, wave, grid)
+    standing = verdict_report(params, spec, wave, grid)
     assert standing == case2_index(params.a, params.b, grid)
     assert standing.lower_bound_3I == pytest.approx(-54.0)
     params, spec, grid, wave = case1_eta_minus1
-    free = index_report(params, spec, wave, grid)
+    free = verdict_report(params, spec, wave, grid)
     assert free.method == "closed_form"
     assert free.index_value == case1_index_closed_form(-1.0, 1.0)
     assert free.lower_bound_3I is None
@@ -332,7 +337,7 @@ def test_index_report_routes(standing_z1, case1_eta_minus1):
     spec = resolve_wave_parameters(params, -1.125)
     grid = build_grid(256, 40.0 / spec.lam)
     wave = sample_wave(spec, grid)
-    general = index_report(params, spec, wave, grid)
+    general = verdict_report(params, spec, wave, grid)
     assert general.method == "numeric"
     assert general.index_value == general_index_numeric(params, spec, wave, grid)
     assert general.kdv_part is None
@@ -353,13 +358,13 @@ def test_general_index_kernel_defect_raised(monkeypatch, case1_eta_minus1):
     params, spec, grid, wave = case1_eta_minus1
     # contaminate the RHS with an odd component so it overlaps the kernel; a
     # wave with an odd part is refused earlier, as a ReflectionDefect
-    general_rhs = index_count._general_rhs
+    gram = index_count._gram
 
-    def contaminated(params, wave, grid):
-        rhs = general_rhs(params, wave, grid)
-        return rhs + 0.05 * reference.translation_mode(wave)
+    def contaminated(grid, block, columns, scale):
+        (rhs,) = columns
+        return gram(grid, block, [rhs + 0.05 * reference.translation_mode(wave)], scale)
 
-    monkeypatch.setattr(index_count, "_general_rhs", contaminated)
+    monkeypatch.setattr(index_count, "_gram", contaminated)
     with pytest.raises(KernelDefect):
         general_index_numeric(params, spec, wave, grid)
 
@@ -448,3 +453,40 @@ def test_bound_polynomials_change_sign_at_analytic_roots():
     assert index_lower_bound_poly(unstable_edge) == pytest.approx(0.0, abs=1e-10)
     assert index_upper_bound_poly(stable_edge - 1e-6) < 0
     assert index_lower_bound_poly(unstable_edge + 1e-6) > 0
+
+@given(
+    a=st.floats(min_value=-3.0, max_value=-0.3),
+    z=st.floats(min_value=0.5, max_value=14.0),
+    n=st.sampled_from([128, 256, 512]),
+)
+@settings(max_examples=40, deadline=None)
+def test_verdict_index_from_its_own_blocks_matches_the_scalar_pair(a, z, n):
+    # the verdict reads the index from K = C V C of its own wave; the
+    # standalone route assembles the scalar pair at phi0, and the reference
+    # solves each scalar operator with f itself
+    params, spec, grid, wave = make_standing(a=a, b=z * -a, n=n, lfac=50.0)
+    report = spectra.stability_verdict(params, spec, wave, grid).index_report
+    standalone = case2_index(a, z * -a, grid)
+    scale = (8.0 * abs(standalone.kdv_part) + abs(standalone.hill_part)) / 3.0
+    assert abs(report.index_value - standalone.index_value) <= 1e-12 * scale
+    parts = np.array(reference.standing_index_parts(a, z * -a, grid))
+    got = np.array([report.kdv_part, report.hill_part])
+    assert np.linalg.norm(got - parts) <= 1e-12 * np.linalg.norm(parts)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [make_general, lambda n: make_case1(-2.6, n=n, lfac=50.0)],
+    ids=["a-ne-c", "free-supersonic"],
+)
+def test_general_index_from_lt_matches_the_physical_solve(make):
+    params, spec, grid, wave = make(256)
+    operator, *_ = spectra._verdict_operator(params, spec, wave, grid)
+    report = index_report(params, spec, wave, grid, operator)
+    even, _ = reference.parity_basis(grid, 2)
+    smoother = reference.smoother_power(grid, params.b, 1.0)
+    rhs = even.T @ np.concatenate([smoother @ wave.psi, smoother @ wave.phi])
+    lop = even.T @ reference.system_operator_L(params, spec, wave, grid) @ even
+    expected = grid.quad_weight * np.linalg.solve(lop, rhs) @ rhs
+    assert report.method == "numeric"
+    assert report.index_value == pytest.approx(expected, rel=1e-12)

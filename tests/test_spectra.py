@@ -373,13 +373,12 @@ def test_verdict_assembles_lt_only_unsplit_and_skips_the_essential_gap(
 
 
 @pytest.mark.parametrize(
-    "case, built", [("standing_z1", 2), ("case1_eta_minus1", 1), ("general", 4)]
+    "case, built", [("standing_z1", 1), ("case1_eta_minus1", 1), ("general", 2)]
 )
 def test_verdict_potential_block_count(monkeypatch, case, built):
-    # standing: phi for the split L behind Lt and phi0 for the scalar pair of
-    # the index; free amplitude: phi for the split L behind Lt and a
-    # closed-form index; general: psi and phi for Lt and again for the
-    # index's L
+    # standing: phi for the split L behind Lt, whose K the index reads too;
+    # free amplitude: phi for the split L behind Lt and a closed-form index;
+    # general: psi and phi for Lt, whose even block the index solves
     params, spec, grid, wave = WAVE_CASES[case](256)
     calls = count_calls(monkeypatch, discretization, "potential_blocks")
     stability_verdict(params, spec, wave, grid)
