@@ -20,8 +20,7 @@ from pulsestab import (
     AbcParameters,
     build_grid,
     resolve_wave_parameters,
-    sample_wave,
-    stability_verdict,
+    scan_verdicts,
 )
 
 
@@ -36,12 +35,14 @@ def main() -> None:
     args = parser.parse_args()
 
     params = AbcParameters(a=-args.b, b=args.b, c=-args.b)
+    etas = np.linspace(args.eta_min, args.eta_max, args.steps)
+    specs = [resolve_wave_parameters(params, float(eta0)) for eta0 in etas]
+    # the rows share one grid and one eigenbasis of K, as in `pulsestab scan`
+    grid = build_grid(args.grid_n, 50.0 / specs[0].lam)
     rows = []
-    for eta0 in np.linspace(args.eta_min, args.eta_max, args.steps):
-        spec = resolve_wave_parameters(params, float(eta0))
-        grid = build_grid(args.grid_n, 50.0 / spec.lam)
-        wave = sample_wave(spec, grid)
-        verdict = stability_verdict(params, spec, wave, grid)
+    for eta0, spec, verdict in zip(etas, specs, scan_verdicts([(params, s) for s in specs], grid)):
+        if isinstance(verdict, Exception):
+            raise verdict
         rows.append(
             (eta0, spec.w, verdict.n_tilde_L, verdict.index_value,
              verdict.max_real_part, verdict.verdict)

@@ -19,7 +19,7 @@ from .index_count import (
     index_upper_bound_poly,
     standing_quadratic,
 )
-from .spectra import stability_verdict
+from .spectra import scan_verdicts, stability_verdict
 from .waves import AbcParameters, resolve_wave_parameters, sample_wave
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "index_upper_bound_poly",
     "resolve_wave_parameters",
     "sample_wave",
+    "scan_verdicts",
     "stability_verdict",
     "standing_quadratic",
 ]

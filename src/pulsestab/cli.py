@@ -14,10 +14,12 @@ error, 3 solver failure, 4 inconclusive verdict (threshold and scan annotate
 instead of failing).  Flag values override config-file values (plain
 key=value lines) which override defaults; an unreadable config file, an
 unknown key, a value that does not parse or a tolerance that is not positive
-and finite is a domain error.  Scan rows are evaluated in input order; a row
-whose verdict raises a solver error is written with verdict solver_failure
-and empty cells for what it could not compute, the remaining rows still run,
-and the scan exits 3.  A domain error aborts the scan.  A z scan takes a from
+and finite is a domain error.  Scan rows are evaluated in input order, on
+one grid built from the first row's width, and share what they can of one
+verdict (spectra.scan_verdicts); a row whose verdict raises a solver error,
+or whose shared basis did, is written with verdict solver_failure and empty
+cells for what it could not compute, the remaining rows still run, and the
+scan exits 3.  A domain error aborts the scan.  A z scan takes a from
 --a alone (default -1) and evaluates the standing waves c = a, b = z (-a);
 --b or --c on a z scan is a domain error.  threshold fixes a = -1 and bisects
 over z, so --a, --b, --c, --eta0 or --sign-branch on it is a domain error.
@@ -39,8 +41,19 @@ from . import __version__
 from .discretization import Grid, build_grid
 from .errors import DomainError, SolverError, WorkbenchError
 from .index_count import critical_ratio_bisection
-from .spectra import discrete_spectrum_tilde_L, stability_verdict, unstable_modes_JL
-from .waves import AbcParameters, resolve_wave_parameters, sample_wave, traveling_residual
+from .spectra import (
+    discrete_spectrum_tilde_L,
+    scan_verdicts,
+    stability_verdict,
+    unstable_modes_JL,
+)
+from .waves import (
+    AbcParameters,
+    WaveSpec,
+    resolve_wave_parameters,
+    sample_wave,
+    traveling_residual,
+)
 
 SCHEMA_VERSION = 1
 
@@ -54,7 +67,7 @@ CSV_COLUMNS = [
     "verdict",
 ]
 
-# verdict of a scan row whose stability_verdict raised SolverError
+# verdict of a scan row whose verdict raised SolverError
 SOLVER_FAILURE = "solver_failure"
 
 
@@ -99,10 +112,6 @@ def _resolved(config: RunConfig):
     return spec, grid, sample_wave(spec, grid)
 
 
-def _verdict(config: RunConfig, spec, grid: Grid, wave):
-    return stability_verdict(config.params, spec, wave, grid, **asdict(config.tolerances))
-
-
 def cmd_wave(config: RunConfig) -> tuple[dict, int]:
     spec, grid, wave = _resolved(config)
     r1, r2 = traveling_residual(wave, spec, config.params)
@@ -144,7 +153,8 @@ def cmd_jl_spectrum(config: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_index(config: RunConfig) -> tuple[dict, int]:
-    verdict = _verdict(config, *_resolved(config))
+    spec, grid, wave = _resolved(config)
+    verdict = stability_verdict(config.params, spec, wave, grid, **asdict(config.tolerances))
     fields = asdict(verdict)
     result = {"index_report": fields.pop("index_report"), "verdict": fields}
     return result, 4 if verdict.verdict == "inconclusive" else 0
@@ -175,27 +185,29 @@ def _scan_values(config: RunConfig) -> np.ndarray:
     return np.linspace(config.scan_from, config.scan_to, config.scan_steps)
 
 
-def _scan_row(config: RunConfig, value: float) -> dict:
+def _scan_point(config: RunConfig, value: float) -> tuple[AbcParameters, WaveSpec]:
+    if config.params is None:
+        raise DomainError("this command requires --a, --b, --c and --eta0")
     if config.scan_param == "eta0":
-        config = replace(config, eta0=float(value))
+        params, eta0 = config.params, float(value)
     else:  # z scan: standing waves at a = c, b = z (-a)
-        params = replace(config.params, b=float(value) * -config.params.a)
-        config = replace(config, params=params, eta0=-1.5)
-    spec, grid, wave = _resolved(config)
-    try:
-        verdict = _verdict(config, spec, grid, wave)
-    except SolverError as exc:
-        print(f"solver failure at {config.scan_param} = {value:.12g}: {exc}", file=sys.stderr)
+        params, eta0 = replace(config.params, b=float(value) * -config.params.a), -1.5
+    return params, resolve_wave_parameters(params, eta0, config.sign_branch)
+
+
+def _scan_row(param: str, value: float, spec: WaveSpec, verdict) -> dict:
+    if isinstance(verdict, SolverError):
+        print(f"solver failure at {param} = {value:.12g}: {verdict}", file=sys.stderr)
         row = dict.fromkeys(CSV_COLUMNS)  # None: an empty cell
-        row.update({config.scan_param: value, "w": spec.w, "verdict": SOLVER_FAILURE})
+        row.update({param: value, "w": spec.w, "verdict": SOLVER_FAILURE})
         return row
-    if config.scan_param == "z":
+    if param == "z":
         lower = verdict.index_report.lower_bound_3I
         upper = verdict.index_report.upper_bound_3I
     else:  # the free-amplitude index is exact, not a bracket
         lower = upper = None
     return {
-        config.scan_param: value,
+        param: value,
         "w": spec.w,
         "n_tilde_L": verdict.n_tilde_L,
         "index_value": verdict.index_value,
@@ -206,10 +218,23 @@ def _scan_row(config: RunConfig, value: float) -> dict:
     }
 
 
-def cmd_scan(config: RunConfig) -> tuple[str, int]:
+def _scan_results(config: RunConfig):
+    """(value, spec, verdict or SolverError) of each scan row, in order."""
     if config.scan_param not in ("eta0", "z"):
         raise DomainError(f"--param must be 'eta0' or 'z', got {config.scan_param}")
-    rows = [_scan_row(config, value) for value in _scan_values(config)]
+    values = _scan_values(config)
+    points = [_scan_point(config, value) for value in values]
+    # every row of a scan has the first row's width up to round-off
+    grid = _make_grid(config, points[0][1].lam)
+    verdicts = scan_verdicts(points, grid, **asdict(config.tolerances))
+    return zip(values, (spec for _, spec in points), verdicts)
+
+
+def cmd_scan(config: RunConfig) -> tuple[str, int]:
+    rows = [
+        _scan_row(config.scan_param, value, spec, verdict)
+        for value, spec, verdict in _scan_results(config)
+    ]
     failed = any(row["verdict"] == SOLVER_FAILURE for row in rows)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

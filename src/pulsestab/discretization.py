@@ -89,6 +89,7 @@ __all__ = [
     "parity_wavenumbers",
     "parity_coefficients",
     "potential_blocks",
+    "splits",
     "scalar_split",
     "assemble_system_operator_L",
     "assemble_tilde_L",
@@ -304,6 +305,12 @@ def _check_samples(wave, grid: Grid) -> None:
         raise DomainError(f"wave sampled on {len(wave.phi)} points, grid has {grid.n_points}")
 
 
+def splits(params, spec) -> bool:
+    """Whether L splits on a wave with psi = B phi sample for sample: the
+    wave is subsonic, a = c, and w = 0 or b = -a."""
+    return params.equal_dispersion and (spec.w == 0 or params.kdv_scaling) and abs(spec.w) < 1.0
+
+
 def scalar_split(params, spec, wave, grid: Grid) -> ScalarSplit | None:
     """The scalar split of L, or None when L does not split.
 
@@ -316,12 +323,7 @@ def scalar_split(params, spec, wave, grid: Grid) -> ScalarSplit | None:
     """
     _check_samples(wave, grid)
     B, w = spec.B, spec.w
-    if not (
-        params.equal_dispersion
-        and (w == 0 or params.kdv_scaling)
-        and abs(w) < 1.0
-        and np.array_equal(wave.psi, B * wave.phi)
-    ):
+    if not (splits(params, spec) and np.array_equal(wave.psi, B * wave.phi)):
         return None
     p, rotation = _component_split(B, w)
     return ScalarSplit(rotation, p, potential_blocks(grid, wave.phi))

@@ -66,6 +66,7 @@ raises IllConditioned.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,8 @@ __all__ = [
     "case2_index",
     "case1_index_closed_form",
     "general_index_numeric",
+    "index_route",
+    "index_source",
     "index_report",
     "critical_ratio_bisection",
 ]
@@ -306,28 +309,17 @@ def general_index_numeric(params: AbcParameters, spec, wave, grid: Grid) -> floa
     return _general_index(params, wave, grid, assemble_tilde_L(params, spec, wave, grid).even)
 
 
-def index_report(
-    params: AbcParameters, spec, wave, grid: Grid, blocks: ParityBlocks
-) -> IndexReport:
-    """The index quantity of one pulse, by the one route its parameters
-    select, from the verdict's blocks: K's when L splits, else Lt's.
-
-    The standing branch (a = c, eta0 = -3/2, w = 0) takes
-    standing_quadratic, on K at phi0 if L does not split, and carries its
-    bounds; otherwise the free-amplitude branch (a = c = -b, eta0 in
-    (-9/4, 0)) takes the closed form; every other pulse, whose L never
-    splits, takes the general solve on Lt's even block.  At the z = 1
-    coincidence, where both branches meet, the standing route wins.
-    """
+def index_route(params: AbcParameters, spec) -> str:
+    """The one route the index of a pulse takes (index_source):
+    "standing", "closed_form" or "numeric"."""
     if params.standing_branch(spec):
-        shared = blocks if len(blocks.even) == grid.n_points // 2 + 1 else None
-        return standing_quadratic(params.a, grid, shared).report(params.ratio_z)
+        return "standing"
     if params.kdv_scaling and -2.25 < spec.eta0 < 0.0:
-        value = case1_index_closed_form(spec.eta0, params.b, spec.sign_branch)
-        method = "closed_form"
-    else:
-        value = _general_index(params, wave, grid, blocks.even)
-        method = "numeric"
+        return "closed_form"
+    return "numeric"
+
+
+def _report(value: float, method: str) -> IndexReport:
     return IndexReport(
         index_value=value,
         kdv_part=None,
@@ -337,6 +329,44 @@ def index_report(
         method=method,
         stable_by_index=value < 0,
     )
+
+
+def _closed_form_report(params: AbcParameters, spec) -> IndexReport:
+    return _report(case1_index_closed_form(spec.eta0, params.b, spec.sign_branch), "closed_form")
+
+
+def index_source(
+    params: AbcParameters, spec, wave, grid: Grid, blocks: ParityBlocks
+) -> Callable[[AbcParameters, object], IndexReport]:
+    """The index report of every pulse on this one's route, as a function
+    of (params, spec), from the verdict's blocks: K's when L splits, else
+    Lt's.
+
+    The standing branch (a = c, eta0 = -3/2, w = 0) solves
+    standing_quadratic here, on K at phi0 if L does not split, and each
+    pulse reports at its own z with the bounds; the free-amplitude branch
+    (a = c = -b, eta0 in (-9/4, 0)) takes the closed form of each pulse;
+    every other pulse, whose L never splits, solves here on Lt's even block
+    and reports for itself alone.  At the z = 1 coincidence, where both
+    branches meet, the standing route wins.
+    """
+    route = index_route(params, spec)
+    if route == "standing":
+        shared = blocks if len(blocks.even) == grid.n_points // 2 + 1 else None
+        quadratic = standing_quadratic(params.a, grid, shared)
+        return lambda params, spec: quadratic.report(params.ratio_z)
+    if route == "closed_form":
+        return _closed_form_report
+    report = _report(_general_index(params, wave, grid, blocks.even), "numeric")
+    return lambda params, spec: report
+
+
+def index_report(
+    params: AbcParameters, spec, wave, grid: Grid, blocks: ParityBlocks
+) -> IndexReport:
+    """The index quantity of one pulse, by the one route its parameters
+    select (index_source), from the verdict's blocks."""
+    return index_source(params, spec, wave, grid, blocks)(params, spec)
 
 
 def critical_ratio_bisection(

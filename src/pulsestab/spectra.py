@@ -60,17 +60,38 @@ when the factorization fails, it solves M as above.  On coarse grids the
 unresolved translation pair has mu > c and fails the factorization, so
 those verdicts are counted as before; the JL spectrum itself always takes
 the full solve.
+
+A verdict runs in two steps, so that the rows of a scan can share the
+first.  verdict_basis is the row-invariant part, built from one pulse, its
+anchor: the blocks, the eigh of the odd one, the eigvalsh of the even one
+and what the index of the rows on the anchor's route reads
+(index_count.index_source).  row_verdict evaluates one row on it: the
+classified values 1 + p_i s kappa, n(Lt), the index, -M from A1 and A2, and
+the certificate or the solve of M.  Every split wave has
+lambda = 1/(2 sqrt(-a)), so on one grid its K is s times the anchor's,
+s = eta0 / anchor eta0.  scan_verdicts lets split rows with the anchor's
+index route and a read the anchor's basis with their own s, p, R and T,
+and rows with the anchor's T its A1 and A2: an eta0 scan on a = c = -b
+shares K's eigenbasis and A1, A2 (T = I), and a z scan (s = 1) shares K,
+its eigenpairs and one StandingQuadratic.  Every other row, the standing
+z = 1 row of an eta0 scan included, builds its own basis, and
+stability_verdict is a scan of one row.  Each row's own lambda strays from
+1/(2 sqrt(-a)) by a few ulps, so a row of a scan and the same pulse alone
+can differ at round-off: counts, verdicts and certified bounds agree, an
+uncertified max_real_part may move in its last digits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .discretization import (
     Grid,
     ParityBlocks,
+    _component_split,
     _scalar_parts,
     assemble_JL,
     assemble_tilde_L,
@@ -78,20 +99,25 @@ from .discretization import (
     scalar_split,
     scale_blocks,
     smoothing_diagonal,
+    splits,
 )
-from .errors import EigensolveFailure, NotSubsonic
-from .index_count import IndexReport, index_report
-from .waves import AbcParameters, SampledWave, WaveSpec
+from .errors import EigensolveFailure, NotSubsonic, SolverError
+from .index_count import IndexReport, index_route, index_source
+from .waves import AbcParameters, SampledWave, WaveSpec, sample_wave
 
 __all__ = [
     "SpectrumReport",
     "StabilityVerdict",
     "TildeLBlocks",
+    "VerdictBasis",
     "discrete_spectrum_tilde_L",
     "unstable_modes_JL",
     "essential_spectrum_gap",
     "hamiltonian_symmetry_defect",
     "stability_verdict",
+    "verdict_basis",
+    "row_verdict",
+    "scan_verdicts",
 ]
 
 
@@ -108,7 +134,8 @@ class TildeLBlocks:
     are then the congruent I + p_i K, with eigenvalues 1 + p_i kappa: they
     carry Lt's inertia (Sylvester's law) but not its eigenvalues, so the
     default radius of zero_tol and the translation eigenvalue d0 are read
-    on their scale.
+    on their scale.  A row of a scan reads its anchor's K with p_i s in
+    place of p_i (module docstring).
     """
 
     rotation: np.ndarray
@@ -117,7 +144,9 @@ class TildeLBlocks:
     p: np.ndarray | None = None
     t: np.ndarray | None = None
 
-    def _classified(self, kappa: np.ndarray) -> np.ndarray:
+    def classified(self, kappa: np.ndarray) -> np.ndarray:
+        """Eigenvalues of the blocks classified, ascending: 1 + p_i kappa
+        over the parts, or kappa itself without p."""
         if self.p is None:
             return kappa
         return np.sort(np.concatenate([1.0 + pk * kappa for pk in self.p]))
@@ -125,11 +154,7 @@ class TildeLBlocks:
     @property
     def odd_values(self) -> np.ndarray:
         """The odd eigenvalues classified, ascending."""
-        return self._classified(self.odd_eigen[0])
-
-    def even_values(self) -> np.ndarray:
-        """The even eigenvalues classified, from one eigvalsh of the even block."""
-        return self._classified(_symmetric_eigen(np.linalg.eigvalsh, self.even))
+        return self.classified(self.odd_eigen[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,10 +203,15 @@ def _verdict_operator(
     split = scalar_split(params, spec, wave, grid)
     if split is None:
         return assemble_tilde_L(params, spec, wave, grid), np.eye(2), None, None
-    xi2 = parity_wavenumbers(grid) ** 2
-    symbol = 1.0 - params.a * xi2
+    symbol = 1.0 - params.a * parity_wavenumbers(grid) ** 2
     shared = scale_blocks(split.potential, 1.0 / np.sqrt(symbol))
-    return shared, split.rotation, split.p, np.sqrt(symbol / (1.0 + params.b * xi2))
+    return shared, split.rotation, split.p, _t_diagonal(params, grid)
+
+
+def _t_diagonal(params: AbcParameters, grid: Grid) -> np.ndarray:
+    """t_k = sqrt((1 - a xi_k^2) / (1 + b xi_k^2)), the diagonal of T = S C^-1."""
+    xi2 = parity_wavenumbers(grid) ** 2
+    return np.sqrt((1.0 - params.a * xi2) / (1.0 + params.b * xi2))
 
 
 def _classified(operator: ParityBlocks, rotation: np.ndarray, p, t) -> TildeLBlocks:
@@ -271,7 +301,9 @@ def _reduced_matrix(blocks: TildeLBlocks, xi: np.ndarray) -> np.ndarray:
     return root.T @ (g @ root)
 
 
-def _shared_reduced_matrix(blocks: TildeLBlocks, xi: np.ndarray) -> np.ndarray:
+def _shared_reduced_matrix(
+    blocks: TildeLBlocks, xi: np.ndarray, products: dict | None = None
+) -> np.ndarray:
     """Q^T G Q = -M of the split parts T (I + p_i K) T, from K's eigenbasis.
 
     Part i's odd block is Q_i Q_i^T with Q_i = T V Delta_i,
@@ -279,12 +311,18 @@ def _shared_reduced_matrix(blocks: TildeLBlocks, xi: np.ndarray) -> np.ndarray:
     sum_a Sigma_ac Sigma_ad D^T T (I + p_a K_e) T D on the inner cosines.
     With X = diag(xi_k t_k^2) V, A1 = X^T X and A2 = X^T K_e X, block (c, d)
     of Q^T G Q is Delta_c (alpha_cd A1 + beta_cd A2) Delta_d for
-    alpha = Sigma^T Sigma and beta = Sigma^T diag(p) Sigma.
+    alpha = Sigma^T Sigma and beta = Sigma^T diag(p) Sigma.  A1 and A2 are
+    read from products when it holds them, and kept there when it is empty.
     """
     kappa, vectors = blocks.odd_eigen
-    x = (xi * blocks.t[1:-1] ** 2)[:, None] * vectors
-    a1 = x.T @ x
-    a2 = x.T @ (blocks.even[1:-1, 1:-1] @ x)
+    if products:
+        a1, a2 = products["a1"], products["a2"]
+    else:
+        x = (xi * blocks.t[1:-1] ** 2)[:, None] * vectors
+        a1 = x.T @ x
+        a2 = x.T @ (blocks.even[1:-1, 1:-1] @ x)
+        if products is not None:
+            products.update(a1=a1, a2=a2)
     sigma = blocks.rotation.T @ _SWAP @ blocks.rotation
     alpha, beta = sigma.T @ sigma, sigma.T @ (blocks.p[:, None] * sigma)
     deltas = [np.sqrt(np.maximum(1.0 + pk * kappa, 0.0)) for pk in blocks.p]
@@ -301,7 +339,9 @@ def _shared_reduced_matrix(blocks: TildeLBlocks, xi: np.ndarray) -> np.ndarray:
     return reduced
 
 
-def _negated_reduced_matrix(grid: Grid, blocks: TildeLBlocks) -> np.ndarray | None:
+def _negated_reduced_matrix(
+    grid: Grid, blocks: TildeLBlocks, products: dict | None = None
+) -> np.ndarray | None:
     """-M = Q^T G Q, whose eigenvalues are minus the mu = lambda^2 of JL off
     J's kernel, or None when the odd block of Lt is indefinite.
 
@@ -310,14 +350,17 @@ def _negated_reduced_matrix(grid: Grid, blocks: TildeLBlocks) -> np.ndarray | No
     carries the absolute round-off eps |M|; _reduced_matrix builds -M for one
     part and _shared_reduced_matrix for split parts.  Odd eigenvalues
     classified within n eps max|D| below zero, over the union of the parts,
-    are round-off of a semidefinite block and count as zero.
+    are round-off of a semidefinite block and count as zero.  products
+    serves _shared_reduced_matrix.
     """
     values = blocks.odd_values
     floor = len(values) * np.finfo(float).eps * np.max(np.abs(values))
     if values[0] < -floor:
         return None
-    reduce = _reduced_matrix if blocks.p is None else _shared_reduced_matrix
-    return reduce(blocks, parity_wavenumbers(grid)[1:-1])
+    xi = parity_wavenumbers(grid)[1:-1]
+    if blocks.p is None:
+        return _reduced_matrix(blocks, xi)
+    return _shared_reduced_matrix(blocks, xi, products)
 
 
 def _below_shift(reduced: np.ndarray, shift: float) -> bool:
@@ -423,35 +466,68 @@ def essential_spectrum_gap(params: AbcParameters, spec: WaveSpec, grid: Grid) ->
     return float(np.min(lower))
 
 
-def stability_verdict(
+@dataclass(frozen=True, eq=False)
+class VerdictBasis:
+    """The row-invariant half of a verdict, built from one pulse, its anchor:
+    the blocks of _verdict_operator with the odd one diagonalized
+    (TildeLBlocks), the eigenvalues of the even one and the index of the
+    rows on the anchor's route (index_count.index_source).  A basis that
+    serves several rows keeps A1 and A2 at the anchor's T in products for
+    the rows that share that T; a single verdict's products is None, so it
+    frees them once -M is built.
+    """
+
+    params: AbcParameters
+    spec: WaveSpec
+    wave: SampledWave
+    grid: Grid
+    blocks: TildeLBlocks
+    even_kappa: np.ndarray
+    index: Callable[[AbcParameters, WaveSpec], IndexReport]
+    products: dict | None = None
+
+
+def verdict_basis(
+    params: AbcParameters, spec: WaveSpec, wave: SampledWave, grid: Grid
+) -> VerdictBasis:
+    """The basis of a verdict: build the blocks, read the index from them,
+    diagonalize the odd block and free it, and take the even eigenvalues."""
+    operator, *split = _verdict_operator(params, spec, wave, grid)
+    index = index_source(params, spec, wave, grid, operator)
+    blocks = _classified(operator, *split)
+    # free the odd block: -M reads the even block and odd_eigen alone
+    del operator
+    even_kappa = _symmetric_eigen(np.linalg.eigvalsh, blocks.even)
+    return VerdictBasis(params, spec, wave, grid, blocks, even_kappa, index)
+
+
+def _row_blocks(basis: VerdictBasis, params: AbcParameters, spec: WaveSpec) -> TildeLBlocks:
+    """The basis's blocks as one row reads them.  A split row with the
+    anchor's route, a and grid has K = s K_anchor, s = eta0 / anchor eta0
+    (every split wave has lambda = 1/(2 sqrt(-a))), so its parts are
+    T (I + p_i s K_anchor) T with its own p, R and T."""
+    blocks = basis.blocks
+    if spec is basis.spec:
+        return blocks
+    p, rotation = _component_split(spec.B, spec.w)
+    t = blocks.t if params.b == basis.params.b else _t_diagonal(params, basis.grid)
+    return TildeLBlocks(
+        rotation, blocks.even, blocks.odd_eigen, p * (spec.eta0 / basis.spec.eta0), t
+    )
+
+
+def row_verdict(
+    basis: VerdictBasis,
     params: AbcParameters,
     spec: WaveSpec,
-    wave: SampledWave,
-    grid: Grid,
     zero_tol: float | None = None,
     re_tol: float = 1e-6,
     index_tol: float = 1e-6,
 ) -> StabilityVerdict:
-    """Combine inertia, index sign, parity, and the direct count.
-
-    stable       <=  n(Lt) = 1, index < -index_tol, no direct unstable mode
-    unstable     <=  index > index_tol or a direct unstable mode exists
-    inconclusive <=  |index| <= index_tol, or the inertia assumption fails
-
-    The blocks are built once; the index, the inertia and the direct count
-    all read them, and their odd block is diagonalized once.  When re_tol > 0,
-    n(Lt) = 1, the index is below -index_tol and a Cholesky factorization of
-    -M + (re_tol/2)^2 I completes, the direct count is certified (module
-    docstring): n_unstable_direct = 0, and max_real_part is the certified
-    bound re_tol/2, not an eigenvalue.  Otherwise M is solved, or JL when
-    the odd block is indefinite, and max_real_part is the largest real part
-    of JL's spectrum.
-    """
-    operator, *split = _verdict_operator(params, spec, wave, grid)
-    report = index_report(params, spec, wave, grid, operator)
-    blocks = _classified(operator, *split)
-    # free the odd block: -M reads the even block and odd_eigen alone
-    del operator
+    """The verdict of one row on a basis: its anchor's, or a row that
+    _basis_key puts with the anchor (see stability_verdict)."""
+    blocks = _row_blocks(basis, params, spec)
+    report = basis.index(params, spec)
     index_value = report.index_value
 
     if index_value < -index_tol:
@@ -461,12 +537,13 @@ def stability_verdict(
     else:
         index_sign = "indeterminate"
 
-    values = np.concatenate([blocks.even_values(), blocks.odd_values])
+    values = np.concatenate([blocks.classified(basis.even_kappa), blocks.odd_values])
     n_tilde = int(np.sum(values < -_zero_tol(values, zero_tol)))
     n_index = 1 if index_value < 0 else 0
     parity_rhs = (n_tilde - n_index) % 2
 
-    reduced = _negated_reduced_matrix(grid, blocks)
+    products = basis.products if blocks.t is basis.blocks.t else None
+    reduced = _negated_reduced_matrix(basis.grid, blocks, products)
     bound = 0.5 * re_tol
     # a negative re_tol counts J's kernel and the imaginary pairs too, which
     # no bound on mu certifies, and re_tol = 0 leaves no room for a shift
@@ -479,7 +556,8 @@ def stability_verdict(
     ):
         n_unstable, max_real_part = 0, bound
     else:
-        real = _jl_eigenvalues(params, spec, wave, grid, reduced).real
+        wave = basis.wave if spec is basis.spec else sample_wave(spec, basis.grid)
+        real = _jl_eigenvalues(params, spec, wave, basis.grid, reduced).real
         n_unstable, max_real_part = int(np.sum(real > re_tol)), float(np.max(real))
 
     if index_sign == "pos" or n_unstable > 0:
@@ -499,3 +577,78 @@ def stability_verdict(
         max_real_part=max_real_part,
         index_report=report,
     )
+
+
+def stability_verdict(
+    params: AbcParameters,
+    spec: WaveSpec,
+    wave: SampledWave,
+    grid: Grid,
+    zero_tol: float | None = None,
+    re_tol: float = 1e-6,
+    index_tol: float = 1e-6,
+) -> StabilityVerdict:
+    """Combine inertia, index sign, parity, and the direct count.
+
+    stable       <=  n(Lt) = 1, index < -index_tol, no direct unstable mode
+    unstable     <=  index > index_tol or a direct unstable mode exists
+    inconclusive <=  |index| <= index_tol, or the inertia assumption fails
+
+    One pulse is a scan of one row: its verdict_basis, then its
+    row_verdict.  The blocks are built once; the index, the inertia and the
+    direct count all read them, and their odd block is diagonalized once.
+    When re_tol > 0, n(Lt) = 1, the index is below -index_tol and a
+    Cholesky factorization of -M + (re_tol/2)^2 I completes, the direct
+    count is certified (module docstring): n_unstable_direct = 0, and
+    max_real_part is the certified bound re_tol/2, not an eigenvalue.
+    Otherwise M is solved, or JL when the odd block is indefinite, and
+    max_real_part is the largest real part of JL's spectrum.
+    """
+    basis = verdict_basis(params, spec, wave, grid)
+    return row_verdict(basis, params, spec, zero_tol, re_tol, index_tol)
+
+
+def _basis_key(params: AbcParameters, spec: WaveSpec) -> tuple | None:
+    """Rows with one key share a basis: split waves on the same index route
+    with the same a.  None for a row that needs a basis of its own."""
+    route = index_route(params, spec)
+    if route == "numeric" or not splits(params, spec):
+        return None
+    return route, params.a
+
+
+def scan_verdicts(
+    rows: Iterable[tuple[AbcParameters, WaveSpec]],
+    grid: Grid,
+    zero_tol: float | None = None,
+    re_tol: float = 1e-6,
+    index_tol: float = 1e-6,
+) -> Iterator[StabilityVerdict | SolverError]:
+    """The verdict of each row (params, spec), in order, every wave sampled
+    on the one grid: a StabilityVerdict, or the SolverError that stopped it.
+
+    Rows with one _basis_key share the verdict_basis of the first of them,
+    and each takes its own row_verdict; every other row builds its own
+    basis, as stability_verdict does.  A SolverError while building a basis
+    is the result of every row that shares it; a DomainError propagates.
+    """
+    bases = {}
+    for params, spec in rows:
+        key = _basis_key(params, spec)
+        basis = bases.get(key)
+        if basis is None:
+            try:
+                basis = verdict_basis(params, spec, sample_wave(spec, grid), grid)
+                if key is not None:
+                    basis = replace(basis, products={})
+            except SolverError as exc:
+                basis = exc
+            if key is not None:
+                bases[key] = basis
+        if isinstance(basis, SolverError):
+            yield basis
+            continue
+        try:
+            yield row_verdict(basis, params, spec, zero_tol, re_tol, index_tol)
+        except SolverError as exc:
+            yield exc

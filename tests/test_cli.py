@@ -8,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import count_calls
-from pulsestab import cli, discretization, index_count
+from pulsestab import cli, discretization, index_count, spectra
 from pulsestab.errors import DomainError, EigensolveFailure
 from pulsestab.cli import main
 
@@ -286,16 +288,18 @@ def test_threshold_rejects_wave_keys_in_a_config_file(capsys, tmp_path):
     assert "takes no --a" in err
 
 
-def fail_at(monkeypatch, eta0, error):
-    """Make stability_verdict raise error for the pulse of amplitude eta0."""
-    original = cli.stability_verdict
+def fail_at(monkeypatch, eta0, error, step="row_verdict"):
+    """Make a scan's row_verdict (or verdict_basis) raise error for the
+    pulse of amplitude eta0."""
+    original = getattr(spectra, step)
 
-    def failing(params, spec, *args, **kwargs):
+    def failing(*args, **kwargs):
+        spec = args[2] if step == "row_verdict" else args[1]
         if spec.eta0 == eta0:
             raise error
-        return original(params, spec, *args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "stability_verdict", failing)
+    monkeypatch.setattr(spectra, step, failing)
 
 
 SCAN_ETA0 = ("scan", "--param", "eta0", "--from", "-2", "--to", "-1", "--steps", "3",
@@ -315,6 +319,90 @@ def test_scan_row_solver_failure_keeps_the_other_rows(capsys, monkeypatch):
     assert all(failed[key] == "" for key in ("n_tilde_L", "index_value", "max_real_JL"))
     # N = 256 is too coarse for JL verdicts; only completeness is checked
     assert all(r["verdict"] != "solver_failure" and r["n_tilde_L"] == "1" for r in evaluated)
+
+
+def test_scan_basis_solver_failure_fails_the_rows_that_share_it(capsys, monkeypatch):
+    # rows -2 and -1 share the basis built at -2; the z = 1 row -1.5 is on
+    # the standing route and builds its own
+    fail_at(monkeypatch, -2.0, EigensolveFailure("injected"), step="verdict_basis")
+    code, out, err = run_cli(capsys, *SCAN_ETA0)
+    assert code == 3
+    assert "solver failure at eta0 = -2" in err
+    assert "solver failure at eta0 = -1:" in err
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [float(r["eta0"]) for r in rows] == [-2.0, -1.5, -1.0]
+    assert [r["verdict"] for r in rows[::2]] == ["solver_failure"] * 2
+    assert all(r["w"] != "" and r["n_tilde_L"] == "" for r in rows[::2])
+    assert rows[1]["verdict"] != "solver_failure"
+    assert rows[1]["index_value"] == "-17.9999804794"
+
+
+def test_scan_takes_the_standing_route_at_the_z1_coincidence(capsys):
+    # eta0 = -3/2 on a = c = -b is the standing wave: its index is the
+    # standing quadratic on the grid, not the free branch's closed form -18
+    code, out, _ = run_cli(capsys, *SCAN_ETA0)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [r["index_value"] for r in rows] == ["-23.04", "-17.9999804794", "-12.3428571429"]
+
+
+def config_of(*argv):
+    return cli.config_from_args(cli.build_parser().parse_args([str(arg) for arg in argv]))
+
+
+@given(
+    case=st.one_of(
+        st.tuples(
+            st.just("eta0"),
+            st.floats(min_value=-2.2, max_value=-0.1),
+            st.floats(min_value=-2.2, max_value=-0.1),
+            st.sampled_from([1.0, 2.5]),
+        ),
+        st.tuples(
+            st.just("z"),
+            st.floats(min_value=0.5, max_value=12.0),
+            st.floats(min_value=0.5, max_value=12.0),
+            st.sampled_from([-1.0, -2.5]),
+        ),
+    ),
+    sign=st.sampled_from([1, -1]),
+    n=st.sampled_from([128, 256, 512]),
+    steps=st.integers(min_value=2, max_value=5),
+)
+@settings(max_examples=25, deadline=None)
+def test_scan_rows_equal_the_index_of_each_point(case, sign, n, steps):
+    # the rows of a scan share one grid and one basis; each must give what
+    # index gives for its own point on its own grid
+    param, start, stop, coefficient = case
+    if param == "eta0":
+        family = ("--a", -coefficient, "--b", coefficient, "--c", -coefficient)
+    else:
+        family = ("--a", coefficient)
+    common = ("--sign-branch", sign, "--grid-n", n)
+    scan = config_of("scan", "--param", param, "--from", repr(start), "--to", repr(stop),
+                     "--steps", steps, *family, *common)
+    text, code = cli.cmd_scan(scan)
+    assert code == 0
+    cells = list(csv.DictReader(text.splitlines()))
+    for cell, (value, spec, row) in zip(cells, cli._scan_results(scan), strict=True):
+        if param == "z":
+            family = ("--a", coefficient, "--b", repr(float(value) * -coefficient), "--c", coefficient)
+        point = config_of("index", "--eta0", repr(spec.eta0), *family, *common)
+        result, point_code = cli.cmd_index(point)
+        verdict = result["verdict"]
+        assert point_code == (4 if row.verdict == "inconclusive" else 0)
+        assert (row.n_tilde_L, row.index_sign, row.verdict) == (
+            verdict["n_tilde_L"], verdict["index_sign"], verdict["verdict"]
+        )
+        assert (cell["n_tilde_L"], cell["verdict"]) == (str(row.n_tilde_L), row.verdict)
+        report = result["index_report"]
+        if report["kdv_part"] is None:
+            scale = abs(verdict["index_value"])
+        else:
+            scale = (8.0 * abs(report["kdv_part"]) + abs(report["hill_part"])) / 3.0
+        assert abs(row.index_value - verdict["index_value"]) <= 1e-12 * scale
+        if 0.5e-6 in (row.max_real_part, verdict["max_real_part"]):  # certified
+            assert row.max_real_part == verdict["max_real_part"]
 
 
 def test_scan_row_domain_error_aborts(capsys, monkeypatch):

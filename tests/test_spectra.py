@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import WAVE_CASES, count_calls, make_case1, make_general, make_standing
-from pulsestab import discretization, spectra
+from pulsestab import discretization, index_count, spectra
+from pulsestab.cli import main
 from pulsestab.discretization import build_grid, derivative_of_samples
 from pulsestab.errors import NotSubsonic, ReflectionDefect, SolverError
 from pulsestab.index_count import general_index_numeric
@@ -447,6 +448,38 @@ def test_split_verdict_diagonalizes_the_shared_potential_once(monkeypatch, make,
     assert sorted(shapes["eigvalsh"]) == [(n // 2 + 1,) * 2, reduced]
     assert (verdict.verdict, verdict.n_unstable_direct) == ("unstable", 1)
     assert verdict.max_real_part > 1e-6
+
+
+def test_eta0_scan_diagonalizes_one_basis_and_factors_each_row(monkeypatch, capsys):
+    # the eight free rows share K_1's potential block and eigenbasis; each
+    # row certifies its own -M + (re_tol/2)^2 I (N = 512: all stable)
+    n = 512
+    potentials = count_calls(monkeypatch, discretization, "potential_blocks")
+    names = ("eigh", "eigvalsh", "eigvals", "cholesky")
+    shapes = {name: solve_shapes(monkeypatch, name) for name in names}
+    code = main(["scan", "--param", "eta0", "--from", "-2", "--to", "-0.6", "--steps", "8",
+                 "--a", "-1", "--b", "1", "--c", "-1", "--grid-n", str(n)])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert code == 0
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["stable"] * 8
+    assert len(potentials) == 1
+    assert shapes == {
+        "eigh": [(n // 2 - 1,) * 2],
+        "eigvalsh": [(n // 2 + 1,) * 2],
+        "eigvals": [],
+        "cholesky": [(n - 2,) * 2] * 8,
+    }
+
+
+def test_z_scan_solves_one_standing_quadratic_and_one_eigh(monkeypatch, capsys):
+    quadratics = count_calls(monkeypatch, index_count, "standing_quadratic")
+    eigh = solve_shapes(monkeypatch, "eigh")
+    code = main(["scan", "--param", "z", "--from", "4", "--to", "13", "--steps", "4",
+                 "--grid-n", "512"])
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert len(quadratics) == 1
+    assert eigh == [(255, 255)]
 
 
 def test_verdict_with_a_negative_re_tol_counts_every_mode(monkeypatch):
