@@ -42,6 +42,7 @@ from .discretization import Grid, build_grid
 from .errors import DomainError, SolverError, WorkbenchError
 from .index_count import critical_ratio_bisection
 from .spectra import (
+    check_tolerances,
     discrete_spectrum_tilde_L,
     scan_verdicts,
     stability_verdict,
@@ -435,9 +436,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         re_tol=merged.get("re_tol", 1e-6),
         index_tol=merged.get("index_tol", 1e-6),
     )
-    for key, value in asdict(tolerances).items():
-        if value is not None and not (np.isfinite(value) and value > 0):
-            raise DomainError(f"{key} must be positive and finite, got {value}")
+    check_tolerances(**asdict(tolerances))
     return RunConfig(
         command=args.command,
         params=params,

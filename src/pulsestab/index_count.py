@@ -55,12 +55,15 @@ built (spectra).  On a split wave (discretization) part i of L is
 C^-1 (I + p_i K) C^-1, so <part_i^(-1) c, c> = <(I + p_i K)^(-1) C c, C c>,
 and Lt = S L S gives <L^(-1) r, r> = <Lt^(-1) S r, S r> on every other
 wave.  The right-hand sides are even and the translation kernel is odd, so
-the even block is nonsingular.  In order, a column whose sine coefficients
-reach 1e-8 of its norm raises KernelDefect; the hill part I - K raises
-SolveFailure unless both parity blocks pass a Cholesky factorization; a
-failed solve raises SolveFailure; and a column's residual on the physical
-operator's scale (times C^-1 or S^-1) above 1e-6 * max(1, |column|_inf)
-raises IllConditioned.
+the even block is nonsingular.  The hill part I - K needs no factorization:
+multiplication by an even v leaves the cosine and the sine functions
+invariant, so V's blocks have v's samples for eigenvalues, and C <= I
+(a < 0) gives I - K >= (1 - max(max_j phi_j, 0)) I, which is >= I on the
+standing branch (phi < 0).  In order, SolveFailure before any solve unless
+that margin exceeds the round-off N eps max |phi|; KernelDefect for a
+column whose sine coefficients reach 1e-8 of its norm; SolveFailure for a
+failed solve; and IllConditioned for a column's residual on the physical
+operator's scale (times C^-1 or S^-1) above 1e-6 * max(1, |column|_inf).
 """
 
 from __future__ import annotations
@@ -112,7 +115,6 @@ __all__ = [
     "general_index_numeric",
     "index_route",
     "index_source",
-    "index_report",
     "critical_ratio_bisection",
 ]
 
@@ -239,36 +241,34 @@ class StandingQuadratic:
 
 
 def standing_quadratic(
-    a: float, grid: Grid, shared: ParityBlocks | None = None
+    a: float, grid: Grid, shared: tuple[np.ndarray, ParityBlocks] | None = None
 ) -> StandingQuadratic:
     """Both parts' coefficients, one even-block factorization each, from
-    the blocks of K = C V C (the verdict's, or by default K at phi0).
+    shared = (phi, K): samples phi and the blocks of K = C V C built from
+    them (the verdict's, or by default phi0 and its K).
 
-    Part I + p K = p (K + I/p) is solved with K's own diagonals shifted by
-    1/p and restored after; the hill part's Cholesky factorizations take
-    I - K = -(K - I).
+    Part I + p K = p (K + I/p) is solved with K_e's own diagonal shifted by
+    1/p and restored after; the hill part is certified from phi's samples
+    (module docstring), so K's odd block is never read.
     """
     scale = 1.0 / np.sqrt(1.0 - a * parity_wavenumbers(grid) ** 2)
     if shared is None:
-        shared = scale_blocks(potential_blocks(grid, standing_wave_profile(a, grid)), scale)
+        phi = standing_wave_profile(a, grid)
+        shared = phi, scale_blocks(potential_blocks(grid, phi), scale)
+    phi, blocks = shared
+    margin = 1.0 - max(float(np.max(phi)), 0.0)
+    roundoff = grid.n_points * np.finfo(float).eps * float(np.max(np.abs(phi)))
+    if not margin > roundoff:
+        raise SolveFailure(f"hill part margin {margin:.3e} <= round-off {roundoff:.3e}")
+    even, diagonal = blocks.even, blocks.even.diagonal().copy()
     columns = _standing_columns(a, grid)
     grams = []
     for p in (2.0, -1.0):
-        blocks = (shared.even, shared.odd) if p < 0 else (shared.even,)
-        diagonals = [block.diagonal().copy() for block in blocks]
-        for block in blocks:
-            block[np.diag_indices_from(block)] += 1.0 / p
+        even[np.diag_indices_from(even)] += 1.0 / p
         try:
-            if p < 0:
-                try:
-                    for block in blocks:
-                        np.linalg.cholesky(-block)
-                except np.linalg.LinAlgError as exc:
-                    raise SolveFailure(f"operator not positive definite: {exc}") from exc
-            grams.append(_gram(grid, shared.even, columns, scale) / p)
+            grams.append(_gram(grid, even, columns, scale) / p)
         finally:
-            for block, diagonal in zip(blocks, diagonals):
-                np.fill_diagonal(block, diagonal)
+            np.fill_diagonal(even, diagonal)
     kdv, hill = ((float(g[0, 0]), 0.5 * float(g[0, 1] + g[1, 0]), float(g[1, 1])) for g in grams)
     return StandingQuadratic(kdv=kdv, hill=hill)
 
@@ -343,30 +343,23 @@ def index_source(
     Lt's.
 
     The standing branch (a = c, eta0 = -3/2, w = 0) solves
-    standing_quadratic here, on K at phi0 if L does not split, and each
-    pulse reports at its own z with the bounds; the free-amplitude branch
-    (a = c = -b, eta0 in (-9/4, 0)) takes the closed form of each pulse;
+    standing_quadratic here, on the wave's phi and K, or on phi0 and its K
+    if L does not split, and each pulse reports at its own z with the
+    bounds; the free-amplitude branch (a = c = -b, eta0 in (-9/4, 0)) takes
+    the closed form of each pulse;
     every other pulse, whose L never splits, solves here on Lt's even block
     and reports for itself alone.  At the z = 1 coincidence, where both
     branches meet, the standing route wins.
     """
     route = index_route(params, spec)
     if route == "standing":
-        shared = blocks if len(blocks.even) == grid.n_points // 2 + 1 else None
+        shared = (wave.phi, blocks) if len(blocks.even) == grid.n_points // 2 + 1 else None
         quadratic = standing_quadratic(params.a, grid, shared)
         return lambda params, spec: quadratic.report(params.ratio_z)
     if route == "closed_form":
         return _closed_form_report
     report = _report(_general_index(params, wave, grid, blocks.even), "numeric")
     return lambda params, spec: report
-
-
-def index_report(
-    params: AbcParameters, spec, wave, grid: Grid, blocks: ParityBlocks
-) -> IndexReport:
-    """The index quantity of one pulse, by the one route its parameters
-    select (index_source), from the verdict's blocks."""
-    return index_source(params, spec, wave, grid, blocks)(params, spec)
 
 
 def critical_ratio_bisection(

@@ -101,7 +101,7 @@ from .discretization import (
     smoothing_diagonal,
     splits,
 )
-from .errors import EigensolveFailure, NotSubsonic, SolverError
+from .errors import DomainError, EigensolveFailure, NotSubsonic, SolverError
 from .index_count import IndexReport, index_route, index_source
 from .waves import AbcParameters, SampledWave, WaveSpec, sample_wave
 
@@ -118,6 +118,7 @@ __all__ = [
     "verdict_basis",
     "row_verdict",
     "scan_verdicts",
+    "check_tolerances",
 ]
 
 
@@ -224,6 +225,13 @@ def _tilde_L_blocks(
     params: AbcParameters, spec: WaveSpec, wave: SampledWave, grid: Grid
 ) -> TildeLBlocks:
     return _classified(*_verdict_operator(params, spec, wave, grid))
+
+
+def check_tolerances(zero_tol: float | None, re_tol: float, index_tol: float) -> None:
+    """DomainError unless re_tol, index_tol and a given zero_tol are positive and finite."""
+    for key, value in (("zero_tol", zero_tol), ("re_tol", re_tol), ("index_tol", index_tol)):
+        if value is not None and not (np.isfinite(value) and value > 0):
+            raise DomainError(f"{key} must be positive and finite, got {value}")
 
 
 def _zero_tol(values: np.ndarray, zero_tol: float | None) -> float:
@@ -526,6 +534,7 @@ def row_verdict(
 ) -> StabilityVerdict:
     """The verdict of one row on a basis: its anchor's, or a row that
     _basis_key puts with the anchor (see stability_verdict)."""
+    check_tolerances(zero_tol, re_tol, index_tol)
     blocks = _row_blocks(basis, params, spec)
     report = basis.index(params, spec)
     index_value = report.index_value
@@ -545,11 +554,8 @@ def row_verdict(
     products = basis.products if blocks.t is basis.blocks.t else None
     reduced = _negated_reduced_matrix(basis.grid, blocks, products)
     bound = 0.5 * re_tol
-    # a negative re_tol counts J's kernel and the imaginary pairs too, which
-    # no bound on mu certifies, and re_tol = 0 leaves no room for a shift
     if (
-        re_tol > 0
-        and index_sign == "neg"
+        index_sign == "neg"
         and n_tilde == 1
         and reduced is not None
         and _below_shift(reduced, bound * bound)
@@ -597,13 +603,12 @@ def stability_verdict(
     One pulse is a scan of one row: its verdict_basis, then its
     row_verdict.  The blocks are built once; the index, the inertia and the
     direct count all read them, and their odd block is diagonalized once.
-    When re_tol > 0, n(Lt) = 1, the index is below -index_tol and a
-    Cholesky factorization of -M + (re_tol/2)^2 I completes, the direct
-    count is certified (module docstring): n_unstable_direct = 0, and
-    max_real_part is the certified bound re_tol/2, not an eigenvalue.
-    Otherwise M is solved, or JL when the odd block is indefinite, and
-    max_real_part is the largest real part of JL's spectrum.
+    When the inertia and the index say stable and a Cholesky factorization
+    of -M + (re_tol/2)^2 I completes, the direct count is certified (module
+    docstring) and max_real_part = re_tol/2; otherwise it is the largest
+    real part of JL's spectrum.  DomainError unless check_tolerances passes.
     """
+    check_tolerances(zero_tol, re_tol, index_tol)
     basis = verdict_basis(params, spec, wave, grid)
     return row_verdict(basis, params, spec, zero_tol, re_tol, index_tol)
 
@@ -630,8 +635,10 @@ def scan_verdicts(
     Rows with one _basis_key share the verdict_basis of the first of them,
     and each takes its own row_verdict; every other row builds its own
     basis, as stability_verdict does.  A SolverError while building a basis
-    is the result of every row that shares it; a DomainError propagates.
+    is the result of every row that shares it; a DomainError, such as
+    check_tolerances' before the first row, propagates.
     """
+    check_tolerances(zero_tol, re_tol, index_tol)
     bases = {}
     for params, spec in rows:
         key = _basis_key(params, spec)

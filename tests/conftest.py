@@ -31,6 +31,19 @@ def make_general(n):
     return params, spec, grid, sample_wave(spec, grid)
 
 
+def solve_shapes(monkeypatch, name="eigvals"):
+    """Record the shapes of the matrices passed to np.linalg.<name>."""
+    original = getattr(np.linalg, name)
+    calls = []
+
+    def counted(matrix, *args, **kwargs):
+        calls.append(matrix.shape)
+        return original(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 # one wave of each kind, by grid size: standing z = 1 and z = 12, free
 # amplitude eta0 = -1, and the general a != c wave
 WAVE_CASES = {

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls
+from conftest import count_calls, solve_shapes
 from pulsestab import cli, discretization, index_count, spectra
 from pulsestab.errors import DomainError, EigensolveFailure
 from pulsestab.cli import main
@@ -110,6 +110,22 @@ def test_index_command_evaluates_case2_index_once(capsys, monkeypatch, z):
     assert len(calls) == 1
 
 
+def test_stable_standing_index_factors_only_the_certificate(capsys, monkeypatch):
+    # the Hill part is certified from the samples: the one Cholesky
+    # factorization is the direct count's -M + (re_tol/2)^2 I, and each index
+    # part is one solve on K's even block
+    n = 512
+    factored = solve_shapes(monkeypatch, "cholesky")
+    solved = solve_shapes(monkeypatch, "solve")
+    code, out, _ = run_cli(
+        capsys, "index", "--a", "-1", "--b", "4", "--c", "-1", "--eta0", "-1.5", *FAST
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["verdict"]["verdict"] == "stable"
+    assert factored == [(n - 2,) * 2]
+    assert solved == [(n // 2 + 1,) * 2] * 2
+
+
 def test_index_command_verdict_and_report_agree_at_unit_ratio(capsys):
     # z = 1 lies on both the standing and the free-amplitude branch; one route
     # serves both the verdict and the report
@@ -179,6 +195,8 @@ def test_threshold_factors_each_scalar_operator_once(capsys, monkeypatch, tol):
     routes = count_calls(monkeypatch, index_count, "standing_quadratic")
     potentials = count_calls(monkeypatch, discretization, "potential_blocks")
     reports = count_calls(monkeypatch, index_count, "case2_index")
+    factored = solve_shapes(monkeypatch, "cholesky")
+    solved = solve_shapes(monkeypatch, "solve")
     code, out, _ = run_cli(
         capsys, "threshold", "--zmin", "9", "--zmax", "11", "--tol", tol, "--grid-n", "256"
     )
@@ -187,6 +205,9 @@ def test_threshold_factors_each_scalar_operator_once(capsys, monkeypatch, tol):
     assert len(routes) == 1
     assert len(potentials) == 1
     assert len(reports) <= 1
+    # the Hill part is certified from phi0's samples: no Cholesky factorization
+    assert factored == []
+    assert solved == [(129, 129)] * 2
 
 
 def test_threshold_no_sign_change_is_domain_error(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference
 from conftest import WAVE_CASES, make_case1, make_standing
@@ -19,6 +21,7 @@ from pulsestab.discretization import (
     parity_wavenumbers,
     potential_blocks,
     scalar_split,
+    scale_blocks,
     standing_wave_profile,
 )
 from pulsestab.errors import DomainError, InvalidGrid, ReflectionDefect
@@ -303,6 +306,34 @@ def test_parity_fold_and_unfold(standing_z1):
     np.testing.assert_allclose(sine, basis.T @ odd, rtol=0, atol=1e-13 * np.max(np.abs(odd)))
     with pytest.raises(ValueError):
         parity_coefficients(grid, wave.phi[:-2])
+
+
+@given(
+    n=st.sampled_from([64, 128, 256]),
+    amplitude=st.floats(min_value=0.1, max_value=3.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    width=st.floats(min_value=0.3, max_value=4.0),
+    bump=st.floats(min_value=-1.0, max_value=1.0),
+    mode=st.integers(min_value=0, max_value=4),
+    a=st.floats(min_value=-3.0, max_value=-0.3),
+)
+@settings(max_examples=40, deadline=None)
+def test_potential_block_spectra_are_the_samples(n, amplitude, sign, width, bump, mode, a):
+    # an even v leaves the cosine and the sine functions invariant, so each
+    # block's eigenvalues are v's samples, and C <= I bounds K = C V C by
+    # max(max v, 0): the sample bound the index certifies I - K with
+    grid = build_grid(n, 20.0)
+    x = grid.nodes
+    v = sign * amplitude / np.cosh(x / width) ** 2
+    v += bump * np.cos(np.pi * mode * x / grid.half_length)
+    tol = n * np.finfo(float).eps * np.max(np.abs(v))
+    blocks = potential_blocks(grid, v)
+    for block, samples in ((blocks.even, v[: n // 2 + 1]), (blocks.odd, v[1 : n // 2])):
+        assert np.max(np.abs(np.linalg.eigvalsh(block) - np.sort(samples))) <= tol
+    # lambda_min(I - K) = 1 - lambda_max(K), read off K without I's round-off
+    shared = scale_blocks(blocks, 1.0 / np.sqrt(1.0 - a * parity_wavenumbers(grid) ** 2))
+    for block in (shared.even, shared.odd):
+        assert np.linalg.eigvalsh(block)[-1] <= max(np.max(v), 0.0) + tol
 
 
 def test_parity_split_is_an_orthogonal_change_of_basis():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import make_case1, make_general, make_standing
+from conftest import count_calls, make_case1, make_general, make_standing
 from pulsestab import index_count, spectra
 from pulsestab.discretization import (
     apply_multiplier,
@@ -31,7 +31,7 @@ from pulsestab.index_count import (
     general_index_numeric,
     hill_index_numeric,
     index_lower_bound_poly,
-    index_report,
+    index_source,
     index_upper_bound_poly,
     kdv_index_numeric,
     standing_quadratic,
@@ -165,21 +165,18 @@ def test_hill_projection_coefficient_and_remainder(standing_grid):
         assert lower - 1e-9 < hill_part <= upper + 1e-9
 
 
-def test_hill_positive_definiteness_checked_on_both_parity_blocks(standing_grid):
-    # a negative direction along the odd phi' leaves the even block, which the
-    # solve uses, positive definite; the Cholesky of the odd block refuses it
+def test_hill_part_refused_when_a_sample_reaches_one(monkeypatch, standing_grid):
+    # the hill part is certified from the samples alone: -2 phi0 peaks at 3,
+    # and the reference spectrum of its I - K (the even block) is indefinite
     grid = standing_grid
-    odd = derivative_of_samples(grid, standing_wave_profile(-1.0, grid), 1)
-    odd /= np.linalg.norm(odd)
-    _, sine_basis = reference.parity_basis(grid)
-    odd_coefficients = sine_basis.T @ odd  # the rank-one term lies in the odd block
-    phi0 = standing_wave_profile(-1.0, grid)
+    phi = -2.0 * standing_wave_profile(-1.0, grid)
     c = 1.0 / np.sqrt(1.0 + parity_wavenumbers(grid) ** 2)  # C = (1 - dxx)^(-1/2) at a = -1
-    shared = scale_blocks(potential_blocks(grid, phi0), c)
-    # the hill part is I - K, so its odd block loses 10 along phi'
-    shared.odd[...] += 10.0 * np.outer(odd_coefficients, odd_coefficients)
-    with pytest.raises(SolveFailure):
-        standing_quadratic(-1.0, grid, shared)
+    shared = scale_blocks(potential_blocks(grid, phi), c)
+    assert np.linalg.eigvalsh(np.eye(len(shared.even)) - shared.even)[0] < -0.5
+    solves = count_calls(monkeypatch, index_count, "_gram")
+    with pytest.raises(SolveFailure, match="hill part"):
+        standing_quadratic(-1.0, grid, (phi, shared))
+    assert solves == []  # refused before any solve
 
 
 def numeric_route(name, standing_grid, case1):
@@ -321,7 +318,7 @@ def test_index_report_routes(standing_z1, case1_eta_minus1):
     # z = 1 is on both closed-form branches; the standing route takes it
     def verdict_report(params, spec, wave, grid):
         operator, *_ = spectra._verdict_operator(params, spec, wave, grid)
-        return index_report(params, spec, wave, grid, operator)
+        return index_source(params, spec, wave, grid, operator)(params, spec)
 
     params, spec, grid, wave = standing_z1
     standing = verdict_report(params, spec, wave, grid)
@@ -482,7 +479,7 @@ def test_verdict_index_from_its_own_blocks_matches_the_scalar_pair(a, z, n):
 def test_general_index_from_lt_matches_the_physical_solve(make):
     params, spec, grid, wave = make(256)
     operator, *_ = spectra._verdict_operator(params, spec, wave, grid)
-    report = index_report(params, spec, wave, grid, operator)
+    report = index_source(params, spec, wave, grid, operator)(params, spec)
     even, _ = reference.parity_basis(grid, 2)
     smoother = reference.smoother_power(grid, params.b, 1.0)
     rhs = even.T @ np.concatenate([smoother @ wave.psi, smoother @ wave.phi])

@@ -7,11 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import WAVE_CASES, count_calls, make_case1, make_general, make_standing
+from conftest import (
+    WAVE_CASES,
+    count_calls,
+    make_case1,
+    make_general,
+    make_standing,
+    solve_shapes,
+)
 from pulsestab import discretization, index_count, spectra
 from pulsestab.cli import main
 from pulsestab.discretization import build_grid, derivative_of_samples
-from pulsestab.errors import NotSubsonic, ReflectionDefect, SolverError
+from pulsestab.errors import DomainError, NotSubsonic, ReflectionDefect, SolverError
 from pulsestab.index_count import general_index_numeric
 from pulsestab.spectra import (
     discrete_spectrum_tilde_L,
@@ -226,19 +233,6 @@ def test_verdict_parity_identity_mixed_scan():
         assert verdict.n_unstable_direct % 2 == verdict.parity_rhs, f"z={z}"
 
 
-def solve_shapes(monkeypatch, name="eigvals"):
-    """Record the shapes of the matrices passed to np.linalg.<name>."""
-    original = getattr(np.linalg, name)
-    calls = []
-
-    def counted(matrix):
-        calls.append(matrix.shape)
-        return original(matrix)
-
-    monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 # N = 128 on the standing cases: the rotated count against the reference
 # where a spurious translation pair decides the answer
 @pytest.mark.parametrize(
@@ -434,8 +428,9 @@ def test_split_verdict_diagonalizes_the_shared_potential_once(monkeypatch, make,
     params, spec, grid, wave = make(n)
     verdict = stability_verdict(params, spec, wave, grid)
     reduced = (n - 2,) * 2
-    # the standing index's Hill Cholesky factorizations have other sizes
-    factored = [shape for shape in shapes["cholesky"] if shape == reduced]
+    # the index certifies its Hill part from the samples, so every Cholesky
+    # factorization is the direct count's
+    factored = shapes["cholesky"]
     assert shapes["eigh"] == [(n // 2 - 1,) * 2]
     assert shapes["eigvals"] == []
     if certified:
@@ -482,14 +477,25 @@ def test_z_scan_solves_one_standing_quadratic_and_one_eigh(monkeypatch, capsys):
     assert eigh == [(255, 255)]
 
 
-def test_verdict_with_a_negative_re_tol_counts_every_mode(monkeypatch):
-    # re_tol < 0 counts every eigenvalue of JL as unstable, so the verdict
-    # takes the full count, as before the certificate existed
+@pytest.mark.parametrize(
+    "tolerances",
+    [{"re_tol": -1e-6}, {"re_tol": 0.0}, {"index_tol": math.inf}, {"zero_tol": math.nan}],
+    ids=["re_tol-negative", "re_tol-zero", "index_tol-inf", "zero_tol-nan"],
+)
+def test_verdict_refuses_a_tolerance_that_is_not_positive_and_finite(monkeypatch, tolerances):
+    # re_tol < 0 would count every eigenvalue of JL as unstable; each entry
+    # refuses such a tolerance before it builds anything
     params, spec, grid, wave = make_standing(b=4.0, n=512)
-    factored = solve_shapes(monkeypatch, "cholesky")
-    verdict = stability_verdict(params, spec, wave, grid, re_tol=-1e-6)
-    assert (510, 510) not in factored
-    assert (verdict.verdict, verdict.n_unstable_direct) == ("unstable", 2 * 512)
+    potentials = count_calls(monkeypatch, discretization, "potential_blocks")
+    basis = spectra.verdict_basis(params, spec, wave, grid)
+    key = next(iter(tolerances))
+    with pytest.raises(DomainError, match=f"{key} must be positive and finite"):
+        stability_verdict(params, spec, wave, grid, **tolerances)
+    with pytest.raises(DomainError, match=key):
+        spectra.row_verdict(basis, params, spec, **tolerances)
+    with pytest.raises(DomainError, match=key):
+        next(spectra.scan_verdicts([(params, spec)], grid, **tolerances))
+    assert len(potentials) == 1  # the basis built here, and nothing after
 
 
 @given(
