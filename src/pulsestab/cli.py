@@ -10,18 +10,19 @@ Commands
 
 Single runs emit JSON (identical configs give byte-identical files apart from
 the generated_at field); scans emit CSV.  Exit codes: 0 success, 2 domain
-error, 3 solver failure, 4 inconclusive verdict (threshold and scan annotate
-instead of failing).  Flag values override config-file values (plain
-key=value lines) which override defaults; an unreadable config file, an
-unknown key, a value that does not parse or a tolerance that is not positive
-and finite is a domain error.  Scan rows are evaluated in input order, on
-one grid built from the first row's width, and share what they can of one
-verdict (spectra.scan_verdicts); a row whose verdict raises a solver error,
-or whose shared basis did, is written with verdict solver_failure and empty
+error or a grid too large for memory, 3 solver failure, 4 inconclusive
+verdict (threshold and scan annotate instead of failing).  Flag values
+override config-file values (plain key=value lines) which override
+defaults; an unreadable config file, an unknown key, a value that does not
+parse or a tolerance that is not positive and finite is a domain error.
+Scan rows are evaluated in input order, on one grid built from the first
+row's width, and share what they can of one verdict
+(spectra.scan_verdicts); a row whose verdict raises a solver error, or
+whose shared basis did, is written with verdict solver_failure and empty
 cells for what it could not compute, the remaining rows still run, and the
-scan exits 3.  A domain error aborts the scan.  A z scan takes a from
---a alone (default -1) and evaluates the standing waves c = a, b = z (-a);
---b or --c on a z scan is a domain error.  threshold fixes a = -1 and bisects
+scan exits 3.  A domain error aborts the scan.  A z scan takes a from --a
+alone (default -1) and evaluates the standing waves c = a, b = z (-a); --b
+or --c on a z scan is a domain error.  threshold fixes a = -1 and bisects
 over z, so --a, --b, --c, --eta0 or --sign-branch on it is a domain error.
 """
 
@@ -141,16 +142,8 @@ def cmd_jl_spectrum(config: RunConfig) -> tuple[dict, int]:
     report = unstable_modes_JL(
         config.params, spec, wave, grid, re_tol=config.tolerances.re_tol
     )
-    result = {
-        "eigenvalues": [[float(z.real), float(z.imag)] for z in report.eigenvalues],
-        "negative_count": report.negative_count,
-        "zero_modes": report.zero_modes,
-        "max_real_part": report.max_real_part,
-        "ess_spectrum_gap": report.ess_spectrum_gap,
-        "n_unstable": report.n_unstable,
-        "symmetry_defect": report.symmetry_defect,
-    }
-    return result, 0
+    eigenvalues = [[float(z.real), float(z.imag)] for z in report.eigenvalues]
+    return dict(vars(report), eigenvalues=eigenvalues), 0
 
 
 def cmd_index(config: RunConfig) -> tuple[dict, int]:
@@ -167,15 +160,7 @@ def cmd_threshold(config: RunConfig) -> tuple[dict, int]:
     lam = 0.5  # a = -1 fixed; the standing-wave width is 1/(2 sqrt(-a))
     grid = _make_grid(config, lam)
     result = critical_ratio_bisection(config.zmin, config.zmax, config.tol, grid)
-    return {
-        "z_star": result.z_star,
-        "bracket_lo": result.bracket_lo,
-        "bracket_hi": result.bracket_hi,
-        "iterations": result.iterations,
-        "evaluations": result.evaluations,
-        "z_root": result.z_root,
-        "tol": config.tol,
-    }, 0
+    return dict(asdict(result), tol=config.tol), 0
 
 
 def _scan_values(config: RunConfig) -> np.ndarray:
@@ -263,25 +248,11 @@ def _config_summary(config: RunConfig) -> dict:
         "grid_n": config.grid_n,
         "grid_len": config.grid_len,
         "tolerances": asdict(config.tolerances),
-        "output_format": "json",  # the format of the document this summary heads
     }
     if config.params is not None:
-        summary["params"] = {
-            "a": config.params.a,
-            "b": config.params.b,
-            "c": config.params.c,
-            "ratio_z": config.params.ratio_z,
-            "subsonic_bound": config.params.subsonic_bound,
-        }
+        summary["params"] = asdict(config.params)
     if config.command == "threshold":
         summary.update(zmin=config.zmin, zmax=config.zmax, tol=config.tol)
-    if config.command == "scan":
-        summary.update(
-            param=config.scan_param,
-            scan_from=config.scan_from,
-            scan_to=config.scan_to,
-            steps=config.scan_steps,
-        )
     return summary
 
 
@@ -305,6 +276,9 @@ def run(config: RunConfig) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory (is --grid-n too large?): {exc}", file=sys.stderr)
+        return 2
 
     if config.command == "scan":
         text = payload

@@ -47,24 +47,24 @@ exactly has the tensor form
 The generalized eigenpairs P v = p W v, p^2 (1 - w^2) - p (1 + 2 B w) - B^2
 = 0 and v = (B + p w, p) normalized in the W norm, give R = W V with
 R R^T = W and R diag(p) R^T = P, so L = (R x I) blockdiag(parts) (R x I)^T
-with the scalar parts (1 + a dxx) + p_i phi.  scalar_split decides this
-split and returns it as a ScalarSplit: R, p and the one potential_blocks of
-phi that both parts share (_scalar_parts builds them from it).  S is
-scalar, so Lt = (R x I) blockdiag(S part_i S) (R x I)^T.  The parts differ
-only in p: with C = (1 + a dxx)^(-1/2), the diagonal (1 - a xi_k^2)^(-1/2)
-(no b), and K = C V C for the blocks V of phi, part i is
-C^-1 (I + p_i K) C^-1, and S part_i S is T (I + p_i K) T with T = S C^-1
-the diagonal t_k = sqrt((1 - a xi_k^2) / (1 + b xi_k^2)), T = I when
-b = -a.  So one eigenbasis of K serves both parts (spectra.stability_verdict).
-On the standing branch W = I, R is orthogonal and the parts (kdv p = 2 and
-hill p = -1 at B = sqrt(2)) have L's eigenvalues.  On the free-amplitude
-branch W is positive definite but not I, and the parts are congruent to L:
-they carry its inertia (Sylvester's law of inertia) but not its
-eigenvalues.  A supersonic wave (|w| > 1) has an indefinite W and no real
-R; it does not split, nor does an a != c wave or a psi that is not B phi
-sample for sample (which then meets the ReflectionDefect check of its own
-potential).  The assemblers build the two-component blocks of every wave,
-split or not; the scalar pair is the standing parts at phi0.
+with the scalar parts (1 + a dxx) + p_i phi.  With C = (1 + a dxx)^(-1/2),
+the diagonal (1 - a xi_k^2)^(-1/2) (no b), and K = C V C for the blocks V
+of phi (kernel_blocks), part i is C^-1 (I + p_i K) C^-1.  S is scalar, so
+Lt = (R x I) blockdiag(T (I + p_i K) T) (R x I)^T with T = S C^-1 the
+diagonal t_k = sqrt((1 - a xi_k^2) / (1 + b xi_k^2)) (_t_diagonal), T = I
+when b = -a.  scalar_split decides the split and returns it as a
+ScalarSplit: R, p, K and T, from which split_parts builds the parts; the
+parts differ only in p, so one eigenbasis of K serves them all
+(spectra.stability_verdict).  On the standing branch W = I, R is
+orthogonal and the parts (kdv p = 2 and hill p = -1 at B = sqrt(2)) have
+Lt's eigenvalues.  On the free-amplitude branch W is positive definite but
+not I, and the parts are congruent to Lt: they carry its inertia
+(Sylvester's law of inertia) but not its eigenvalues.  A supersonic wave
+(|w| > 1) has an indefinite W and no real R; it does not split, nor does an
+a != c wave or a psi that is not B phi sample for sample (which then meets
+the ReflectionDefect check of its own potential).  The assemblers build the
+two-component blocks of every wave, split or not; the scalar pair is the
+parts of L (T = C^-1) at phi0.
 
 A potential whose samples are not even to REFLECTION_DEFECT_TOL raises
 ReflectionDefect (see Kapitula & Promislow, Spectral and Dynamical
@@ -89,6 +89,8 @@ __all__ = [
     "parity_wavenumbers",
     "parity_coefficients",
     "potential_blocks",
+    "kernel_blocks",
+    "split_parts",
     "splits",
     "scalar_split",
     "assemble_system_operator_L",
@@ -256,20 +258,6 @@ def _system_blocks(symbols, psi: ParityBlocks, phi: ParityBlocks) -> ParityBlock
     )
 
 
-def _scalar_parts(a: float, grid: Grid, potential: ParityBlocks, p) -> tuple[ParityBlocks, ...]:
-    """diag(1 - a xi_k^2) + p_i V for each p_i: the scalar operators
-    (1 + a dxx) + p_i v of one potential v with blocks V.  The last part is
-    built in V's own arrays, so a pair holds two operators, not three."""
-    parts = [ParityBlocks(pk * potential.even, pk * potential.odd) for pk in p[:-1]]
-    np.multiply(potential.even, p[-1], out=potential.even)
-    np.multiply(potential.odd, p[-1], out=potential.odd)
-    symbol = 1.0 - a * parity_wavenumbers(grid) ** 2
-    for part in (*parts, potential):
-        for block, diagonal in ((part.even, symbol), (part.odd, symbol[1:-1])):
-            block[np.diag_indices_from(block)] += diagonal
-    return (*parts, potential)
-
-
 def _component_split(B: float, w: float) -> tuple[np.ndarray, np.ndarray]:
     """(p, R) with R R^T = W = [[1, -w], [-w, 1]] and R diag(p) R^T = [[0, B], [B, 1]].
 
@@ -291,13 +279,40 @@ def _component_split(B: float, w: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class ScalarSplit:
-    """The split L = (R x I) blockdiag(parts) (R x I)^T into the scalar parts
-    (1 + a dxx) + p_i phi: R with R R^T = W, the scales p (positive first)
-    and the parity blocks V of phi that every part shares."""
+    """The split Lt = (R x I) blockdiag(T (I + p_i K) T) (R x I)^T: R with
+    R R^T = W, the scales p (positive first), the parity blocks of K = C V C
+    that every part shares and the diagonal t of T (module docstring)."""
 
     rotation: np.ndarray
     p: np.ndarray
-    potential: ParityBlocks
+    kernel: ParityBlocks
+    t: np.ndarray
+
+
+def kernel_blocks(a: float, grid: Grid, phi: np.ndarray) -> ParityBlocks:
+    """The blocks of K = C V C, C = (1 + a dxx)^(-1/2), for the blocks V of
+    the even potential phi, scaled in V's own arrays."""
+    return scale_blocks(potential_blocks(grid, phi), 1.0 / _t_diagonal(a, 0.0, grid))
+
+
+def _t_diagonal(a: float, b: float, grid: Grid) -> np.ndarray:
+    """t_k = sqrt((1 - a xi_k^2) / (1 + b xi_k^2)), the diagonal of
+    T = S C^-1 at k = 0, ..., N/2; b = 0 gives C^-1."""
+    xi2 = parity_wavenumbers(grid) ** 2
+    return np.sqrt((1.0 - a * xi2) / (1.0 + b * xi2))
+
+
+def split_parts(kernel: ParityBlocks, p, t: np.ndarray) -> tuple[ParityBlocks, ...]:
+    """T (I + p_i K) T for each p_i.  The last part is built in K's own
+    arrays, so a pair holds two operators, not three."""
+    parts = [ParityBlocks(pk * kernel.even, pk * kernel.odd) for pk in p[:-1]]
+    np.multiply(kernel.even, p[-1], out=kernel.even)
+    np.multiply(kernel.odd, p[-1], out=kernel.odd)
+    for part in (*parts, kernel):
+        for block in (part.even, part.odd):
+            block[np.diag_indices_from(block)] += 1.0
+        scale_blocks(part, t)
+    return (*parts, kernel)
 
 
 def _check_samples(wave, grid: Grid) -> None:
@@ -312,21 +327,14 @@ def splits(params, spec) -> bool:
 
 
 def scalar_split(params, spec, wave, grid: Grid) -> ScalarSplit | None:
-    """The scalar split of L, or None when L does not split.
-
-    On a subsonic a = c wave with w = 0 or b = -a, and psi = B phi sample
-    for sample, L = W x (1 + a dxx) + P x phi with W = [[1, -w], [-w, 1]]
-    and P = [[0, B], [B, 1]].  The generalized eigenpairs P v = p W v give
-    R = W V with R R^T = W and R diag(p) R^T = P: kdv (p = 2) and hill
-    (p = -1) on the standing branch, where W = I and R is orthogonal.  The
-    one potential block is built only when L splits.
-    """
+    """The scalar split of Lt (module docstring) when splits holds and
+    psi = B phi sample for sample, else None; K is built only then."""
     _check_samples(wave, grid)
-    B, w = spec.B, spec.w
-    if not (splits(params, spec) and np.array_equal(wave.psi, B * wave.phi)):
+    if not (splits(params, spec) and np.array_equal(wave.psi, spec.B * wave.phi)):
         return None
-    p, rotation = _component_split(B, w)
-    return ScalarSplit(rotation, p, potential_blocks(grid, wave.phi))
+    p, rotation = _component_split(spec.B, spec.w)
+    kernel = kernel_blocks(params.a, grid, wave.phi)
+    return ScalarSplit(rotation, p, kernel, _t_diagonal(params.a, params.b, grid))
 
 
 def assemble_system_operator_L(params, spec, wave, grid: Grid) -> ParityBlocks:
@@ -400,10 +408,9 @@ def assemble_scalar_operator(a: float, grid: Grid) -> tuple[ParityBlocks, Parity
     hill = a dxx + 1 - phi0     (positive, spectrum in [1, inf))
 
     the parts of the split L at the standing-wave profile phi0, which exists
-    only for a = c < 0; both come from one potential_blocks of phi0.
+    only for a = c < 0: split_parts of phi0's K with T = C^-1.
     """
     if not a < 0:
         raise DomainError(f"a must be negative, got {a}")
-    potential = potential_blocks(grid, standing_wave_profile(a, grid))
-    return _scalar_parts(a, grid, potential, (2.0, -1.0))
-
+    kernel = kernel_blocks(a, grid, standing_wave_profile(a, grid))
+    return split_parts(kernel, (2.0, -1.0), _t_diagonal(a, 0.0, grid))

@@ -51,11 +51,12 @@ exist:
   reports where the discrete crossing lies.
 
 Every numeric index is read from an even block the verdict has already
-built (spectra).  On a split wave (discretization) part i of L is
-C^-1 (I + p_i K) C^-1, so <part_i^(-1) c, c> = <(I + p_i K)^(-1) C c, C c>,
-and Lt = S L S gives <L^(-1) r, r> = <Lt^(-1) S r, S r> on every other
-wave.  The right-hand sides are even and the translation kernel is odd, so
-the even block is nonsingular.  The hill part I - K needs no factorization:
+built (spectra).  On a split wave part i of L is C^-1 (I + p_i K) C^-1
+(derived in discretization), so <part_i^(-1) c, c> =
+<(I + p_i K)^(-1) C c, C c>, and Lt = S L S gives
+<L^(-1) r, r> = <Lt^(-1) S r, S r> on every other wave.  The right-hand
+sides are even and the translation kernel is odd, so the even block is
+nonsingular.  The hill part I - K needs no factorization:
 multiplication by an even v leaves the cosine and the sine functions
 invariant, so V's blocks have v's samples for eigenvalues, and C <= I
 (a < 0) gives I - K >= (1 - max(max_j phi_j, 0)) I, which is >= I on the
@@ -77,13 +78,13 @@ import numpy as np
 from .discretization import (
     Grid,
     ParityBlocks,
+    ScalarSplit,
+    _t_diagonal,
     apply_multiplier,
     assemble_tilde_L,
     derivative_of_samples,
+    kernel_blocks,
     parity_coefficients,
-    parity_wavenumbers,
-    potential_blocks,
-    scale_blocks,
     smoothing_diagonal,
     standing_wave_profile,
 )
@@ -140,9 +141,9 @@ class BisectionResult:
     z_root: float  # root of the discrete 3 I(z) inside [bracket_lo, bracket_hi]
 
 
-def _standing_columns(a: float, grid: Grid) -> np.ndarray:
-    """c_0 = phi and c_1 = -a phi'', so that f = (1 - b dxx) phi = c_0 - z c_1."""
-    phi = standing_wave_profile(a, grid)
+def _standing_columns(a: float, grid: Grid, phi: np.ndarray) -> np.ndarray:
+    """c_0 = phi and c_1 = -a phi'' of the samples phi, so that
+    f = (1 - b dxx) phi = c_0 - z c_1."""
     return np.stack([phi, -a * derivative_of_samples(grid, phi, 2)])
 
 
@@ -244,24 +245,24 @@ def standing_quadratic(
     a: float, grid: Grid, shared: tuple[np.ndarray, ParityBlocks] | None = None
 ) -> StandingQuadratic:
     """Both parts' coefficients, one even-block factorization each, from
-    shared = (phi, K): samples phi and the blocks of K = C V C built from
-    them (the verdict's, or by default phi0 and its K).
+    shared = (phi, K): samples phi and their kernel_blocks (the verdict's,
+    or by default phi0 and its K).
 
     Part I + p K = p (K + I/p) is solved with K_e's own diagonal shifted by
     1/p and restored after; the hill part is certified from phi's samples
     (module docstring), so K's odd block is never read.
     """
-    scale = 1.0 / np.sqrt(1.0 - a * parity_wavenumbers(grid) ** 2)
+    scale = 1.0 / _t_diagonal(a, 0.0, grid)  # C
     if shared is None:
         phi = standing_wave_profile(a, grid)
-        shared = phi, scale_blocks(potential_blocks(grid, phi), scale)
+        shared = phi, kernel_blocks(a, grid, phi)
     phi, blocks = shared
     margin = 1.0 - max(float(np.max(phi)), 0.0)
     roundoff = grid.n_points * np.finfo(float).eps * float(np.max(np.abs(phi)))
     if not margin > roundoff:
         raise SolveFailure(f"hill part margin {margin:.3e} <= round-off {roundoff:.3e}")
     even, diagonal = blocks.even, blocks.even.diagonal().copy()
-    columns = _standing_columns(a, grid)
+    columns = _standing_columns(a, grid, phi)
     grams = []
     for p in (2.0, -1.0):
         even[np.diag_indices_from(even)] += 1.0 / p
@@ -336,24 +337,23 @@ def _closed_form_report(params: AbcParameters, spec) -> IndexReport:
 
 
 def index_source(
-    params: AbcParameters, spec, wave, grid: Grid, blocks: ParityBlocks
+    params: AbcParameters, spec, wave, grid: Grid, blocks: ParityBlocks, split: ScalarSplit | None
 ) -> Callable[[AbcParameters, object], IndexReport]:
     """The index report of every pulse on this one's route, as a function
-    of (params, spec), from the verdict's blocks: K's when L splits, else
-    Lt's.
+    of (params, spec), from the verdict's blocks and split: the split's K
+    when L splits, else Lt's blocks and None.
 
     The standing branch (a = c, eta0 = -3/2, w = 0) solves
     standing_quadratic here, on the wave's phi and K, or on phi0 and its K
     if L does not split, and each pulse reports at its own z with the
     bounds; the free-amplitude branch (a = c = -b, eta0 in (-9/4, 0)) takes
-    the closed form of each pulse;
-    every other pulse, whose L never splits, solves here on Lt's even block
-    and reports for itself alone.  At the z = 1 coincidence, where both
-    branches meet, the standing route wins.
+    the closed form of each pulse; every other pulse, whose L never splits,
+    solves here on Lt's even block and reports for itself alone.  At the
+    z = 1 coincidence, where both branches meet, the standing route wins.
     """
     route = index_route(params, spec)
     if route == "standing":
-        shared = (wave.phi, blocks) if len(blocks.even) == grid.n_points // 2 + 1 else None
+        shared = None if split is None else (wave.phi, split.kernel)
         quadratic = standing_quadratic(params.a, grid, shared)
         return lambda params, spec: quadratic.report(params.ratio_z)
     if route == "closed_form":

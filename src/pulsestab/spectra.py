@@ -3,17 +3,16 @@
 The symmetrized operator Lt is assembled as its cosine and sine blocks and
 diagonalized block by block, to read off its inertia (one negative
 eigenvalue and a simple kernel for every admissible pulse).  On every
-subsonic a = c wave L splits (discretization.scalar_split, which derives
-it): Lt = (R x I) blockdiag(T (I + p_i K) T) (R x I)^T with R R^T = W,
-K = C V C, V the blocks of phi, and T diagonal.  So the verdict
-diagonalizes K once per parity, one eigh of the odd block
+subsonic a = c wave L splits, and part i of Lt is T (I + p_i K) T
+(discretization.ScalarSplit; the discretization module docstring derives
+it).  So the verdict diagonalizes K once per parity, one eigh of
 K_o = V_K diag(kappa) V_K^T and one eigvalsh of K_e, and classifies the
-eigenvalues 1 + p_i kappa of the congruent I + p_i K: they carry Lt's
-inertia by Sylvester's law but not its eigenvalues.  Every other wave
-keeps Lt's two-component blocks, with R = I.  The standalone spectrum
-reports Lt's own eigenvalues and composes nothing: it solves the half-size
-S part_i S on the standing branch, where R is orthogonal, and Lt's
-assembled two-component blocks on every other wave.  The evolution
+eigenvalues 1 + p_i kappa of the congruent I + p_i K, which carry Lt's
+inertia but not its eigenvalues.  Every other wave keeps Lt's
+two-component blocks, with R = I.  The standalone spectrum reports Lt's
+own eigenvalues: it solves the half-size parts (discretization.split_parts)
+on the standing branch, where R is orthogonal, and Lt's two-component
+blocks on every other wave.  The evolution
 generator JL is counted from the same blocks: with
 S = (1 - b dxx)^(-1/2) and J0 = -dx swap, J = S J0 S, so
 JL = S (J0 Lt) S^-1 shares the spectrum of J0 Lt, which couples the even
@@ -31,21 +30,17 @@ semidefinite the mu are the eigenvalues of the symmetric
     M = -Q^T G Q,   Q = blockdiag(Q_i),
 
 one solve of size N - 2 however many parts, so every mu is real, with
-absolute round-off eps |M|.  One part has Q = V D^1/2 from its own eigh;
-the split parts share Q_i = T V_K Delta_i, Delta_i = diag(1 + p_i kappa)^1/2,
-so each block of Q^T G Q is a combination of two products of
-X = diag(xi_k t_k^2) V_K (see _shared_reduced_matrix), and the split
-verdict builds neither Lt's parts nor G.  Odd eigenvalues within
+absolute round-off eps |M|: _reduced_matrix builds -M for one part, and
+_shared_reduced_matrix for the split parts from K's eigenbasis, with
+neither Lt's parts nor G.  Odd eigenvalues within
 n eps max|D| below zero, over the union of the parts, count as round-off
 of a semidefinite block; one further below (supersonic waves, never
 subsonic a = c ones) sends JL to a full nonsymmetric eigensolve of
 [[0, JL_odd], [JL_even, 0]], its parity blocks laid out on the cosine and
 sine coefficients.  The odd blocks' eigenvectors are computed only for
-this count; the standalone Lt spectrum takes eigenvalues alone.
-The essential-spectrum edge kappa comes from the smoothed 2x2
-Fourier symbol minimized over the grid wavenumbers; the verdict does not
-need it.  The verdict combines the inertia, the sign of the index quantity,
-the parity identity
+this count; the standalone Lt spectrum takes eigenvalues alone.  The
+verdict needs no essential-spectrum edge (essential_spectrum_gap).  It
+combines the inertia, the sign of the index quantity, the parity identity
 
     n_unstable = n(Lt) - n(index quantity)   (mod 2),
 
@@ -58,8 +53,7 @@ Numerical Algorithms, 2002, ch. 10), the direct count is 0 and the
 verdict's max_real_part is the certified bound re_tol/2.  Otherwise, or
 when the factorization fails, it solves M as above.  On coarse grids the
 unresolved translation pair has mu > c and fails the factorization, so
-those verdicts are counted as before; the JL spectrum itself always takes
-the full solve.
+those verdicts take the full count; the JL spectrum itself always does.
 
 A verdict runs in two steps, so that the rows of a scan can share the
 first.  verdict_basis is the row-invariant part, built from one pulse, its
@@ -91,14 +85,14 @@ import numpy as np
 from .discretization import (
     Grid,
     ParityBlocks,
+    ScalarSplit,
     _component_split,
-    _scalar_parts,
+    _t_diagonal,
     assemble_JL,
     assemble_tilde_L,
     parity_wavenumbers,
     scalar_split,
-    scale_blocks,
-    smoothing_diagonal,
+    split_parts,
     splits,
 )
 from .errors import DomainError, EigensolveFailure, NotSubsonic, SolverError
@@ -129,11 +123,9 @@ class TildeLBlocks:
     odd_eigen = (kappa, V), kappa ascending.
 
     Without p they are Lt's own two-component blocks, with R = I.  With p
-    (a split wave, standing or free) they are the blocks of K = C V C, which
-    both parts share, and t is the diagonal of T = S C^-1 (see
-    discretization): Lt's part i is T (I + p_i K) T.  The parts classified
-    are then the congruent I + p_i K, with eigenvalues 1 + p_i kappa: they
-    carry Lt's inertia (Sylvester's law) but not its eigenvalues, so the
+    (a split wave, standing or free) they are the blocks of the split's K
+    and t the diagonal of its T (discretization.ScalarSplit).  The parts
+    classified are then the congruent I + p_i K (module docstring), so the
     default radius of zero_tol and the translation eigenvalue d0 are read
     on their scale.  A row of a scan reads its anchor's K with p_i s in
     place of p_i (module docstring).
@@ -197,28 +189,22 @@ def _subsonic_gap(params: AbcParameters, spec: WaveSpec, grid: Grid) -> float | 
 
 def _verdict_operator(
     params: AbcParameters, spec: WaveSpec, wave: SampledWave, grid: Grid
-) -> tuple:
-    """(blocks, R, p, t) of the verdict: K = C V C's blocks, scaled in its
-    potential's own arrays, when discretization.scalar_split splits L, else
-    Lt's with R = I.  ReflectionDefect if the wave is not even."""
+) -> tuple[ParityBlocks, ScalarSplit | None]:
+    """(blocks, split) of the verdict: the split's K when
+    discretization.scalar_split splits L, else Lt's blocks and None.
+    ReflectionDefect if the wave is not even."""
     split = scalar_split(params, spec, wave, grid)
     if split is None:
-        return assemble_tilde_L(params, spec, wave, grid), np.eye(2), None, None
-    symbol = 1.0 - params.a * parity_wavenumbers(grid) ** 2
-    shared = scale_blocks(split.potential, 1.0 / np.sqrt(symbol))
-    return shared, split.rotation, split.p, _t_diagonal(params, grid)
+        return assemble_tilde_L(params, spec, wave, grid), None
+    return split.kernel, split
 
 
-def _t_diagonal(params: AbcParameters, grid: Grid) -> np.ndarray:
-    """t_k = sqrt((1 - a xi_k^2) / (1 + b xi_k^2)), the diagonal of T = S C^-1."""
-    xi2 = parity_wavenumbers(grid) ** 2
-    return np.sqrt((1.0 - params.a * xi2) / (1.0 + params.b * xi2))
-
-
-def _classified(operator: ParityBlocks, rotation: np.ndarray, p, t) -> TildeLBlocks:
+def _classified(operator: ParityBlocks, split: ScalarSplit | None) -> TildeLBlocks:
     """The operator's TildeLBlocks, with one eigh of its odd block."""
     odd_eigen = _symmetric_eigen(np.linalg.eigh, operator.odd)
-    return TildeLBlocks(rotation, operator.even, odd_eigen, p, t)
+    if split is None:
+        return TildeLBlocks(np.eye(2), operator.even, odd_eigen)
+    return TildeLBlocks(split.rotation, operator.even, odd_eigen, split.p, split.t)
 
 
 def _tilde_L_blocks(
@@ -250,20 +236,18 @@ def discrete_spectrum_tilde_L(
 
     Lt commutes with x -> -x, so its eigenvalues are the sorted union of
     those of its even and odd blocks (ReflectionDefect if the wave is not
-    even).  The blocks are the half-size S part_i S on the standing branch,
-    where R is orthogonal, and Lt's two-component blocks on every other
-    wave; each takes eigenvalues only.  zero_tol defaults to 1e-6 times the
-    spectral radius; it separates the translational kernel from genuinely
-    small eigenvalues (verified stable under N-refinement).  The
-    essential-spectrum edge is reported when the wave is subsonic.
+    even).  The blocks are the half-size parts T (I + p_i K) T on the
+    standing branch, where R is orthogonal, and Lt's two-component blocks on
+    every other wave; each takes eigenvalues only.  zero_tol defaults to
+    1e-6 times the spectral radius; it separates the translational kernel
+    from genuinely small eigenvalues (verified stable under N-refinement).
+    The essential-spectrum edge is reported when the wave is subsonic.
     """
     split = scalar_split(params, spec, wave, grid) if spec.w == 0 else None
     if split is None:
         pieces = [assemble_tilde_L(params, spec, wave, grid)]
     else:
-        s = smoothing_diagonal(params.b, grid)
-        parts = _scalar_parts(params.a, grid, split.potential, split.p)
-        pieces = [scale_blocks(part, s) for part in parts]
+        pieces = split_parts(split.kernel, split.p, split.t)
     even_values = [_symmetric_eigen(np.linalg.eigvalsh, piece.even) for piece in pieces]
     odd_values = [_symmetric_eigen(np.linalg.eigvalsh, piece.odd) for piece in pieces]
     eigenvalues = np.sort(np.concatenate(even_values + odd_values))
@@ -351,15 +335,10 @@ def _negated_reduced_matrix(
     grid: Grid, blocks: TildeLBlocks, products: dict | None = None
 ) -> np.ndarray | None:
     """-M = Q^T G Q, whose eigenvalues are minus the mu = lambda^2 of JL off
-    J's kernel, or None when the odd block of Lt is indefinite.
-
-    With the odd blocks Q_i Q_i^T semidefinite the mu are the eigenvalues of
-    the symmetric M = -Q^T G Q, Q = blockdiag(Q_i), so each is real and
-    carries the absolute round-off eps |M|; _reduced_matrix builds -M for one
-    part and _shared_reduced_matrix for split parts.  Odd eigenvalues
-    classified within n eps max|D| below zero, over the union of the parts,
-    are round-off of a semidefinite block and count as zero.  products
-    serves _shared_reduced_matrix.
+    J's kernel (module docstring), or None when the odd block of Lt is
+    indefinite: odd eigenvalues classified within n eps max|D| below zero,
+    over the union of the parts, are round-off of a semidefinite block and
+    count as zero.  products serves _shared_reduced_matrix.
     """
     values = blocks.odd_values
     floor = len(values) * np.finfo(float).eps * np.max(np.abs(values))
@@ -500,25 +479,24 @@ def verdict_basis(
 ) -> VerdictBasis:
     """The basis of a verdict: build the blocks, read the index from them,
     diagonalize the odd block and free it, and take the even eigenvalues."""
-    operator, *split = _verdict_operator(params, spec, wave, grid)
-    index = index_source(params, spec, wave, grid, operator)
-    blocks = _classified(operator, *split)
+    operator, split = _verdict_operator(params, spec, wave, grid)
+    index = index_source(params, spec, wave, grid, operator, split)
+    blocks = _classified(operator, split)
     # free the odd block: -M reads the even block and odd_eigen alone
-    del operator
+    del operator, split
     even_kappa = _symmetric_eigen(np.linalg.eigvalsh, blocks.even)
     return VerdictBasis(params, spec, wave, grid, blocks, even_kappa, index)
 
 
 def _row_blocks(basis: VerdictBasis, params: AbcParameters, spec: WaveSpec) -> TildeLBlocks:
-    """The basis's blocks as one row reads them.  A split row with the
-    anchor's route, a and grid has K = s K_anchor, s = eta0 / anchor eta0
-    (every split wave has lambda = 1/(2 sqrt(-a))), so its parts are
-    T (I + p_i s K_anchor) T with its own p, R and T."""
+    """The basis's blocks as one row reads them: a split row on its
+    anchor's basis reads K = s K_anchor, s = eta0 / anchor eta0, with its
+    own p, R and T (module docstring)."""
     blocks = basis.blocks
     if spec is basis.spec:
         return blocks
     p, rotation = _component_split(spec.B, spec.w)
-    t = blocks.t if params.b == basis.params.b else _t_diagonal(params, basis.grid)
+    t = blocks.t if params.b == basis.params.b else _t_diagonal(params.a, params.b, basis.grid)
     return TildeLBlocks(
         rotation, blocks.even, blocks.odd_eigen, p * (spec.eta0 / basis.spec.eta0), t
     )

@@ -116,14 +116,12 @@ def resolve_wave_parameters(
     params: AbcParameters,
     eta0: float,
     sign_branch: int = +1,
-    require_subsonic: bool = False,
 ) -> WaveSpec:
     """Resolve (w, lambda, B) for the requested amplitude and sign branch.
 
     Raises DomainError for eta0 <= -3 or eta0 = 0, for a negative width
     radicand, and in the pinned-amplitude regime (a + b != 0) when eta0
-    does not match 3 (1 - 2p) / (2p).  With require_subsonic=True the
-    free-amplitude branch additionally restricts eta0 to (-9/4, 0).
+    does not match 3 (1 - 2p) / (2p).
     """
     if sign_branch not in (+1, -1):
         raise DomainError(f"sign_branch must be +1 or -1, got {sign_branch}")
@@ -133,15 +131,10 @@ def resolve_wave_parameters(
         raise DomainError("eta0 = 0 is the trivial wave and is rejected")
 
     a, b, c = params.a, params.b, params.c
-    if params.kdv_scaling:
-        # free amplitude regime a = c = -b
-        if require_subsonic and not (-2.25 < eta0 < 0.0):
-            raise DomainError(
-                f"subsonic waves require eta0 in (-9/4, 0), got {eta0}"
-            )
-    elif abs(a + b) <= _EQ_TOL * max(1.0, abs(a), b):
-        raise DomainError("a + b = 0 requires a = c = -b for a pulse to exist")
-    else:
+    # a = c = -b leaves the amplitude free; every other pulse has it pinned
+    if not params.kdv_scaling:
+        if abs(a + b) <= _EQ_TOL * max(1.0, abs(a), b):
+            raise DomainError("a + b = 0 requires a = c = -b for a pulse to exist")
         p = (c + b) / (a + b)
         if p <= 0:
             raise DomainError(f"no pulse: p = (c + b)/(a + b) = {p} is not positive")

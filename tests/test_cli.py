@@ -516,6 +516,36 @@ def test_grid_length_without_finite_nodes_is_domain_error(capsys, length):
     assert "finite nodes" in err
 
 
+def child_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this checkout's src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, **extra)
+    inherited = [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []
+    env["PYTHONPATH"] = os.pathsep.join([str(src)] + inherited)
+    return env
+
+
+def test_grid_too_large_for_memory_is_a_one_line_error():
+    # N = 4194304 asks 32 TiB for the potential blocks; the child process
+    # runs under a 3 GiB address-space limit, so the test can never take a
+    # machine's memory
+    argv = ["index", "--a", "-1", "--b", "4", "--c", "-1", "--eta0", "-1.5", "--grid-n", "4194304"]
+    program = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "from pulsestab.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", program], env=child_env(OPENBLAS_NUM_THREADS="1"),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: out of memory")
+    assert len(done.stderr.splitlines()) == 1
+
+
 def test_output_file_written(capsys, tmp_path):
     out_path = tmp_path / "wave.json"
     code, out, _ = run_cli(
@@ -532,10 +562,7 @@ def test_index_command_imports_numpy_only():
     # numpy is the only declared runtime dependency; an index, threshold,
     # spectrum or eta0 scan command run in a fresh interpreter must not pull
     # in scipy
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    inherited = [env["PYTHONPATH"]] if env.get("PYTHONPATH") else []
-    env["PYTHONPATH"] = os.pathsep.join([str(src)] + inherited)
+    env = child_env()
     wave = ["--a", "-1", "--b", "4", "--c", "-1", "--eta0", "-1.5", "--grid-n", "128"]
     commands = {
         "index": ["index", *wave],

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -12,9 +12,7 @@ from pulsestab.discretization import (
     apply_multiplier,
     build_grid,
     derivative_of_samples,
-    parity_wavenumbers,
-    potential_blocks,
-    scale_blocks,
+    kernel_blocks,
     standing_wave_profile,
 )
 from pulsestab.errors import (
@@ -170,8 +168,7 @@ def test_hill_part_refused_when_a_sample_reaches_one(monkeypatch, standing_grid)
     # and the reference spectrum of its I - K (the even block) is indefinite
     grid = standing_grid
     phi = -2.0 * standing_wave_profile(-1.0, grid)
-    c = 1.0 / np.sqrt(1.0 + parity_wavenumbers(grid) ** 2)  # C = (1 - dxx)^(-1/2) at a = -1
-    shared = scale_blocks(potential_blocks(grid, phi), c)
+    shared = kernel_blocks(-1.0, grid, phi)
     assert np.linalg.eigvalsh(np.eye(len(shared.even)) - shared.even)[0] < -0.5
     solves = count_calls(monkeypatch, index_count, "_gram")
     with pytest.raises(SolveFailure, match="hill part"):
@@ -196,8 +193,8 @@ def test_standing_routes_refuse_an_odd_right_hand_side(
     # only the phi'' column is contaminated, so every column must be checked
     standing_columns = index_count._standing_columns
 
-    def contaminated(a, grid):
-        columns = standing_columns(a, grid)
+    def contaminated(a, grid, phi):
+        columns = standing_columns(a, grid, phi)
         columns[1] += 1e-3 * derivative_of_samples(grid, columns[1], 1)
         return columns
 
@@ -317,8 +314,8 @@ def test_general_index_matches_case2(z):
 def test_index_report_routes(standing_z1, case1_eta_minus1):
     # z = 1 is on both closed-form branches; the standing route takes it
     def verdict_report(params, spec, wave, grid):
-        operator, *_ = spectra._verdict_operator(params, spec, wave, grid)
-        return index_source(params, spec, wave, grid, operator)(params, spec)
+        operator, split = spectra._verdict_operator(params, spec, wave, grid)
+        return index_source(params, spec, wave, grid, operator, split)(params, spec)
 
     params, spec, grid, wave = standing_z1
     standing = verdict_report(params, spec, wave, grid)
@@ -457,12 +454,15 @@ def test_bound_polynomials_change_sign_at_analytic_roots():
     n=st.sampled_from([128, 256, 512]),
 )
 @settings(max_examples=40, deadline=None)
+@example(a=-2.0, z=4.0, n=256)  # where the wave's phi and phi0 differ in their last bits
 def test_verdict_index_from_its_own_blocks_matches_the_scalar_pair(a, z, n):
-    # the verdict reads the index from K = C V C of its own wave; the
-    # standalone route assembles the scalar pair at phi0, and the reference
-    # solves each scalar operator with f itself
+    # the verdict reads the index from K = C V C of its own wave, exactly;
+    # the standalone route assembles the scalar pair at phi0, and the
+    # reference solves each scalar operator with f itself
     params, spec, grid, wave = make_standing(a=a, b=z * -a, n=n, lfac=50.0)
     report = spectra.stability_verdict(params, spec, wave, grid).index_report
+    own = standing_quadratic(a, grid, (wave.phi, kernel_blocks(a, grid, wave.phi)))
+    assert report == own.report(params.ratio_z)
     standalone = case2_index(a, z * -a, grid)
     scale = (8.0 * abs(standalone.kdv_part) + abs(standalone.hill_part)) / 3.0
     assert abs(report.index_value - standalone.index_value) <= 1e-12 * scale
@@ -478,8 +478,8 @@ def test_verdict_index_from_its_own_blocks_matches_the_scalar_pair(a, z, n):
 )
 def test_general_index_from_lt_matches_the_physical_solve(make):
     params, spec, grid, wave = make(256)
-    operator, *_ = spectra._verdict_operator(params, spec, wave, grid)
-    report = index_source(params, spec, wave, grid, operator)(params, spec)
+    operator, split = spectra._verdict_operator(params, spec, wave, grid)
+    report = index_source(params, spec, wave, grid, operator, split)(params, spec)
     even, _ = reference.parity_basis(grid, 2)
     smoother = reference.smoother_power(grid, params.b, 1.0)
     rhs = even.T @ np.concatenate([smoother @ wave.psi, smoother @ wave.phi])

@@ -17,7 +17,7 @@ from conftest import (
 )
 from pulsestab import discretization, index_count, spectra
 from pulsestab.cli import main
-from pulsestab.discretization import build_grid, derivative_of_samples
+from pulsestab.discretization import assemble_tilde_L, build_grid, derivative_of_samples
 from pulsestab.errors import DomainError, NotSubsonic, ReflectionDefect, SolverError
 from pulsestab.index_count import general_index_numeric
 from pulsestab.spectra import (
@@ -55,6 +55,21 @@ def test_tilde_spectrum_blocks_match_full_eigensolve(fixture, request):
     full = np.linalg.eigvalsh(reference.tilde_L(params, spec, wave, grid))
     radius = np.max(np.abs(full))
     np.testing.assert_allclose(report.eigenvalues, full, rtol=0, atol=1e-12 * radius)
+
+
+@pytest.mark.parametrize("z", [1.0, 4.0, 12.5])
+def test_standing_spectrum_from_the_split_matches_the_assembled_blocks(z):
+    # on the standing branch R is orthogonal, so the parts T (I + p_i K) T
+    # carry the eigenvalues of Lt's assembled two-component blocks
+    params, spec, grid, wave = make_standing(b=z, n=256)
+    report = discrete_spectrum_tilde_L(params, spec, wave, grid)
+    lt = assemble_tilde_L(params, spec, wave, grid)
+    assembled = np.sort(np.concatenate([np.linalg.eigvalsh(lt.even), np.linalg.eigvalsh(lt.odd)]))
+    radius = np.max(np.abs(assembled))
+    assert np.max(np.abs(report.eigenvalues - assembled)) <= 1e-13 * radius
+    zero_tol = 1e-6 * radius
+    assert report.negative_count == np.sum(assembled < -zero_tol)
+    assert report.zero_modes == np.sum(np.abs(assembled) <= zero_tol)
 
 
 def with_samples(wave, component, values):

@@ -69,10 +69,8 @@ def test_negative_radicand_rejected():
         resolve_wave_parameters(params, 3.0)
 
 
-def test_subsonic_restriction_flag():
+def test_supersonic_free_amplitude_pulse_resolves():
     params = AbcParameters(-1.0, 1.0, -1.0)
-    with pytest.raises(DomainError):
-        resolve_wave_parameters(params, -2.4, require_subsonic=True)
     spec = resolve_wave_parameters(params, -2.4)  # supersonic but a valid pulse
     assert abs(spec.w) > 1.0
 
