@@ -32,8 +32,9 @@ Assembled operators, each as its two-component ParityBlocks:
           S is the diagonal s_k = (1 + b xi_k^2)^(-1/2) (smoothing_diagonal)
     JL  = J L,  J = -dx (1 - b dxx)^(-1) swap                  (evolution)
           J anticommutes with the reflection, so JL maps each parity onto
-          the other; assembled only when the parity reduction of JL does
-          not apply
+          the other; spectra counts JL from Lt's parity blocks on every
+          wave, so no command assembles it; tests compare it with the
+          physical-space JL
     scalar pair: kdv  = a dxx + 1 + 2 phi0
                  hill = a dxx + 1 - phi0       (phi0 the standing-wave profile)
 

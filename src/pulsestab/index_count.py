@@ -373,11 +373,12 @@ def critical_ratio_bisection(
     a is fixed to -1 and b = z varies; by the scaling covariance
     index(a, b) = sqrt(-a) index(-1, b / (-a)) the crossing is independent
     of |a|.  The coefficients are computed once, and each evaluation is the
-    quadratic that case2_index would report at that z.  Raises NoSignChange
+    quadratic that case2_index would report at that z.  Raises DomainError
+    unless both ends are finite with finite index values, and NoSignChange
     when the endpoint signs agree.
     """
-    if not (z_lo < z_hi and tol > 0):
-        raise DomainError(f"need z_lo < z_hi and tol > 0, got ({z_lo}, {z_hi}, {tol})")
+    if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo < z_hi and tol > 0):
+        raise DomainError(f"need finite z_lo < z_hi and tol > 0, got ({z_lo}, {z_hi}, {tol})")
 
     quadratic = standing_quadratic(-1.0, grid)
 
@@ -389,6 +390,9 @@ def critical_ratio_bisection(
 
     f_lo, f_hi = value(z_lo), value(z_hi)
     evaluations = 2
+    for z, f in ((z_lo, f_lo), (z_hi, f_hi)):
+        if not math.isfinite(f):
+            raise DomainError(f"index is not finite at z={z} ({f})")
     if f_lo == 0.0:
         return result(z_lo, z_lo, z_lo, 0)
     if f_hi == 0.0:

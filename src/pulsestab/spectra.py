@@ -12,48 +12,49 @@ inertia but not its eigenvalues.  Every other wave keeps Lt's
 two-component blocks, with R = I.  The standalone spectrum reports Lt's
 own eigenvalues: it solves the half-size parts (discretization.split_parts)
 on the standing branch, where R is orthogonal, and Lt's two-component
-blocks on every other wave.  The evolution
-generator JL is counted from the same blocks: with
-S = (1 - b dxx)^(-1/2) and J0 = -dx swap, J = S J0 S, so
-JL = S (J0 Lt) S^-1 shares the spectrum of J0 Lt, which couples the even
-block Lt_e and the odd block Lt_o through J_eo = -[[0, D], [D, 0]]
-= -(swap x D), D = diag(xi_k) from sine k to cosine k.  In the
-components of the parts J0 Lt is similar to (R^T J0 R) blockdiag(parts)
-for any invertible R, so J_eo becomes -(Sigma x D) with
-Sigma = R^T swap R, the plain swap when R = I.  The eigenvalues of JL
-are the four zeros of J's even kernel and +-sqrt(mu) for the eigenvalues
-mu of -G Lt_o, G = J_eo^T Lt_e J_eo (the even/odd Hamiltonian reduction,
-Kapitula & Promislow, Spectral and Dynamical Stability of Nonlinear Waves,
-2013, ch. 7).  When every part's odd block Q_i Q_i^T is positive
-semidefinite the mu are the eigenvalues of the symmetric
+blocks on every other wave.  The evolution generator JL is counted from
+the same blocks: with S = (1 - b dxx)^(-1/2) and J0 = -dx swap,
+J = S J0 S, so JL = S (J0 Lt) S^-1 shares the spectrum of J0 Lt, which
+couples the even block Lt_e and the odd block Lt_o through
+J_eo = -[[0, D], [D, 0]] = -(swap x D), D = diag(xi_k) from sine k to
+cosine k.  In the components of the parts J0 Lt is similar to
+(R^T J0 R) blockdiag(parts) for any invertible R, so J_eo becomes
+-(Sigma x D) with Sigma = R^T swap R, the plain swap when R = I.  The
+eigenvalues of JL are the four zeros of J's even kernel and +-sqrt(mu)
+for the eigenvalues mu of -G Lt_o, G = J_eo^T Lt_e J_eo (the even/odd
+Hamiltonian reduction, Kapitula & Promislow, Spectral and Dynamical
+Stability of Nonlinear Waves, 2013, ch. 7; Kapitula, Kevrekidis &
+Sandstede, Physica D 195, 2004).  Write every part's odd block as
+Q_i diag(sigma_i) Q_i^T, Q_i its eigenvectors scaled by the square roots
+of the eigenvalues' magnitudes and sigma_i their signs.  Since
+eig(XY) = eig(YX), the mu are the eigenvalues of
 
-    M = -Q^T G Q,   Q = blockdiag(Q_i),
+    -diag(sigma) Q^T G Q,   Q = blockdiag(Q_i),
 
-one solve of size N - 2 however many parts, so every mu is real, with
-absolute round-off eps |M|: _reduced_matrix builds -M for one part, and
-_shared_reduced_matrix for the split parts from K's eigenbasis, with
-neither Lt's parts nor G.  Odd eigenvalues within
-n eps max|D| below zero, over the union of the parts, count as round-off
-of a semidefinite block; one further below (supersonic waves, never
-subsonic a = c ones) sends JL to a full nonsymmetric eigensolve of
-[[0, JL_odd], [JL_even, 0]], its parity blocks laid out on the cosine and
-sine coefficients.  The odd blocks' eigenvectors are computed only for
-this count; the standalone Lt spectrum takes eigenvalues alone.  The
-verdict needs no essential-spectrum edge (essential_spectrum_gap).  It
-combines the inertia, the sign of the index quantity, the parity identity
+one matrix of size N - 2 however many parts: _reduced_matrix builds
+Q^T G Q for one part, and _shared_reduced_matrix for the split parts from
+K's eigenbasis, with neither Lt's parts nor G.  When every sigma is +1,
+as on every subsonic a = c wave, it is the symmetric M = -Q^T G Q, so
+every mu is real, with absolute round-off eps |M|; a supersonic wave's
+indefinite odd block leaves it nonsymmetric, solved by eigvals.  The odd
+blocks' eigenvectors are computed only for this count; the standalone Lt
+spectrum takes eigenvalues alone.  The verdict needs no essential-spectrum
+edge (essential_spectrum_gap).  It combines the inertia, the sign of the
+index quantity, the parity identity
 
     n_unstable = n(Lt) - n(index quantity)   (mod 2),
 
 and the direct count.  The verdict only needs to know whether some mu
 exceeds re_tol^2, an inertia question.  So when the inertia and the index
-already say stable and the odd block passes the gate, it first tries one
-Cholesky factorization of -M + c I, c = (re_tol/2)^2: if it completes,
-every mu lies below c (Sylvester's law; Higham, Accuracy and Stability of
-Numerical Algorithms, 2002, ch. 10), the direct count is 0 and the
-verdict's max_real_part is the certified bound re_tol/2.  Otherwise, or
-when the factorization fails, it solves M as above.  On coarse grids the
-unresolved translation pair has mu > c and fails the factorization, so
-those verdicts take the full count; the JL spectrum itself always does.
+already say stable and every sigma is +1, it first tries one Cholesky
+factorization of -M + c I, c = (re_tol/2)^2: if it completes, every mu lies
+below c (Sylvester's law; Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, ch. 10), the direct count is 0 and the verdict's
+max_real_part is the certified bound re_tol/2.  Otherwise, or when the
+factorization fails, it solves the reduced matrix as above.  On coarse
+grids the unresolved translation pair has mu > c and fails the
+factorization, so those verdicts take the full count; the JL spectrum
+itself always does.
 
 A verdict runs in two steps, so that the rows of a scan can share the
 first.  verdict_basis is the row-invariant part, built from one pulse, its
@@ -88,7 +89,6 @@ from .discretization import (
     ScalarSplit,
     _component_split,
     _t_diagonal,
-    assemble_JL,
     assemble_tilde_L,
     parity_wavenumbers,
     scalar_split,
@@ -107,7 +107,6 @@ __all__ = [
     "discrete_spectrum_tilde_L",
     "unstable_modes_JL",
     "essential_spectrum_gap",
-    "hamiltonian_symmetry_defect",
     "stability_verdict",
     "verdict_basis",
     "row_verdict",
@@ -138,15 +137,15 @@ class TildeLBlocks:
     t: np.ndarray | None = None
 
     def classified(self, kappa: np.ndarray) -> np.ndarray:
-        """Eigenvalues of the blocks classified, ascending: 1 + p_i kappa
-        over the parts, or kappa itself without p."""
+        """Eigenvalues of the blocks classified: 1 + p_i kappa, part after
+        part, or kappa itself without p."""
         if self.p is None:
             return kappa
-        return np.sort(np.concatenate([1.0 + pk * kappa for pk in self.p]))
+        return np.concatenate([1.0 + pk * kappa for pk in self.p])
 
     @property
     def odd_values(self) -> np.ndarray:
-        """The odd eigenvalues classified, ascending."""
+        """The odd eigenvalues classified, in the columns of Q (module docstring)."""
         return self.classified(self.odd_eigen[0])
 
 
@@ -158,7 +157,6 @@ class SpectrumReport:
     max_real_part: float | None
     ess_spectrum_gap: float | None
     n_unstable: int | None = None
-    symmetry_defect: float | None = None
 
 
 @dataclass(frozen=True)
@@ -261,52 +259,40 @@ def discrete_spectrum_tilde_L(
     )
 
 
-def hamiltonian_symmetry_defect(eigenvalues: np.ndarray) -> float:
-    """Largest distance from -conj(lambda) to the spectrum, over eigenvalues
-    with |Re| > 1e-8.  Zero for a perfectly symmetric quartet structure."""
-    active = eigenvalues[np.abs(eigenvalues.real) > 1e-8]
-    if len(active) == 0:
-        return 0.0
-    defect = 0.0
-    for lam in active:
-        defect = max(defect, float(np.min(np.abs(eigenvalues - (-np.conj(lam))))))
-    return defect
-
-
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def _reduced_matrix(blocks: TildeLBlocks, xi: np.ndarray) -> np.ndarray:
-    """Q^T G Q = -M of one two-component part, R = I and Sigma = swap.
+def _reduced_matrix(blocks: TildeLBlocks, xi: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Q^T G Q of one two-component part, R = I and Sigma = swap.
 
     G = (swap x D)^T Lt_e (swap x D), D = diag(xi_k) from sine k to cosine
     k, keeps rows and columns k = 1, ..., N/2 - 1 of each component block of
     Lt_e, swaps the components and scales by xi_k xi_l, so it costs O(N^2);
-    Q = V D^1/2.
+    Q = V Delta.
     """
     m = len(xi)
     inner = blocks.even.reshape(2, m + 2, 2, m + 2)[::-1, 1:-1, ::-1, 1:-1]
     scale = np.tile(xi, 2)
     g = scale[:, None] * inner.reshape(2 * m, 2 * m) * scale
-    values, vectors = blocks.odd_eigen
-    root = vectors * np.sqrt(np.maximum(values, 0.0))
+    root = blocks.odd_eigen[1] * delta
     return root.T @ (g @ root)
 
 
 def _shared_reduced_matrix(
-    blocks: TildeLBlocks, xi: np.ndarray, products: dict | None = None
+    blocks: TildeLBlocks, xi: np.ndarray, delta: np.ndarray, products: dict | None = None
 ) -> np.ndarray:
-    """Q^T G Q = -M of the split parts T (I + p_i K) T, from K's eigenbasis.
+    """Q^T G Q of the split parts T (I + p_i K) T, from K's eigenbasis.
 
-    Part i's odd block is Q_i Q_i^T with Q_i = T V Delta_i,
-    Delta_i = diag(1 + p_i kappa)^1/2, and G's block (c, d) is
-    sum_a Sigma_ac Sigma_ad D^T T (I + p_a K_e) T D on the inner cosines.
+    Part i's odd block is Q_i diag(sigma_i) Q_i^T, Q_i = T V Delta_i with
+    Delta_i = |diag(1 + p_i kappa)|^1/2, part i's slice of delta, and G's
+    block (c, d) is sum_a Sigma_ac Sigma_ad D^T T (I + p_a K_e) T D on the
+    inner cosines.
     With X = diag(xi_k t_k^2) V, A1 = X^T X and A2 = X^T K_e X, block (c, d)
     of Q^T G Q is Delta_c (alpha_cd A1 + beta_cd A2) Delta_d for
     alpha = Sigma^T Sigma and beta = Sigma^T diag(p) Sigma.  A1 and A2 are
     read from products when it holds them, and kept there when it is empty.
     """
-    kappa, vectors = blocks.odd_eigen
+    vectors = blocks.odd_eigen[1]
     if products:
         a1, a2 = products["a1"], products["a2"]
     else:
@@ -317,8 +303,8 @@ def _shared_reduced_matrix(
             products.update(a1=a1, a2=a2)
     sigma = blocks.rotation.T @ _SWAP @ blocks.rotation
     alpha, beta = sigma.T @ sigma, sigma.T @ (blocks.p[:, None] * sigma)
-    deltas = [np.sqrt(np.maximum(1.0 + pk * kappa, 0.0)) for pk in blocks.p]
     m = len(xi)
+    deltas = delta.reshape(len(blocks.p), m)
     reduced = np.empty((2 * m, 2 * m))
     for c, d in ((0, 0), (0, 1), (1, 1)):
         block = reduced[c * m : (c + 1) * m, d * m : (d + 1) * m]
@@ -333,21 +319,22 @@ def _shared_reduced_matrix(
 
 def _negated_reduced_matrix(
     grid: Grid, blocks: TildeLBlocks, products: dict | None = None
-) -> np.ndarray | None:
-    """-M = Q^T G Q, whose eigenvalues are minus the mu = lambda^2 of JL off
-    J's kernel (module docstring), or None when the odd block of Lt is
-    indefinite: odd eigenvalues classified within n eps max|D| below zero,
-    over the union of the parts, are round-off of a semidefinite block and
-    count as zero.  products serves _shared_reduced_matrix.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Q^T G Q, sigma) for the odd block Q diag(sigma) Q^T: the mu =
+    lambda^2 of JL off J's kernel are the eigenvalues of
+    -diag(sigma) Q^T G Q (module docstring), -M when sigma is all +1.  Odd
+    eigenvalues classified within n eps max|D| below zero, over the union of
+    the parts, are round-off of a semidefinite block and count as zero.
+    products serves _shared_reduced_matrix.
     """
     values = blocks.odd_values
     floor = len(values) * np.finfo(float).eps * np.max(np.abs(values))
-    if values[0] < -floor:
-        return None
+    signs = np.where(values < -floor, -1.0, 1.0)
+    delta = np.sqrt(np.maximum(signs * values, 0.0))
     xi = parity_wavenumbers(grid)[1:-1]
     if blocks.p is None:
-        return _reduced_matrix(blocks, xi)
-    return _shared_reduced_matrix(blocks, xi, products)
+        return _reduced_matrix(blocks, xi, delta), signs
+    return _shared_reduced_matrix(blocks, xi, delta, products), signs
 
 
 def _below_shift(reduced: np.ndarray, shift: float) -> bool:
@@ -367,32 +354,21 @@ def _below_shift(reduced: np.ndarray, shift: float) -> bool:
     return True
 
 
-def _jl_eigenvalues(
-    params: AbcParameters,
-    spec: WaveSpec,
-    wave: SampledWave,
-    grid: Grid,
-    reduced: np.ndarray | None,
-) -> np.ndarray:
-    """Every eigenvalue of JL sorted by (Re, Im), from -M when there is one
-    (+-sqrt(mu) and the zeros of J's even kernel) and else from JL's parity
-    blocks."""
-    if reduced is None:
-        jl = assemble_JL(params, spec, wave, grid)
-        even_size, odd_size = len(jl.odd), len(jl.even)
-        matrix = np.block(
-            [[np.zeros((even_size, even_size)), jl.odd], [jl.even, np.zeros((odd_size, odd_size))]]
-        )
+def _jl_eigenvalues(grid: Grid, reduced: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of JL sorted by (Re, Im): +-sqrt(mu) and the zeros
+    of J's even kernel, the mu solved from the (reduced, signs) of
+    _negated_reduced_matrix, as the symmetric -M when every sign is +1."""
+    if np.all(signs > 0):
+        squares = -_symmetric_eigen(np.linalg.eigvalsh, reduced)
+    else:
         try:
-            eigenvalues = np.linalg.eigvals(matrix)
+            squares = -np.linalg.eigvals(signs[:, None] * reduced)
         except np.linalg.LinAlgError as exc:
             raise EigensolveFailure(f"general eigensolve failed: {exc}") from exc
-    else:
-        squares = -_symmetric_eigen(np.linalg.eigvalsh, reduced)
-        roots = np.sqrt(squares.astype(complex))
-        # J's even kernel: the constants and Nyquist modes of both components
-        kernel = np.zeros(grid.n_points + 2 - len(squares), dtype=complex)
-        eigenvalues = np.concatenate([roots, -roots, kernel])
+    roots = np.sqrt(squares.astype(complex))
+    # J's even kernel: the constants and Nyquist modes of both components
+    kernel = np.zeros(grid.n_points + 2 - len(squares), dtype=complex)
+    eigenvalues = np.concatenate([roots, -roots, kernel])
     return eigenvalues[np.lexsort((eigenvalues.imag, eigenvalues.real))]
 
 
@@ -406,14 +382,14 @@ def unstable_modes_JL(
     """Eigenvalues of JL; counts modes with real part above re_tol.
 
     From the blocks of _tilde_L_blocks (Lt's own, or K's on a split wave):
-    +-sqrt(mu) for the eigenvalues mu of M (_negated_reduced_matrix) and the
-    zeros of J's even kernel (constants and Nyquist modes), or, when the odd
-    block is indefinite, a full eigensolve of JL from its parity blocks.  The discretized essential
-    spectrum sits on the imaginary axis up to round-off, so re_tol = 1e-6
-    cleanly separates genuine growth rates.
+    +-sqrt(mu) for the eigenvalues mu of the reduced matrix
+    (_negated_reduced_matrix) and the zeros of J's even kernel (constants
+    and Nyquist modes).  The discretized essential spectrum sits on the
+    imaginary axis up to round-off, so re_tol = 1e-6 cleanly separates
+    genuine growth rates.
     """
-    reduced = _negated_reduced_matrix(grid, _tilde_L_blocks(params, spec, wave, grid))
-    eigenvalues = _jl_eigenvalues(params, spec, wave, grid, reduced)
+    blocks = _tilde_L_blocks(params, spec, wave, grid)
+    eigenvalues = _jl_eigenvalues(grid, *_negated_reduced_matrix(grid, blocks))
     return SpectrumReport(
         eigenvalues=eigenvalues,
         negative_count=int(np.sum(eigenvalues.real < -re_tol)),
@@ -421,7 +397,6 @@ def unstable_modes_JL(
         max_real_part=float(np.max(eigenvalues.real)),
         ess_spectrum_gap=_subsonic_gap(params, spec, grid),
         n_unstable=int(np.sum(eigenvalues.real > re_tol)),
-        symmetry_defect=hamiltonian_symmetry_defect(eigenvalues),
     )
 
 
@@ -466,7 +441,6 @@ class VerdictBasis:
 
     params: AbcParameters
     spec: WaveSpec
-    wave: SampledWave
     grid: Grid
     blocks: TildeLBlocks
     even_kappa: np.ndarray
@@ -485,7 +459,7 @@ def verdict_basis(
     # free the odd block: -M reads the even block and odd_eigen alone
     del operator, split
     even_kappa = _symmetric_eigen(np.linalg.eigvalsh, blocks.even)
-    return VerdictBasis(params, spec, wave, grid, blocks, even_kappa, index)
+    return VerdictBasis(params, spec, grid, blocks, even_kappa, index)
 
 
 def _row_blocks(basis: VerdictBasis, params: AbcParameters, spec: WaveSpec) -> TildeLBlocks:
@@ -530,18 +504,17 @@ def row_verdict(
     parity_rhs = (n_tilde - n_index) % 2
 
     products = basis.products if blocks.t is basis.blocks.t else None
-    reduced = _negated_reduced_matrix(basis.grid, blocks, products)
+    reduced, signs = _negated_reduced_matrix(basis.grid, blocks, products)
     bound = 0.5 * re_tol
     if (
         index_sign == "neg"
         and n_tilde == 1
-        and reduced is not None
+        and np.all(signs > 0)
         and _below_shift(reduced, bound * bound)
     ):
         n_unstable, max_real_part = 0, bound
     else:
-        wave = basis.wave if spec is basis.spec else sample_wave(spec, basis.grid)
-        real = _jl_eigenvalues(params, spec, wave, basis.grid, reduced).real
+        real = _jl_eigenvalues(basis.grid, reduced, signs).real
         n_unstable, max_real_part = int(np.sum(real > re_tol)), float(np.max(real))
 
     if index_sign == "pos" or n_unstable > 0:

@@ -114,6 +114,18 @@ def generic_hill(grid, hill):
     return -spectral_derivative(grid, 2) + hill.alpha**2 * eye - np.diag(potential)
 
 
+def hamiltonian_symmetry_defect(eigenvalues):
+    """Largest distance from -conj(lambda) to the spectrum, over eigenvalues
+    with |Re| > 1e-8.  Zero for a perfectly symmetric quartet structure."""
+    active = eigenvalues[np.abs(eigenvalues.real) > 1e-8]
+    if len(active) == 0:
+        return 0.0
+    defect = 0.0
+    for lam in active:
+        defect = max(defect, float(np.min(np.abs(eigenvalues - (-np.conj(lam))))))
+    return defect
+
+
 def parity_basis(grid, components=1):
     """Orthonormal cosine and sine basis vectors as columns: c_k cos(xi_k x_j),
     k = 0..N/2, and sqrt(2/N) sin(xi_k x_j), k = 1..N/2-1, per component."""

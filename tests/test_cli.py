@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import count_calls, solve_shapes
 from pulsestab import cli, discretization, index_count, spectra
 from pulsestab.errors import DomainError, EigensolveFailure
@@ -71,7 +73,9 @@ def test_jl_spectrum_command(capsys):
     result = json.loads(out)["result"]
     assert result["max_real_part"] < 1e-6
     assert result["n_unstable"] == 0
-    assert result["symmetry_defect"] < 1e-6
+    assert "symmetry_defect" not in result
+    eigenvalues = np.array([complex(re, im) for re, im in result["eigenvalues"]])
+    assert reference.hamiltonian_symmetry_defect(eigenvalues) < 1e-6
 
 
 def test_index_command_stable(capsys):
@@ -218,6 +222,11 @@ def test_threshold_no_sign_change_is_domain_error(capsys):
     )
     assert code == 2
     assert "same sign" in err
+    # an infinite end, or one whose index overflows, is refused at once
+    for bracket in (["--zmin=-inf", "--zmax", "11"], ["--zmin", "9", "--zmax", "1e308"]):
+        code, out, err = run_cli(capsys, "threshold", *bracket, "--grid-n", "256")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_scan_eta0_all_stable(capsys, tmp_path):

@@ -438,6 +438,13 @@ def test_bisection_no_sign_change():
         critical_ratio_bisection(0.5, 2.0, 1e-3, grid)
     with pytest.raises(DomainError):
         critical_ratio_bisection(2.0, 0.5, 1e-3, grid)
+    # an infinite end never lets the bracket shrink: its midpoint is that end
+    for z_lo, z_hi in ((-math.inf, 11.0), (9.0, math.inf)):
+        with pytest.raises(DomainError, match="need finite"):
+            critical_ratio_bisection(z_lo, z_hi, 1e-3, grid)
+    # z^2 overflows in the quadratic: the index at that end has no sign
+    with pytest.raises(DomainError, match=r"index is not finite at z=1e\+308"):
+        critical_ratio_bisection(9.0, 1e308, 1e-3, grid)
 
 
 def test_bound_polynomials_change_sign_at_analytic_roots():

@@ -23,7 +23,6 @@ from pulsestab.index_count import general_index_numeric
 from pulsestab.spectra import (
     discrete_spectrum_tilde_L,
     essential_spectrum_gap,
-    hamiltonian_symmetry_defect,
     stability_verdict,
     unstable_modes_JL,
 )
@@ -115,7 +114,7 @@ def test_jl_stable_wave(case1_eta_minus1):
     report = unstable_modes_JL(params, spec, wave, grid)
     assert report.max_real_part < 1e-6
     assert report.n_unstable == 0
-    assert report.symmetry_defect < 1e-6
+    assert reference.hamiltonian_symmetry_defect(report.eigenvalues) < 1e-6
 
 
 def test_jl_unstable_standing_wave():
@@ -127,7 +126,8 @@ def test_jl_unstable_standing_wave():
     assert len(unstable) == 1
     assert unstable[0].real > 1e-3
     assert abs(unstable[0].imag) < 1e-8  # real growth mode
-    assert report.symmetry_defect < 1e-6  # -sigma partner present
+    # -sigma partner present
+    assert reference.hamiltonian_symmetry_defect(report.eigenvalues) < 1e-6
 
 
 def test_jl_stable_standing_wave(standing_z1):
@@ -138,11 +138,11 @@ def test_jl_stable_standing_wave(standing_z1):
 
 def test_symmetry_defect_helper():
     quartet = np.array([0.5 + 1j, 0.5 - 1j, -0.5 + 1j, -0.5 - 1j])
-    assert hamiltonian_symmetry_defect(quartet) == 0.0
+    assert reference.hamiltonian_symmetry_defect(quartet) == 0.0
     broken = np.array([0.5 + 1j, 0.5 - 1j])
-    assert hamiltonian_symmetry_defect(broken) == pytest.approx(1.0)
+    assert reference.hamiltonian_symmetry_defect(broken) == pytest.approx(1.0)
     imaginary_only = np.array([1j, -1j, 2j, -2j])
-    assert hamiltonian_symmetry_defect(imaginary_only) == 0.0
+    assert reference.hamiltonian_symmetry_defect(imaginary_only) == 0.0
 
 
 def test_essential_gap_standing_identity():
@@ -248,19 +248,29 @@ def test_verdict_parity_identity_mixed_scan():
         assert verdict.n_unstable_direct % 2 == verdict.parity_rhs, f"z={z}"
 
 
+# supersonic free-amplitude waves, whose odd block of Lt is indefinite
+SUPERSONIC_CASES = {
+    f"supersonic_eta0{eta0}": lambda n, eta0=eta0: make_case1(eta0, n=n, lfac=50.0)
+    for eta0 in (-2.3, -2.6, -2.9)
+}
+
+
 # N = 128 on the standing cases: the rotated count against the reference
 # where a spurious translation pair decides the answer
 @pytest.mark.parametrize(
     "case, n",
     [(case, n) for case in sorted(WAVE_CASES) for n in (256, 512)]
-    + [("standing_z1", 128), ("standing_z12", 128)],
+    + [("standing_z1", 128), ("standing_z12", 128)]
+    + [(case, n) for case in SUPERSONIC_CASES for n in (128, 256)],
 )
 def test_jl_parity_reduction_matches_full_eigensolve(case, n, monkeypatch):
-    params, spec, grid, wave = WAVE_CASES[case](n)
+    params, spec, grid, wave = {**WAVE_CASES, **SUPERSONIC_CASES}[case](n)
     full = np.linalg.eigvals(reference.JL(params, spec, wave, grid))
     calls = solve_shapes(monkeypatch)
     report = unstable_modes_JL(params, spec, wave, grid)
-    assert calls == []  # every odd block here is semidefinite
+    # a semidefinite odd block gives the symmetric -M and no eigvals; an
+    # indefinite one the signed reduced matrix, of the same size N - 2
+    assert calls == ([(n - 2, n - 2)] if case in SUPERSONIC_CASES else [])
     re_tol = 1e-6
     assert report.n_unstable == int(np.sum(full.real > re_tol))
     growth = float(np.max(full.real))
@@ -277,7 +287,8 @@ def test_jl_parity_reduction_matches_full_eigensolve(case, n, monkeypatch):
     np.testing.assert_allclose(
         np.sort(np.abs(report.eigenvalues)), np.sort(np.abs(full)), rtol=0, atol=1e-7 * radius
     )
-    assert report.symmetry_defect == 0.0  # the pairs +-sqrt(mu) are exact
+    # the pairs +-sqrt(mu) are exact
+    assert reference.hamiltonian_symmetry_defect(report.eigenvalues) == 0.0
 
 
 def assert_counts_match_the_reference(case):
@@ -293,7 +304,7 @@ def assert_counts_match_the_reference(case):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("eta0", [-2.2, -1.6, -1.0, -0.4, -0.1])
+@pytest.mark.parametrize("eta0", [-2.6, -2.3, -2.2, -1.6, -1.0, -0.4, -0.1])
 def test_free_verdict_counts_match_the_reference(eta0, sign):
     assert_counts_match_the_reference(make_case1(eta0, sign=sign, n=256))
 
@@ -355,13 +366,14 @@ def test_shared_basis_identity_holds_over_a_and_z(a, z):
     assert_shared_basis_rebuilds_lt(make_standing(a=a, b=z * -a, n=64))
 
 
-def test_jl_indefinite_odd_block_takes_the_full_eigensolve(monkeypatch):
-    # the supersonic free-amplitude wave has an odd block of Lt down to -1
+def test_jl_indefinite_odd_block_takes_the_signed_reduced_matrix(monkeypatch):
+    # the supersonic free-amplitude wave has an odd block of Lt down to -1:
+    # its mu are the eigenvalues of -diag(sigma) Q^T G Q, of size N - 2
     params, spec, grid, wave = make_case1(-2.6, n=128, lfac=50.0)
-    assert spectra._tilde_L_blocks(params, spec, wave, grid).odd_values[0] < -0.5
+    assert np.min(spectra._tilde_L_blocks(params, spec, wave, grid).odd_values) < -0.5
     calls = solve_shapes(monkeypatch)
     report = unstable_modes_JL(params, spec, wave, grid)
-    assert calls == [(256, 256)]
+    assert calls == [(126, 126)]
     assert report.n_unstable == 8
 
 
@@ -372,8 +384,12 @@ def test_verdict_assembles_lt_only_unsplit_and_skips_the_essential_gap(
     # a split verdict diagonalizes K = C V C and builds no Lt; an a != c
     # verdict assembles its one two-component Lt once
     params, spec, grid, wave = WAVE_CASES[case](512)
-    names = ("assemble_tilde_L", "assemble_JL", "essential_spectrum_gap")
-    calls = {name: count_calls(monkeypatch, spectra, name) for name in names}
+    names = {
+        "assemble_tilde_L": spectra,
+        "assemble_JL": discretization,
+        "essential_spectrum_gap": spectra,
+    }
+    calls = {name: count_calls(monkeypatch, module, name) for name, module in names.items()}
     stability_verdict(params, spec, wave, grid)
     assert {name: len(made) for name, made in calls.items()} == {
         "assemble_tilde_L": assembled,
@@ -533,7 +549,8 @@ def test_certified_direct_count_has_no_unstable_mu(case, n):
     else:
         params, spec, grid, wave = make_case1(value, n=n, lfac=50.0)
     blocks = spectra._tilde_L_blocks(params, spec, wave, grid)
-    reduced = spectra._negated_reduced_matrix(grid, blocks)
+    reduced, signs = spectra._negated_reduced_matrix(grid, blocks)
+    assert np.all(signs > 0)  # every subsonic a = c odd block is semidefinite
     before = reduced.copy()
     re_tol = 1e-6
     certified = spectra._below_shift(reduced, (0.5 * re_tol) ** 2)
