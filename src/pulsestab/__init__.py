@@ -6,31 +6,22 @@ evaluates the instability-index quantity in closed form and by solves on the
 even block, counts unstable modes by direct dense eigensolves, and pins the
 critical coefficient ratio of the standing-wave branch by bisection.
 
-The package re-exports what the scripts use; everything else is imported
-from its submodule.
+The package re-exports what scripts/scan_index_bounds.py uses; everything
+else is imported from its submodule.
 """
 
 __version__ = "0.1.0"
 
 from .discretization import build_grid
 from .index_count import (
-    critical_ratio_bisection,
     index_lower_bound_poly,
     index_upper_bound_poly,
     standing_quadratic,
 )
-from .spectra import scan_verdicts, stability_verdict
-from .waves import AbcParameters, resolve_wave_parameters, sample_wave
 
 __all__ = [
-    "AbcParameters",
     "build_grid",
-    "critical_ratio_bisection",
     "index_lower_bound_poly",
     "index_upper_bound_poly",
-    "resolve_wave_parameters",
-    "sample_wave",
-    "scan_verdicts",
-    "stability_verdict",
     "standing_quadratic",
 ]

@@ -20,6 +20,11 @@ from pulsestab.cli import main
 
 FAST = ["--grid-n", "512"]
 
+# the last z the quadratic index bounds certify stable, and the first they
+# certify unstable: z* lies between them
+STABLE_EDGE = (107.0 + 9.0 * math.sqrt(237.0)) / 26.0
+UNSTABLE_EDGE = (517.0 + 9.0 * math.sqrt(5385.0)) / 112.0
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -173,10 +178,21 @@ def test_threshold_command(capsys):
     )
     assert code == 0
     result = json.loads(out)["result"]
-    stable_edge = (107.0 + 9.0 * math.sqrt(237.0)) / 26.0
-    unstable_edge = (517.0 + 9.0 * math.sqrt(5385.0)) / 112.0
-    assert stable_edge < result["z_star"] < unstable_edge
+    assert STABLE_EDGE < result["z_star"] < UNSTABLE_EDGE
     assert result["bracket_hi"] - result["bracket_lo"] < 1e-3
+
+
+def test_threshold_counts_its_halvings(capsys):
+    # four halvings take the bracket [9, 11] below 0.25; the default
+    # half-length is 50 / lambda = 100 at a = -1
+    code, out, _ = run_cli(
+        capsys, "threshold", "--zmin", "9", "--zmax", "11", "--tol", "0.25", "--grid-n", "256"
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["iterations"], result["evaluations"]) == (4, 6)
+    assert (result["bracket_lo"], result["z_star"], result["bracket_hi"]) == (9.875, 9.9375, 10.0)
+    assert STABLE_EDGE < result["z_star"] < UNSTABLE_EDGE
 
 
 def test_threshold_reports_the_root_of_the_discrete_index(capsys):
@@ -187,9 +203,7 @@ def test_threshold_reports_the_root_of_the_discrete_index(capsys):
     assert code == 0
     result = json.loads(out)["result"]
     assert result["bracket_lo"] <= result["z_root"] <= result["bracket_hi"]
-    stable_edge = (107.0 + 9.0 * math.sqrt(237.0)) / 26.0
-    unstable_edge = (517.0 + 9.0 * math.sqrt(5385.0)) / 112.0
-    assert stable_edge < result["z_root"] < unstable_edge
+    assert STABLE_EDGE < result["z_root"] < UNSTABLE_EDGE
 
 
 @pytest.mark.parametrize("tol", ["0.5", "1e-3"])
@@ -435,6 +449,23 @@ def test_scan_rows_equal_the_index_of_each_point(case, sign, n, steps):
             assert row.max_real_part == verdict["max_real_part"]
 
 
+@pytest.mark.parametrize("bound", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+@pytest.mark.parametrize(
+    "param, ends, family",
+    [("eta0", ("-2", "-1"), ("--a", "-1", "--b", "1", "--c", "-1")), ("z", ("1", "2"), ())],
+    ids=["eta0", "z"],
+)
+def test_scan_bounds_must_be_finite(capsys, param, ends, family, flag, bound):
+    bounds = dict(zip(("--from", "--to"), ends), **{flag: bound})
+    code, out, err = run_cli(
+        capsys, "scan", "--param", param, *family, "--steps", "2", "--grid-n", "128",
+        *(f"{key}={value}" for key, value in bounds.items()),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} must be finite, got {float(bound)}\n"
+
+
 def test_scan_row_domain_error_aborts(capsys, monkeypatch):
     fail_at(monkeypatch, -1.5, DomainError("injected"))
     code, out, err = run_cli(capsys, *SCAN_ETA0)
@@ -565,6 +596,78 @@ def test_output_file_written(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["result"]["lam"] == pytest.approx(0.5)
+
+
+def test_unwritable_report_path_is_a_one_line_error(capsys, tmp_path):
+    out_path = tmp_path / "no-such-dir" / "wave.json"
+    code, out, err = run_cli(
+        capsys,
+        "wave", "--a", "-1", "--b", "1", "--c", "-1", "--eta0", "-1.5",
+        "--output", str(out_path), *FAST,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write the report: ") and err.count("\n") == 1
+    assert str(out_path) in err
+
+
+DEFAULT_TOLERANCES = {"zero_tol": None, "re_tol": 1e-6, "index_tol": 1e-6}
+
+
+@pytest.mark.parametrize(
+    "argv, block",
+    [
+        (
+            ["index", "--a", "-1", "--b", "4", "--c", "-1", "--eta0", "-1.5"],
+            {
+                "command": "index", "eta0": -1.5, "sign_branch": 1, "grid_n": 1024,
+                "grid_len": None, "tolerances": DEFAULT_TOLERANCES,
+                "params": {"a": -1.0, "b": 4.0, "c": -1.0, "ratio_z": 4.0, "subsonic_bound": 0.25},
+            },
+        ),
+        (
+            ["threshold", "--zmin", "9", "--zmax", "11"],
+            {
+                "command": "threshold", "eta0": None, "sign_branch": 1, "grid_n": 1024,
+                "grid_len": None, "tolerances": DEFAULT_TOLERANCES,
+                "zmin": 9.0, "zmax": 11.0, "tol": 1e-3,
+            },
+        ),
+    ],
+    ids=["index", "threshold"],
+)
+def test_report_config_block_defaults(capsys, argv, block):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["config"] == block
+
+
+@pytest.mark.parametrize(
+    "command, settings",
+    [
+        ("index", {"a": "-1", "b": "4", "c": "-1", "eta0": "-1.5", "sign_branch": "-1",
+                   "grid_n": "256", "grid_len": "120", "zero_tol": "1e-5", "re_tol": "2e-6",
+                   "index_tol": "1e-7"}),
+        ("threshold", {"zmin": "9", "zmax": "11", "tol": "0.25", "grid_n": "256",
+                       "grid_len": "90", "re_tol": "2e-6"}),
+    ],
+    ids=["index", "threshold"],
+)
+def test_report_config_block_is_the_same_by_flag_and_by_file(capsys, tmp_path, command, settings):
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    half = len(flags) // 2
+    blocks = []
+    for argv in (flags, ["--config", str(config)], ["--config", str(config), *flags[half:]]):
+        code, out, _ = run_cli(capsys, command, *argv)
+        assert code == 0
+        blocks.append(json.loads(out)["config"])
+    assert blocks[0] == blocks[1] == blocks[2]
+    block = blocks[0]
+    flat = {**block, **block["tolerances"], **block.get("params", {})}
+    assert {key: flat[key] for key in settings} == {
+        key: float(value) for key, value in settings.items()
+    }
 
 
 def test_index_command_imports_numpy_only():

@@ -1,7 +1,6 @@
-"""Smoke runs of the experiment scripts, each in its own interpreter."""
+"""Smoke run of the experiment script, in its own interpreter."""
 
 import csv
-import json
 import os
 import subprocess
 import sys
@@ -31,23 +30,10 @@ def read_csv(path):
         return list(csv.reader(handle))
 
 
-def test_find_critical_ratio(tmp_path):
-    out = tmp_path / "critical_ratio.json"
-    done = run_script("find_critical_ratio.py", out, "--grid-n", "256", "--tol", "0.25")
-    assert done.returncode == 0, done.stderr
-    payload = json.loads(out.read_text())
-    assert len(payload) == 10
-    # four halvings take the bracket [9, 11] below 0.25
-    assert payload["iterations"] == 4
-    assert payload["evaluations"] == 6
-    assert payload["analytic_stable_below"] < payload["z_star"] < payload["analytic_unstable_above"]
-
-
 @pytest.mark.parametrize(
     "name, argv, rows, columns",
     [
         ("scan_index_bounds.py", ("--grid-n", "128", "--steps", "3"), 3, 4),
-        ("scan_case1_stability.py", ("--grid-n", "128", "--steps", "2"), 2, 6),
     ],
 )
 def test_scan_scripts(tmp_path, name, argv, rows, columns):
