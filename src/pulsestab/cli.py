@@ -25,8 +25,11 @@ whose shared basis did, is written with verdict solver_failure and empty
 cells for what it could not compute, the remaining rows still run, and the
 scan exits 3.  A domain error aborts the scan.  A z scan takes a from --a
 alone (default -1) and evaluates the standing waves c = a, b = z (-a); --b
-or --c on a z scan is a domain error.  threshold fixes a = -1 and bisects
-over z, so --a, --b, --c, --eta0 or --sign-branch on it is a domain error.
+or --c on a z scan is a domain error, and every scan sets its rows' eta0,
+so --eta0 on a scan is one too.  threshold fixes a = -1 and bisects over
+z, so --a, --b, --c, --eta0 or --sign-branch on it is a domain error.  A
+config-file key is checked like its flag: a key that the command does not
+take is a domain error.
 """
 
 from __future__ import annotations
@@ -323,7 +326,8 @@ def run(config: RunConfig) -> int:
     return code
 
 
-_TYPES = {option.key: option.type for option in OPTIONS}
+# every option but --config can be set in a config file
+_FILE_KEYS = {option.key for option in OPTIONS} - {"config"}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -341,23 +345,27 @@ def _parse_config_file(path: str) -> dict:
             raise DomainError(f"config line is not key=value: {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _TYPES or key == "config":
+        if key not in _FILE_KEYS:
             raise DomainError(f"unknown config key {key!r}")
         values[key] = value.strip()
     return values
 
 
 def _given(args: argparse.Namespace) -> dict:
-    """The values that flags or, below them, the config file give, by key."""
+    """The values that flags or, below them, the config file give, by key;
+    a file key that the command does not take is a domain error."""
     file_values = _parse_config_file(args.config) if args.config else {}
     given = {}
-    for key, convert in _TYPES.items():
+    for option in OPTIONS:
+        key = option.key
+        if key in file_values and args.command not in option.commands:
+            raise DomainError(f"config key {key!r} is not an option of {args.command}")
         flag = getattr(args, key, None)  # None: not a flag of this command, or not given
         if flag is not None:
             given[key] = flag
         elif key in file_values:
             try:
-                given[key] = convert(file_values[key])
+                given[key] = option.type(file_values[key])
             except ValueError as exc:
                 raise DomainError(f"config key {key!r}: {exc}") from exc
     return given
@@ -402,6 +410,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             "threshold fixes a = -1 and bisects the standing waves over z; "
             "it takes no --a, --b, --c, --eta0 or --sign-branch"
         )
+    if args.command == "scan" and "eta0" in given:
+        raise DomainError("scan sets each row's eta0 (-3/2 on a z scan); it takes no --eta0")
     if args.command == "scan" and given.get("param") == "z":
         if "b" in given or "c" in given:
             raise DomainError("a z scan takes --a alone: each row sets b = z (-a) and c = a")

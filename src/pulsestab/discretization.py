@@ -22,7 +22,11 @@ assembled directly as its even and odd blocks (ParityBlocks):
 * dx maps sin_k to xi_k cos_k and cos_k to -xi_k sin_k;
 * an even potential v is (1/2) c_k c_l [V(k - l) +- V(k + l)], + on the
   cosine block and - on the sine block, with V(m) = (-1)^m Re fft(v)[m mod N]
-  (a Toeplitz-plus-Hankel matrix, see potential_blocks).
+  (a Toeplitz-plus-Hankel matrix, see potential_blocks).  The Toeplitz and
+  Hankel parts are strided views of the N + 1 values V(m), and
+  kernel_blocks folds the congruence K = C V C below into the basis
+  factors, c_k / t_k with t_k = (1 - a xi_k^2)^(1/2) the diagonal of C^-1,
+  so each block is written in one pass from the views (_folded_blocks).
 
 Assembled operators, each as its two-component ParityBlocks:
 
@@ -50,7 +54,8 @@ The generalized eigenpairs P v = p W v, p^2 (1 - w^2) - p (1 + 2 B w) - B^2
 R R^T = W and R diag(p) R^T = P, so L = (R x I) blockdiag(parts) (R x I)^T
 with the scalar parts (1 + a dxx) + p_i phi.  With C = (1 + a dxx)^(-1/2),
 the diagonal (1 - a xi_k^2)^(-1/2) (no b), and K = C V C for the blocks V
-of phi (kernel_blocks), part i is C^-1 (I + p_i K) C^-1.  S is scalar, so
+of phi (kernel_blocks, or kernel_even_block for its cosine block alone),
+part i is C^-1 (I + p_i K) C^-1.  S is scalar, so
 Lt = (R x I) blockdiag(T (I + p_i K) T) (R x I)^T with T = S C^-1 the
 diagonal t_k = sqrt((1 - a xi_k^2) / (1 + b xi_k^2)) (_t_diagonal), T = I
 when b = -a.  scalar_split decides the split and returns it as a
@@ -77,6 +82,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, InvalidGrid, ReflectionDefect
 
@@ -91,6 +97,7 @@ __all__ = [
     "parity_coefficients",
     "potential_blocks",
     "kernel_blocks",
+    "kernel_even_block",
     "split_parts",
     "splits",
     "scalar_split",
@@ -201,15 +208,14 @@ def parity_coefficients(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.
     return spectrum.real.ravel(), -spectrum.imag[:, 1:half].ravel()
 
 
-def potential_blocks(grid: Grid, values: np.ndarray) -> ParityBlocks:
-    """Blocks of multiplication by the even potential v on the cosine and sine bases.
+def _potential_views(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Toeplitz part V(|k - l|) and the Hankel part V(k + l),
+    k, l = 0, ..., N/2, of the even potential v, as read-only strided views
+    of V(m) = (-1)^m Re fft(v)[m mod N], m = 0, ..., N.
 
-    Entry (k, l) is (1/2) c_k c_l [V(k - l) + V(k + l)] on the cosine block
-    and (1/N) [V(k - l) - V(k + l)] on the sine block, with
-    V(m) = (-1)^m Re fft(v)[m mod N], from the product formulas of cosines
-    and sines.  Raises ReflectionDefect when max |v_j - v_{(N-j) mod N}|
-    exceeds REFLECTION_DEFECT_TOL * max |v|: an odd part would couple the
-    two blocks, and the blocks drop that coupling.
+    Raises ReflectionDefect when max |v_j - v_{(N-j) mod N}| exceeds
+    REFLECTION_DEFECT_TOL * max |v|: an odd part would couple the two
+    parity blocks, and the blocks drop that coupling.
     """
     n = grid.n_points
     half = n // 2
@@ -222,13 +228,46 @@ def potential_blocks(grid: Grid, values: np.ndarray) -> ParityBlocks:
         )
     m = np.arange(n + 1)
     v_hat = (-1.0) ** m * np.fft.fft(values).real[m % n]
-    k = np.arange(half + 1)
-    difference = v_hat[np.abs(k[:, None] - k[None, :])]
-    total = v_hat[k[:, None] + k[None, :]]
-    c = _cosine_scale(n)
-    even = 0.5 * np.outer(c, c) * (difference + total)
-    odd = (difference - total)[1:half, 1:half] / n
-    return ParityBlocks(even, odd)
+    # V(|j - N/2|), j = 0, ..., N: window N/2 - k, read from l, is V(|k - l|)
+    mirrored = np.concatenate([v_hat[half:0:-1], v_hat[: half + 1]])
+    toeplitz = sliding_window_view(mirrored, half + 1)[::-1]
+    return toeplitz, sliding_window_view(v_hat, half + 1)
+
+
+def _folded_block(
+    toeplitz: np.ndarray, hankel: np.ndarray, scale: np.ndarray, combine
+) -> np.ndarray:
+    """(1/2) scale_k scale_l combine(T, H)[k, l], scaled by rows as T and H
+    are combined and by columns in place."""
+    block = combine(toeplitz, hankel) * (0.5 * scale)[:, None]
+    block *= scale
+    return block
+
+
+def _folded_blocks(grid: Grid, values: np.ndarray, t) -> ParityBlocks:
+    """Both blocks of T^-1 V T^-1, T the diagonal t at k = 0, ..., N/2 (or
+    a scalar), for the even potential v: entry (k, l) is
+    (1/2) (c_k / t_k) (c_l / t_l) [V(k - l) +- V(k + l)], + on the cosine
+    block and - on the sine block (k, l = 1, ..., N/2 - 1), built from
+    _potential_views with T^-1 folded into the basis factors c_k / t_k."""
+    toeplitz, hankel = _potential_views(grid, values)
+    scale = _cosine_scale(grid.n_points) / t
+    inner = slice(1, -1)
+    return ParityBlocks(
+        _folded_block(toeplitz, hankel, scale, np.add),
+        _folded_block(toeplitz[inner, inner], hankel[inner, inner], scale[inner], np.subtract),
+    )
+
+
+def potential_blocks(grid: Grid, values: np.ndarray) -> ParityBlocks:
+    """Blocks of multiplication by the even potential v on the cosine and sine bases.
+
+    Entry (k, l) is (1/2) c_k c_l [V(k - l) +- V(k + l)], + on the cosine
+    block and - on the sine block, with V(m) = (-1)^m Re fft(v)[m mod N],
+    from the product formulas of cosines and sines (_folded_blocks at
+    t = 1).  ReflectionDefect when v is not even (_potential_views).
+    """
+    return _folded_blocks(grid, values, 1.0)
 
 
 def _swap_odd_to_even(factor: np.ndarray, odd_rows: np.ndarray) -> np.ndarray:
@@ -292,8 +331,18 @@ class ScalarSplit:
 
 def kernel_blocks(a: float, grid: Grid, phi: np.ndarray) -> ParityBlocks:
     """The blocks of K = C V C, C = (1 + a dxx)^(-1/2), for the blocks V of
-    the even potential phi, scaled in V's own arrays."""
-    return scale_blocks(potential_blocks(grid, phi), 1.0 / _t_diagonal(a, 0.0, grid))
+    the even potential phi: potential_blocks with C's diagonal 1 / t_k
+    (_t_diagonal at b = 0) folded into the basis factors, c_k / t_k, so
+    each block is written in one pass from the views of V."""
+    return _folded_blocks(grid, phi, _t_diagonal(a, 0.0, grid))
+
+
+def kernel_even_block(a: float, grid: Grid, phi: np.ndarray) -> np.ndarray:
+    """The cosine block of K = C V C alone, equal to kernel_blocks(a, grid,
+    phi).even bit for bit: the standing index reads no other."""
+    toeplitz, hankel = _potential_views(grid, phi)
+    scale = _cosine_scale(grid.n_points) / _t_diagonal(a, 0.0, grid)
+    return _folded_block(toeplitz, hankel, scale, np.add)
 
 
 def _t_diagonal(a: float, b: float, grid: Grid) -> np.ndarray:

@@ -83,7 +83,7 @@ from .discretization import (
     apply_multiplier,
     assemble_tilde_L,
     derivative_of_samples,
-    kernel_blocks,
+    kernel_even_block,
     parity_coefficients,
     smoothing_diagonal,
     standing_wave_profile,
@@ -242,26 +242,27 @@ class StandingQuadratic:
 
 
 def standing_quadratic(
-    a: float, grid: Grid, shared: tuple[np.ndarray, ParityBlocks] | None = None
+    a: float, grid: Grid, shared: tuple[np.ndarray, np.ndarray] | None = None
 ) -> StandingQuadratic:
     """Both parts' coefficients, one even-block factorization each, from
-    shared = (phi, K): samples phi and their kernel_blocks (the verdict's,
-    or by default phi0 and its K).
+    shared = (phi, K_e): samples phi and the even block of their
+    kernel_blocks (the verdict's, or by default phi0 and its
+    kernel_even_block alone).
 
     Part I + p K = p (K + I/p) is solved with K_e's own diagonal shifted by
     1/p and restored after; the hill part is certified from phi's samples
-    (module docstring), so K's odd block is never read.
+    (module docstring), so K's odd block is neither read nor built.
     """
     scale = 1.0 / _t_diagonal(a, 0.0, grid)  # C
     if shared is None:
         phi = standing_wave_profile(a, grid)
-        shared = phi, kernel_blocks(a, grid, phi)
-    phi, blocks = shared
+        shared = phi, kernel_even_block(a, grid, phi)
+    phi, even = shared
     margin = 1.0 - max(float(np.max(phi)), 0.0)
     roundoff = grid.n_points * np.finfo(float).eps * float(np.max(np.abs(phi)))
     if not margin > roundoff:
         raise SolveFailure(f"hill part margin {margin:.3e} <= round-off {roundoff:.3e}")
-    even, diagonal = blocks.even, blocks.even.diagonal().copy()
+    diagonal = even.diagonal().copy()
     columns = _standing_columns(a, grid, phi)
     grams = []
     for p in (2.0, -1.0):
@@ -353,7 +354,7 @@ def index_source(
     """
     route = index_route(params, spec)
     if route == "standing":
-        shared = None if split is None else (wave.phi, split.kernel)
+        shared = None if split is None else (wave.phi, split.kernel.even)
         quadratic = standing_quadratic(params.a, grid, shared)
         return lambda params, spec: quadratic.report(params.ratio_z)
     if route == "closed_form":

@@ -209,9 +209,11 @@ def test_threshold_reports_the_root_of_the_discrete_index(capsys):
 @pytest.mark.parametrize("tol", ["0.5", "1e-3"])
 def test_threshold_factors_each_scalar_operator_once(capsys, monkeypatch, tol):
     # the bisection evaluates the coefficient triples, not fresh solves, and
-    # one potential block of phi0 serves both scalar operators
+    # one even block of phi0's K serves both scalar operators: K's odd
+    # block is never built
     routes = count_calls(monkeypatch, index_count, "standing_quadratic")
-    potentials = count_calls(monkeypatch, discretization, "potential_blocks")
+    potentials = count_calls(monkeypatch, discretization, "_potential_views")
+    blocks = count_calls(monkeypatch, discretization, "_folded_block")
     reports = count_calls(monkeypatch, index_count, "case2_index")
     factored = solve_shapes(monkeypatch, "cholesky")
     solved = solve_shapes(monkeypatch, "solve")
@@ -222,6 +224,7 @@ def test_threshold_factors_each_scalar_operator_once(capsys, monkeypatch, tol):
     assert json.loads(out)["result"]["evaluations"] > 2
     assert len(routes) == 1
     assert len(potentials) == 1
+    assert [args[0].shape for args in blocks] == [(129, 129)]
     assert len(reports) <= 1
     # the Hill part is certified from phi0's samples: no Cholesky factorization
     assert factored == []
@@ -330,6 +333,34 @@ def test_threshold_rejects_wave_keys_in_a_config_file(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "takes no --a" in err
+
+
+SCAN_Z_POINT = ("scan", "--param", "z", "--from", "1", "--to", "1", "--steps", "1", "--grid-n", "128")
+
+
+@pytest.mark.parametrize("by_file", [False, True], ids=["flag", "config"])
+def test_scan_rejects_eta0(capsys, tmp_path, by_file):
+    # a scan sets each row's eta0 (-3/2 on a z scan); an eta0 it would
+    # ignore is refused, by flag or config key
+    config = tmp_path / "run.cfg"
+    config.write_text("eta0 = -0.5\n")
+    extra = ("--config", str(config)) if by_file else ("--eta0", "-0.5")
+    code, out, err = run_cli(capsys, *SCAN_Z_POINT, *extra)
+    assert code == 2
+    assert out == ""
+    assert "takes no --eta0" in err
+
+
+@pytest.mark.parametrize("line, key", [("from = abc", "from"), ("zmin = 9", "zmin")])
+def test_config_key_of_another_command_is_refused(capsys, tmp_path, line, key):
+    # a key that the command does not take is refused whether or not its
+    # value would parse
+    config = tmp_path / "run.cfg"
+    config.write_text(f"a = -1\nb = 1\nc = -1\neta0 = -1.5\n{line}\n")
+    code, out, err = run_cli(capsys, "wave", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert f"config key {key!r} is not an option of wave" in err
 
 
 def fail_at(monkeypatch, eta0, error, step="row_verdict"):

@@ -17,11 +17,12 @@ from pulsestab.discretization import (
     assemble_tilde_L,
     build_grid,
     derivative_of_samples,
+    kernel_blocks,
+    kernel_even_block,
     parity_coefficients,
     parity_wavenumbers,
     potential_blocks,
     scalar_split,
-    scale_blocks,
     standing_wave_profile,
 )
 from pulsestab.errors import DomainError, InvalidGrid, ReflectionDefect
@@ -309,7 +310,7 @@ def test_parity_fold_and_unfold(standing_z1):
 
 
 @given(
-    n=st.sampled_from([64, 128, 256]),
+    n=st.sampled_from([16, 64, 128, 256]),
     amplitude=st.floats(min_value=0.1, max_value=3.0),
     sign=st.sampled_from([1.0, -1.0]),
     width=st.floats(min_value=0.3, max_value=4.0),
@@ -321,7 +322,10 @@ def test_parity_fold_and_unfold(standing_z1):
 def test_potential_block_spectra_are_the_samples(n, amplitude, sign, width, bump, mode, a):
     # an even v leaves the cosine and the sine functions invariant, so each
     # block's eigenvalues are v's samples, and C <= I bounds K = C V C by
-    # max(max v, 0): the sample bound the index certifies I - K with
+    # max(max v, 0): the sample bound the index certifies I - K with.  K,
+    # with C folded into the basis factors, is C P^T diag(v) P C for the
+    # explicit parity basis P, and its even block alone is K's even block
+    # bit for bit
     grid = build_grid(n, 20.0)
     x = grid.nodes
     v = sign * amplitude / np.cosh(x / width) ** 2
@@ -331,9 +335,15 @@ def test_potential_block_spectra_are_the_samples(n, amplitude, sign, width, bump
     for block, samples in ((blocks.even, v[: n // 2 + 1]), (blocks.odd, v[1 : n // 2])):
         assert np.max(np.abs(np.linalg.eigvalsh(block) - np.sort(samples))) <= tol
     # lambda_min(I - K) = 1 - lambda_max(K), read off K without I's round-off
-    shared = scale_blocks(blocks, 1.0 / np.sqrt(1.0 - a * parity_wavenumbers(grid) ** 2))
-    for block in (shared.even, shared.odd):
+    shared = kernel_blocks(a, grid, v)
+    scale = 1.0 / np.sqrt(1.0 - a * parity_wavenumbers(grid) ** 2)  # C
+    for block, basis, c in zip(
+        (shared.even, shared.odd), reference.parity_basis(grid), (scale, scale[1:-1])
+    ):
         assert np.linalg.eigvalsh(block)[-1] <= max(np.max(v), 0.0) + tol
+        dense = c[:, None] * (basis.T @ (v[:, None] * basis)) * c
+        assert np.max(np.abs(block - dense)) <= tol
+    assert np.array_equal(kernel_even_block(a, grid, v), shared.even)
 
 
 def test_parity_split_is_an_orthogonal_change_of_basis():
@@ -350,8 +360,14 @@ def test_parity_split_is_an_orthogonal_change_of_basis():
     rotated = basis.T @ np.diag(symmetric) @ basis
     np.testing.assert_allclose(blocks.even, rotated[:m, :m], rtol=0, atol=1e-13)
     np.testing.assert_allclose(blocks.odd, rotated[m:, m:], rtol=0, atol=1e-13)
-    with pytest.raises(ReflectionDefect):
-        potential_blocks(grid, values)
+    # every entry that builds blocks of a potential checks that it is even
+    for build in (
+        lambda v: potential_blocks(grid, v),
+        lambda v: kernel_blocks(-1.0, grid, v),
+        lambda v: kernel_even_block(-1.0, grid, v),
+    ):
+        with pytest.raises(ReflectionDefect):
+            build(values)
 
 
 def test_jl_kernel_and_spectral_symmetry(case1_eta_minus1):

@@ -172,7 +172,7 @@ def test_hill_part_refused_when_a_sample_reaches_one(monkeypatch, standing_grid)
     assert np.linalg.eigvalsh(np.eye(len(shared.even)) - shared.even)[0] < -0.5
     solves = count_calls(monkeypatch, index_count, "_gram")
     with pytest.raises(SolveFailure, match="hill part"):
-        standing_quadratic(-1.0, grid, (phi, shared))
+        standing_quadratic(-1.0, grid, (phi, shared.even))
     assert solves == []  # refused before any solve
 
 
@@ -400,9 +400,13 @@ def test_bisection_midpoint_signs_match_the_single_rhs_solve(n):
 def test_numeric_kdv_coefficients_are_the_closed_form(a):
     # sqrt(-a) (-9/2 - 3 z + (3/10) z^2) = h00 - 2 z h01 + z^2 h11
     lam = 1.0 / (2.0 * math.sqrt(-a))
-    quadratic = standing_quadratic(a, build_grid(512, 40.0 / lam))
+    grid = build_grid(512, 40.0 / lam)
+    quadratic = standing_quadratic(a, grid)
     expected = [math.sqrt(-a) * c for c in (-4.5, 1.5, 0.3)]
     np.testing.assert_allclose(quadratic.kdv, expected, rtol=0, atol=1e-12)
+    # the default builds K_e alone, bit for bit the even block of phi0's K
+    phi = standing_wave_profile(a, grid)
+    assert standing_quadratic(a, grid, (phi, kernel_blocks(a, grid, phi).even)) == quadratic
 
 
 def test_bisection_root_lies_in_its_bracket():
@@ -468,7 +472,7 @@ def test_verdict_index_from_its_own_blocks_matches_the_scalar_pair(a, z, n):
     # reference solves each scalar operator with f itself
     params, spec, grid, wave = make_standing(a=a, b=z * -a, n=n, lfac=50.0)
     report = spectra.stability_verdict(params, spec, wave, grid).index_report
-    own = standing_quadratic(a, grid, (wave.phi, kernel_blocks(a, grid, wave.phi)))
+    own = standing_quadratic(a, grid, (wave.phi, kernel_blocks(a, grid, wave.phi).even))
     assert report == own.report(params.ratio_z)
     standalone = case2_index(a, z * -a, grid)
     scale = (8.0 * abs(standalone.kdv_part) + abs(standalone.hill_part)) / 3.0

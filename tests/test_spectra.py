@@ -406,7 +406,7 @@ def test_verdict_potential_block_count(monkeypatch, case, built):
     # free amplitude: phi for the split L behind Lt and a closed-form index;
     # general: psi and phi for Lt, whose even block the index solves
     params, spec, grid, wave = WAVE_CASES[case](256)
-    calls = count_calls(monkeypatch, discretization, "potential_blocks")
+    calls = count_calls(monkeypatch, discretization, "_potential_views")
     stability_verdict(params, spec, wave, grid)
     assert len(calls) == built
 
@@ -480,7 +480,7 @@ def test_eta0_scan_diagonalizes_one_basis_and_factors_each_row(monkeypatch, caps
     # the eight free rows share K_1's potential block and eigenbasis; each
     # row certifies its own -M + (re_tol/2)^2 I (N = 512: all stable)
     n = 512
-    potentials = count_calls(monkeypatch, discretization, "potential_blocks")
+    potentials = count_calls(monkeypatch, discretization, "_potential_views")
     names = ("eigh", "eigvalsh", "eigvals", "cholesky")
     shapes = {name: solve_shapes(monkeypatch, name) for name in names}
     code = main(["scan", "--param", "eta0", "--from", "-2", "--to", "-0.6", "--steps", "8",
@@ -517,7 +517,7 @@ def test_verdict_refuses_a_tolerance_that_is_not_positive_and_finite(monkeypatch
     # re_tol < 0 would count every eigenvalue of JL as unstable; each entry
     # refuses such a tolerance before it builds anything
     params, spec, grid, wave = make_standing(b=4.0, n=512)
-    potentials = count_calls(monkeypatch, discretization, "potential_blocks")
+    potentials = count_calls(monkeypatch, discretization, "_potential_views")
     basis = spectra.verdict_basis(params, spec, wave, grid)
     key = next(iter(tolerances))
     with pytest.raises(DomainError, match=f"{key} must be positive and finite"):
