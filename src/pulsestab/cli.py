@@ -60,6 +60,7 @@ from .waves import (
     WaveSpec,
     resolve_wave_parameters,
     sample_wave,
+    standing_pulse,
     traveling_residual,
 )
 
@@ -189,8 +190,7 @@ def cmd_index(config: RunConfig) -> tuple[dict, int]:
 def cmd_threshold(config: RunConfig) -> tuple[dict, int]:
     if config["zmin"] is None or config["zmax"] is None:
         raise DomainError("threshold requires --zmin and --zmax")
-    lam = 0.5  # a = -1 fixed; the standing-wave width is 1/(2 sqrt(-a))
-    grid = _make_grid(config, lam)
+    grid = _make_grid(config, standing_pulse(-1.0, 1.0).lam)  # a = -1; lam does not vary with b
     result = critical_ratio_bisection(config["zmin"], config["zmax"], config["tol"], grid)
     return dict(asdict(result), tol=config["tol"]), 0
 

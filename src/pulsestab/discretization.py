@@ -40,7 +40,7 @@ Assembled operators, each as its two-component ParityBlocks:
           wave, so no command assembles it; tests compare it with the
           physical-space JL
     scalar pair: kdv  = a dxx + 1 + 2 phi0
-                 hill = a dxx + 1 - phi0       (phi0 the standing-wave profile)
+                 hill = a dxx + 1 - phi0       (phi0 a standing pulse's samples)
 
 Every subsonic a = c pulse has w = 0 (the standing branch, eta0 = -3/2) or
 b = -a (the free-amplitude branch), so the smoothing 1 - b dxx that w
@@ -70,7 +70,7 @@ not I, and the parts are congruent to Lt: they carry its inertia
 a != c wave or a psi that is not B phi sample for sample (which then meets
 the ReflectionDefect check of its own potential).  The assemblers build the
 two-component blocks of every wave, split or not; the scalar pair is the
-parts of L (T = C^-1) at phi0.
+parts of L (T = C^-1) at phi0, a standing pulse's waves.sample_wave samples.
 
 A potential whose samples are not even to REFLECTION_DEFECT_TOL raises
 ReflectionDefect (see Kapitula & Promislow, Spectral and Dynamical
@@ -445,22 +445,16 @@ def assemble_JL(params, spec, wave, grid: Grid) -> ParityBlocks:
     return ParityBlocks(scaled, -_swap_odd_to_even(k, lop.odd))
 
 
-def standing_wave_profile(a: float, grid: Grid) -> np.ndarray:
-    """Standing-wave profile -(3/2) sech^2(x / (2 sqrt(-a))) on the grid."""
-    lam = 1.0 / (2.0 * np.sqrt(-a))
-    return -1.5 / np.cosh(lam * grid.nodes) ** 2
-
-
-def assemble_scalar_operator(a: float, grid: Grid) -> tuple[ParityBlocks, ParityBlocks]:
+def assemble_scalar_operator(a: float, grid: Grid, phi: np.ndarray) -> tuple[ParityBlocks, ...]:
     """The scalar pair (kdv, hill) of the standing branch:
 
     kdv  = a dxx + 1 + 2 phi0   (one negative eigenvalue, kernel phi0')
     hill = a dxx + 1 - phi0     (positive, spectrum in [1, inf))
 
-    the parts of the split L at the standing-wave profile phi0, which exists
-    only for a = c < 0: split_parts of phi0's K with T = C^-1.
+    the parts of the split L at phi, the samples of a standing pulse phi0,
+    which exists only for a = c < 0: split_parts of phi's K with T = C^-1.
     """
     if not a < 0:
         raise DomainError(f"a must be negative, got {a}")
-    kernel = kernel_blocks(a, grid, standing_wave_profile(a, grid))
+    kernel = kernel_blocks(a, grid, phi)
     return split_parts(kernel, (2.0, -1.0), _t_diagonal(a, 0.0, grid))

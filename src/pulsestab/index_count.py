@@ -86,7 +86,6 @@ from .discretization import (
     kernel_even_block,
     parity_coefficients,
     smoothing_diagonal,
-    standing_wave_profile,
 )
 from .errors import (
     DomainError,
@@ -95,7 +94,7 @@ from .errors import (
     NoSignChange,
     SolveFailure,
 )
-from .waves import AbcParameters
+from .waves import AbcParameters, sample_wave, standing_pulse
 
 # largest relative odd part an index right-hand-side column may carry
 _DEFECT_TOL = 1e-8
@@ -176,19 +175,20 @@ def _quadratic(coefficients: tuple[float, float, float], z: float) -> float:
     return h00 - 2.0 * z * h01 + z * z * h11
 
 
-def _ratio(a: float, b: float) -> float:
-    """z = b / (-a), refusing parameters off the standing branch's domain."""
-    return AbcParameters(a=a, b=b, c=a).ratio_z
+def _standing_samples(a: float, b: float, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, K_e) of the standing pulse of (a, b), sampled as its verdict samples it."""
+    phi = sample_wave(standing_pulse(a, b), grid).phi
+    return phi, kernel_even_block(a, grid, phi)
 
 
 def kdv_index_numeric(a: float, b: float, grid: Grid) -> float:
-    """<kdv^(-1) f, f>, the kdv part of standing_quadratic at phi0."""
-    return standing_quadratic(a, grid).report(_ratio(a, b)).kdv_part
+    """<kdv^(-1) f, f>, the kdv part of case2_index."""
+    return case2_index(a, b, grid).kdv_part
 
 
 def hill_index_numeric(a: float, b: float, grid: Grid) -> float:
-    """<hill^(-1) f, f>, the hill part of standing_quadratic at phi0."""
-    return standing_quadratic(a, grid).report(_ratio(a, b)).hill_part
+    """<hill^(-1) f, f>, the hill part of case2_index."""
+    return case2_index(a, b, grid).hill_part
 
 
 def index_lower_bound_poly(z: float) -> float:
@@ -246,18 +246,15 @@ def standing_quadratic(
 ) -> StandingQuadratic:
     """Both parts' coefficients, one even-block factorization each, from
     shared = (phi, K_e): samples phi and the even block of their
-    kernel_blocks (the verdict's, or by default phi0 and its
-    kernel_even_block alone).
+    kernel_blocks (the verdict's, or by default the z = 1 standing pulse's,
+    b = -a, and its kernel_even_block alone; GridTooSmall below its margin).
 
     Part I + p K = p (K + I/p) is solved with K_e's own diagonal shifted by
     1/p and restored after; the hill part is certified from phi's samples
     (module docstring), so K's odd block is neither read nor built.
     """
     scale = 1.0 / _t_diagonal(a, 0.0, grid)  # C
-    if shared is None:
-        phi = standing_wave_profile(a, grid)
-        shared = phi, kernel_even_block(a, grid, phi)
-    phi, even = shared
+    phi, even = _standing_samples(a, -a, grid) if shared is None else shared
     margin = 1.0 - max(float(np.max(phi)), 0.0)
     roundoff = grid.n_points * np.finfo(float).eps * float(np.max(np.abs(phi)))
     if not margin > roundoff:
@@ -276,8 +273,8 @@ def standing_quadratic(
 
 
 def case2_index(a: float, b: float, grid: Grid) -> IndexReport:
-    """Index report for the standing-wave branch (a = c < 0), both parts numeric."""
-    return standing_quadratic(a, grid).report(_ratio(a, b))
+    """Index report of the standing pulse of (a, b), a = c < 0: its verdict's, bit for bit."""
+    return standing_quadratic(a, grid, _standing_samples(a, b, grid)).report(b / -a)
 
 
 def case1_index_closed_form(eta0: float, b: float, sign_branch: int = +1) -> float:
@@ -345,17 +342,18 @@ def index_source(
     when L splits, else Lt's blocks and None.
 
     The standing branch (a = c, eta0 = -3/2, w = 0) solves
-    standing_quadratic here, on the wave's phi and K, or on phi0 and its K
-    if L does not split, and each pulse reports at its own z with the
-    bounds; the free-amplitude branch (a = c = -b, eta0 in (-9/4, 0)) takes
-    the closed form of each pulse; every other pulse, whose L never splits,
-    solves here on Lt's even block and reports for itself alone.  At the
-    z = 1 coincidence, where both branches meet, the standing route wins.
+    standing_quadratic here, on the wave's own phi and the even block of
+    its K (the split's, or kernel_even_block's if L does not split), and
+    each pulse reports at its own z with the bounds; the free-amplitude
+    branch (a = c = -b, eta0 in (-9/4, 0)) takes the closed form of each
+    pulse; every other pulse, whose L never splits, solves here on Lt's
+    even block and reports for itself alone.  At the z = 1 coincidence,
+    where both branches meet, the standing route wins.
     """
     route = index_route(params, spec)
     if route == "standing":
-        shared = None if split is None else (wave.phi, split.kernel.even)
-        quadratic = standing_quadratic(params.a, grid, shared)
+        even = split.kernel.even if split else kernel_even_block(params.a, grid, wave.phi)
+        quadratic = standing_quadratic(params.a, grid, (wave.phi, even))
         return lambda params, spec: quadratic.report(params.ratio_z)
     if route == "closed_form":
         return _closed_form_report
@@ -375,11 +373,11 @@ def critical_ratio_bisection(
     index(a, b) = sqrt(-a) index(-1, b / (-a)) the crossing is independent
     of |a|.  The coefficients are computed once, and each evaluation is the
     quadratic that case2_index would report at that z.  Raises DomainError
-    unless both ends are finite with finite index values, and NoSignChange
-    when the endpoint signs agree.
+    unless both ends and tol are finite, tol > 0 and the index values are
+    finite, and NoSignChange when the endpoint signs agree.
     """
-    if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo < z_hi and tol > 0):
-        raise DomainError(f"need finite z_lo < z_hi and tol > 0, got ({z_lo}, {z_hi}, {tol})")
+    if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo < z_hi and 0 < tol < math.inf):
+        raise DomainError(f"need finite z_lo < z_hi and finite tol > 0: ({z_lo}, {z_hi}, {tol})")
 
     quadratic = standing_quadratic(-1.0, grid)
 

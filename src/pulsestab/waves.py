@@ -37,6 +37,7 @@ __all__ = [
     "WaveSpec",
     "SampledWave",
     "resolve_wave_parameters",
+    "standing_pulse",
     "sample_wave",
     "traveling_residual",
 ]
@@ -153,6 +154,11 @@ def resolve_wave_parameters(
     return WaveSpec(eta0=eta0, lam=lam, B=amp_ratio, w=w, sign_branch=sign_branch)
 
 
+def standing_pulse(a: float, b: float) -> WaveSpec:
+    """The standing pulse of (a, b): c = a, eta0 = -3/2, w = 0, on sign branch +1."""
+    return resolve_wave_parameters(AbcParameters(a=a, b=b, c=a), -1.5)
+
+
 def sample_wave(spec: WaveSpec, grid: Grid) -> SampledWave:
     """Sample phi = eta0 sech^2(lambda x) and psi = B phi on the grid.
 
@@ -165,7 +171,9 @@ def sample_wave(spec: WaveSpec, grid: Grid) -> SampledWave:
             f"half_length {grid.half_length} < {DECAY_MARGIN / spec.lam:.3f} "
             f"needed for decay margin {DECAY_MARGIN}/lambda"
         )
-    phi = spec.eta0 / np.cosh(spec.lam * grid.nodes) ** 2
+    # cosh^2 overflows far out on a long box, where eta0 / inf, -0.0, is phi's limit
+    with np.errstate(over="ignore"):
+        phi = spec.eta0 / np.cosh(spec.lam * grid.nodes) ** 2
     return SampledWave(grid=grid, phi=phi, psi=spec.B * phi)
 
 

@@ -24,9 +24,9 @@ from pulsestab.discretization import (
     assemble_scalar_operator,
     derivative_of_samples,
     parity_coefficients,
-    standing_wave_profile,
 )
 from pulsestab.errors import DomainError
+from pulsestab.waves import sample_wave, standing_pulse
 
 
 def multiplier_matrix(grid, symbol):
@@ -100,9 +100,15 @@ def rotated_operator(params, spec, wave, grid):
     return two_component(m11, np.diag(0.5 * wave.phi), m22)
 
 
+def standing_profile(a, grid, b=None):
+    """phi0 = -(3/2) sech^2(x / (2 sqrt(-a))) of the standing pulse of (a, b),
+    b = -a by default, sampled by the package's one sampler."""
+    return sample_wave(standing_pulse(a, -a if b is None else b), grid).phi
+
+
 def scalar_operator(a, grid):
     """The scalar pair (kdv, hill) = (a dxx + 1 + 2 phi0, a dxx + 1 - phi0)."""
-    phi0 = standing_wave_profile(a, grid)
+    phi0 = standing_profile(a, grid)
     base = a * spectral_derivative(grid, 2) + np.eye(grid.n_points)
     return base + np.diag(2.0 * phi0), base - np.diag(phi0)
 
@@ -215,8 +221,8 @@ def kdv_index_closed_form(a, b):
 
 
 def standing_rhs(a, b, grid):
-    """f = (1 - b dxx) phi for the standing-wave profile."""
-    phi = standing_wave_profile(a, grid)
+    """f = (1 - b dxx) phi for the standing pulse of (a, b)."""
+    phi = standing_profile(a, grid, b)
     return phi - b * derivative_of_samples(grid, phi, 2)
 
 
@@ -226,7 +232,7 @@ def kdv_inverse_apply(a, b, grid):
     Verifies | (a dxx + 1 + 2 phi) v - f |_inf < 1e-7 and raises
     AssertionError otherwise.
     """
-    phi = standing_wave_profile(a, grid)
+    phi = standing_profile(a, grid, b)
     v = (a + b) * standing_wave_a_derivative(a, grid) - phi
     f = standing_rhs(a, b, grid)
     residual = a * derivative_of_samples(grid, v, 2) + v + 2.0 * phi * v - f
@@ -241,7 +247,7 @@ def standing_index_parts(a, b, grid):
     with f itself."""
     f_even, _ = parity_coefficients(grid, standing_rhs(a, b, grid))
     parts = []
-    for blocks in assemble_scalar_operator(a, grid):
+    for blocks in assemble_scalar_operator(a, grid, standing_profile(a, grid, b)):
         u = np.linalg.solve(blocks.even, f_even)
         parts.append(float(grid.quad_weight * np.dot(u, f_even)))
     return tuple(parts)

@@ -25,11 +25,7 @@ import pytest
 
 import reference
 from conftest import make_case1, make_standing
-from pulsestab.discretization import (
-    build_grid,
-    derivative_of_samples,
-    standing_wave_profile,
-)
+from pulsestab.discretization import build_grid, derivative_of_samples
 from pulsestab.errors import NoSignChange
 from pulsestab.hill import case1_diagonal_reduction, hill_spectrum_closed_form
 from pulsestab.index_count import (
@@ -139,7 +135,7 @@ def criterion_4():
     for a in (-0.5, -1.0, -2.0):
         lam = 1.0 / (2.0 * math.sqrt(-a))
         grid = build_grid(1024, 40.0 / lam)
-        phi = standing_wave_profile(a, grid)
+        phi = reference.standing_profile(a, grid)
         phi_a = standing_wave_a_derivative(a, grid)
         phi_pp = derivative_of_samples(grid, phi, 2)
         table = closed_form_inner_products(a)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -239,11 +240,42 @@ def test_threshold_no_sign_change_is_domain_error(capsys):
     )
     assert code == 2
     assert "same sign" in err
-    # an infinite end, or one whose index overflows, is refused at once
-    for bracket in (["--zmin=-inf", "--zmax", "11"], ["--zmin", "9", "--zmax", "1e308"]):
+    # an infinite end, one whose index overflows, or an infinite tol (which
+    # would print "tol": Infinity, not JSON) is refused at once
+    for bracket in (
+        ["--zmin=-inf", "--zmax", "11"],
+        ["--zmin", "9", "--zmax", "1e308"],
+        ["--zmin", "9", "--zmax", "11", "--tol", "inf"],
+    ):
         code, out, err = run_cli(capsys, "threshold", *bracket, "--grid-n", "256")
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--zmin", "9", "--zmax", "11"],
+        ["index", "--a", "-1", "--b", "10", "--c", "-1", "--eta0", "-1.5"],
+    ],
+    ids=["threshold", "index"],
+)
+def test_box_below_the_decay_margin_is_domain_error(capsys, argv):
+    # lambda L = 5 at a = -1, an eighth of the decay margin 40
+    code, out, err = run_cli(capsys, *argv, "--grid-len", "10", "--grid-n", "256")
+    assert (code, out) == (2, "")
+    assert "needed for decay margin" in err
+
+
+def test_long_box_samples_the_pulse_without_warnings(capsys):
+    # cosh^2 overflows at lambda |x| > 355; phi's limit there is -0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(
+            capsys, "index", "--a", "-1", "--b", "4", "--c", "-1", "--eta0", "-1.5",
+            "--grid-len", "720", "--grid-n", "512",
+        )
+    assert (code, err) == (0, "")
 
 
 def test_scan_eta0_all_stable(capsys, tmp_path):

@@ -23,7 +23,6 @@ from pulsestab.discretization import (
     parity_wavenumbers,
     potential_blocks,
     scalar_split,
-    standing_wave_profile,
 )
 from pulsestab.errors import DomainError, InvalidGrid, ReflectionDefect
 from pulsestab.hill import HillSpec, case1_diagonal_reduction
@@ -263,7 +262,7 @@ def test_parity_blocks_match_the_reference_on_the_explicit_basis(operator, case)
     params, spec, grid, wave = WAVE_CASES[case](256)
     if operator in ("kdv", "hill"):
         pick = ("kdv", "hill").index(operator)
-        assembled = assemble_scalar_operator(params.a, grid)[pick]
+        assembled = assemble_scalar_operator(params.a, grid, wave.phi)[pick]
         matrix = reference.scalar_operator(params.a, grid)[pick]
     else:
         assembler, build = {
@@ -410,8 +409,8 @@ def test_skew_antisymmetry_relations():
 
 def test_scalar_operators_exact_identities():
     params, spec, grid, wave = make_standing(n=1024)
-    kdv, hill = (to_physical(grid, part) for part in assemble_scalar_operator(params.a, grid))
-    phi = standing_wave_profile(params.a, grid)
+    phi = wave.phi
+    kdv, hill = (to_physical(grid, part) for part in assemble_scalar_operator(params.a, grid, phi))
     dphi = derivative_of_samples(grid, phi, 1)
     ddphi = derivative_of_samples(grid, phi, 2)
     assert np.max(np.abs(kdv @ dphi)) < 1e-8
@@ -425,11 +424,12 @@ def test_generic_scalar_operator_free_case():
 
 
 def test_scalar_pair_requires_negative_a():
-    # the standing-wave profile phi0 exists only for a < 0
+    # the standing pulse phi0 exists only for a < 0, whatever samples are given
     grid = build_grid(256, 80.0)
+    phi = reference.standing_profile(-1.0, grid)
     for a in (0.0, 1.0):
         with pytest.raises(DomainError):
-            assemble_scalar_operator(a, grid)
+            assemble_scalar_operator(a, grid, phi)
 
 
 def test_inertia_chain_exact_agreement():

@@ -13,7 +13,6 @@ from pulsestab.discretization import (
     build_grid,
     derivative_of_samples,
     kernel_blocks,
-    standing_wave_profile,
 )
 from pulsestab.errors import (
     DomainError,
@@ -39,6 +38,7 @@ from reference import (
     closed_form_inner_products,
     inner_product,
     kdv_index_closed_form,
+    standing_profile,
     standing_wave_a_derivative,
 )
 
@@ -63,7 +63,7 @@ def test_inner_product_table_at_unit_a():
 def test_inner_product_table_matches_quadrature(a):
     lam = 1.0 / (2.0 * math.sqrt(-a))
     grid = build_grid(1024, 40.0 / lam)
-    phi = standing_wave_profile(a, grid)
+    phi = standing_profile(a, grid)
     phi_a = standing_wave_a_derivative(a, grid)
     phi_pp = derivative_of_samples(grid, phi, 2)
     table = closed_form_inner_products(a)
@@ -82,12 +82,11 @@ def test_table_scaling_homogeneity():
 def test_amplitude_derivative_finite_difference():
     # centered finite differences in a validate the analytic phi_a
     a = -1.3
-    lam = 1.0 / (2.0 * math.sqrt(-a))
-    grid = build_grid(512, 40.0 / lam)
     step = 1e-5 * abs(a)
-    fd = (standing_wave_profile(a + step, grid) - standing_wave_profile(a - step, grid)) / (
-        2 * step
-    )
+    # the decay margin of the widest of the three profiles, at a - step
+    lam = 1.0 / (2.0 * math.sqrt(-(a - step)))
+    grid = build_grid(512, 40.0 / lam)
+    fd = (standing_profile(a + step, grid) - standing_profile(a - step, grid)) / (2 * step)
     analytic = standing_wave_a_derivative(a, grid)
     assert np.max(np.abs(fd - analytic)) < 1e-9
 
@@ -96,7 +95,7 @@ def test_kdv_inverse_identities(standing_grid):
     a, b = -1.0, 2.0
     grid = standing_grid
     v = reference.kdv_inverse_apply(a, b, grid)
-    phi = standing_wave_profile(a, grid)
+    phi = standing_profile(a, grid, b)
     phi_a = standing_wave_a_derivative(a, grid)
     # the kdv operator maps phi_a to -phi''
     image = a * derivative_of_samples(grid, phi_a, 2) + phi_a + 2 * phi * phi_a
@@ -108,7 +107,7 @@ def test_kdv_inverse_identities(standing_grid):
 def test_kdv_inverse_collapses_at_equal_coefficients(standing_grid):
     # b = -a: the preimage reduces to -phi
     v = reference.kdv_inverse_apply(-1.0, 1.0, standing_grid)
-    phi = standing_wave_profile(-1.0, standing_grid)
+    phi = standing_profile(-1.0, standing_grid)
     np.testing.assert_allclose(v, -phi, rtol=0, atol=1e-14)
 
 
@@ -133,7 +132,7 @@ def test_kdv_numeric_matches_closed_form(z, standing_grid):
 
 def projection_split(a, b, grid):
     """f = c (a phi'' + phi) + g: the coefficient c and |g|^2."""
-    phi = standing_wave_profile(a, grid)
+    phi = standing_profile(a, grid, b)
     h = a * derivative_of_samples(grid, phi, 2) + phi
     f = reference.standing_rhs(a, b, grid)
     coeff = inner_product(f, h, grid) / inner_product(h, h, grid)
@@ -167,7 +166,7 @@ def test_hill_part_refused_when_a_sample_reaches_one(monkeypatch, standing_grid)
     # the hill part is certified from the samples alone: -2 phi0 peaks at 3,
     # and the reference spectrum of its I - K (the even block) is indefinite
     grid = standing_grid
-    phi = -2.0 * standing_wave_profile(-1.0, grid)
+    phi = -2.0 * standing_profile(-1.0, grid)
     shared = kernel_blocks(-1.0, grid, phi)
     assert np.linalg.eigvalsh(np.eye(len(shared.even)) - shared.even)[0] < -0.5
     solves = count_calls(monkeypatch, index_count, "_gram")
@@ -217,7 +216,7 @@ def test_index_routes_refuse_an_inaccurate_solve(
 def test_projection_norm_identity(standing_grid):
     # |a phi'' + phi|^2 = (324/35) sqrt(-a)
     grid = standing_grid
-    phi = standing_wave_profile(-1.0, grid)
+    phi = standing_profile(-1.0, grid)
     h = -derivative_of_samples(grid, phi, 2) + phi
     assert inner_product(h, h, grid) == pytest.approx(324.0 / 35.0, rel=1e-8)
 
@@ -405,7 +404,7 @@ def test_numeric_kdv_coefficients_are_the_closed_form(a):
     expected = [math.sqrt(-a) * c for c in (-4.5, 1.5, 0.3)]
     np.testing.assert_allclose(quadratic.kdv, expected, rtol=0, atol=1e-12)
     # the default builds K_e alone, bit for bit the even block of phi0's K
-    phi = standing_wave_profile(a, grid)
+    phi = standing_profile(a, grid)
     assert standing_quadratic(a, grid, (phi, kernel_blocks(a, grid, phi).even)) == quadratic
 
 
@@ -465,18 +464,16 @@ def test_bound_polynomials_change_sign_at_analytic_roots():
     n=st.sampled_from([128, 256, 512]),
 )
 @settings(max_examples=40, deadline=None)
-@example(a=-2.0, z=4.0, n=256)  # where the wave's phi and phi0 differ in their last bits
+@example(a=-2.0, z=4.0, n=256)
 def test_verdict_index_from_its_own_blocks_matches_the_scalar_pair(a, z, n):
     # the verdict reads the index from K = C V C of its own wave, exactly;
-    # the standalone route assembles the scalar pair at phi0, and the
-    # reference solves each scalar operator with f itself
+    # the standalone route samples the same pulse, and the reference solves
+    # each scalar operator with f itself
     params, spec, grid, wave = make_standing(a=a, b=z * -a, n=n, lfac=50.0)
     report = spectra.stability_verdict(params, spec, wave, grid).index_report
     own = standing_quadratic(a, grid, (wave.phi, kernel_blocks(a, grid, wave.phi).even))
     assert report == own.report(params.ratio_z)
-    standalone = case2_index(a, z * -a, grid)
-    scale = (8.0 * abs(standalone.kdv_part) + abs(standalone.hill_part)) / 3.0
-    assert abs(report.index_value - standalone.index_value) <= 1e-12 * scale
+    assert case2_index(a, z * -a, grid) == report
     parts = np.array(reference.standing_index_parts(a, z * -a, grid))
     got = np.array([report.kdv_part, report.hill_part])
     assert np.linalg.norm(got - parts) <= 1e-12 * np.linalg.norm(parts)
