@@ -207,11 +207,11 @@ def _scan_values(config: RunConfig) -> np.ndarray:
 
 
 def _scan_point(config: RunConfig, value: float) -> tuple[AbcParameters, WaveSpec]:
+    params, sign = config.params, config["sign_branch"]
     if config["param"] == "eta0":
-        params, eta0 = config.params, float(value)
-    else:  # z scan: standing waves at a = c, b = z (-a)
-        params, eta0 = replace(config.params, b=float(value) * -config.params.a), -1.5
-    return params, resolve_wave_parameters(params, eta0, config["sign_branch"])
+        return params, resolve_wave_parameters(params, float(value), sign)
+    params = replace(params, b=float(value) * -params.a)  # z scan: b = z (-a), c = a
+    return params, standing_pulse(params.a, params.b, sign)
 
 
 def _scan_row(param: str, value: float, spec: WaveSpec, verdict) -> dict:

@@ -23,17 +23,18 @@ assembled directly as its even and odd blocks (ParityBlocks):
 * an even potential v is (1/2) c_k c_l [V(k - l) +- V(k + l)], + on the
   cosine block and - on the sine block, with V(m) = (-1)^m Re fft(v)[m mod N]
   (a Toeplitz-plus-Hankel matrix, see potential_blocks).  The Toeplitz and
-  Hankel parts are strided views of the N + 1 values V(m), and
-  kernel_blocks folds the congruence K = C V C below into the basis
-  factors, c_k / t_k with t_k = (1 - a xi_k^2)^(1/2) the diagonal of C^-1,
-  so each block is written in one pass from the views (_folded_blocks).
+  Hankel parts are strided views of the N + 1 values V(m).
 
-Assembled operators, each as its two-component ParityBlocks:
+Every operator is the diagonal of its symbols plus a coupling times one
+potential, phi's blocks V (psi = B phi by construction, waves.SampledWave).
+_folded_blocks writes T^-1 V T^-1 for a diagonal T in one pass from the
+views, with T folded into the basis factors c_k / t_k, at three scales:
+t = 1 for L and the scalar pair, 1 / s_k for Lt and the parts of its split,
+and (1 - a xi_k^2)^(1/2) for K below.  With P = [[0, B], [B, 1]] and
+S = (1 - b dxx)^(-1/2), the diagonal s_k = (1 + b xi_k^2)^(-1/2):
 
-    L   = [[1 + c dxx,            b w dxx + psi - w],
-           [b w dxx + psi - w,    1 + a dxx + phi  ]]          (two-component)
-    Lt  = S L S,  S = (1 - b dxx)^(-1/2)                       (symmetrized)
-          S is the diagonal s_k = (1 + b xi_k^2)^(-1/2) (smoothing_diagonal)
+    L   = [[1 + c dxx, b w dxx - w], [b w dxx - w, 1 + a dxx]] + P x phi
+    Lt  = S L S = [[(1 + c dxx) S^2, -w], [-w, (1 + a dxx) S^2]] + P x S phi S
     JL  = J L,  J = -dx (1 - b dxx)^(-1) swap                  (evolution)
           J anticommutes with the reflection, so JL maps each parity onto
           the other; spectra counts JL from Lt's parity blocks on every
@@ -42,35 +43,31 @@ Assembled operators, each as its two-component ParityBlocks:
     scalar pair: kdv  = a dxx + 1 + 2 phi0
                  hill = a dxx + 1 - phi0       (phi0 a standing pulse's samples)
 
+Lt's smoothed symbols (_smoothed_symbols) serve its assembly and the
+essential-spectrum edge.
+
 Every subsonic a = c pulse has w = 0 (the standing branch, eta0 = -3/2) or
 b = -a (the free-amplitude branch), so the smoothing 1 - b dxx that w
-multiplies is 1 + a dxx, and a wave whose samples satisfy psi = B phi
-exactly has the tensor form
-
-    L = W x (1 + a dxx) + P x phi,   W = [[1, -w], [-w, 1]],  P = [[0, B], [B, 1]].
-
-The generalized eigenpairs P v = p W v, p^2 (1 - w^2) - p (1 + 2 B w) - B^2
-= 0 and v = (B + p w, p) normalized in the W norm, give R = W V with
-R R^T = W and R diag(p) R^T = P, so L = (R x I) blockdiag(parts) (R x I)^T
-with the scalar parts (1 + a dxx) + p_i phi.  With C = (1 + a dxx)^(-1/2),
-the diagonal (1 - a xi_k^2)^(-1/2) (no b), and K = C V C for the blocks V
-of phi (kernel_blocks, or kernel_even_block for its cosine block alone),
-part i is C^-1 (I + p_i K) C^-1.  S is scalar, so
+multiplies is 1 + a dxx, and L = W x (1 + a dxx) + P x phi with
+W = [[1, -w], [-w, 1]].  The generalized eigenpairs P v = p W v,
+p^2 (1 - w^2) - p (1 + 2 B w) - B^2 = 0 and v = (B + p w, p) normalized in
+the W norm, give R = W V with R R^T = W and R diag(p) R^T = P, so
+L = (R x I) blockdiag(parts) (R x I)^T with the scalar parts
+(1 + a dxx) + p_i phi.  With C = (1 + a dxx)^(-1/2) and K = C V C
+(kernel_blocks, or kernel_even_block for its cosine block alone), part i is
+C^-1 (I + p_i K) C^-1, and since S is scalar,
 Lt = (R x I) blockdiag(T (I + p_i K) T) (R x I)^T with T = S C^-1 the
 diagonal t_k = sqrt((1 - a xi_k^2) / (1 + b xi_k^2)) (_t_diagonal), T = I
-when b = -a.  scalar_split decides the split and returns it as a
-ScalarSplit: R, p, K and T, from which split_parts builds the parts; the
-parts differ only in p, so one eigenbasis of K serves them all
-(spectra.stability_verdict).  On the standing branch W = I, R is
-orthogonal and the parts (kdv p = 2 and hill p = -1 at B = sqrt(2)) have
-Lt's eigenvalues.  On the free-amplitude branch W is positive definite but
-not I, and the parts are congruent to Lt: they carry its inertia
-(Sylvester's law of inertia) but not its eigenvalues.  A supersonic wave
-(|w| > 1) has an indefinite W and no real R; it does not split, nor does an
-a != c wave or a psi that is not B phi sample for sample (which then meets
-the ReflectionDefect check of its own potential).  The assemblers build the
-two-component blocks of every wave, split or not; the scalar pair is the
-parts of L (T = C^-1) at phi0, a standing pulse's waves.sample_wave samples.
+when b = -a.  scalar_split returns R, p, K and T (ScalarSplit) for the
+verdict, whose parts differ only in p, so one eigenbasis of K serves them
+all (spectra.stability_verdict).  split_parts writes the parts themselves
+as T^2 + p_i S V S, from one fold and no K; the scalar pair is split_parts
+at b = 0 (S = I) on phi0, a standing pulse's waves.sample_wave samples.
+On the standing branch W = I, R is orthogonal and the parts (kdv p = 2 and
+hill p = -1 at B = sqrt(2)) have Lt's eigenvalues.  On the free-amplitude
+branch the parts are congruent to Lt: they carry its inertia (Sylvester's
+law of inertia) but not its eigenvalues.  A supersonic wave (|w| > 1) has
+an indefinite W and no real R; it does not split, nor does an a != c wave.
 
 A potential whose samples are not even to REFLECTION_DEFECT_TOL raises
 ReflectionDefect (see Kapitula & Promislow, Spectral and Dynamical
@@ -104,7 +101,6 @@ __all__ = [
     "assemble_system_operator_L",
     "assemble_tilde_L",
     "smoothing_diagonal",
-    "scale_blocks",
     "assemble_JL",
     "assemble_scalar_operator",
 ]
@@ -283,19 +279,21 @@ def _swap_odd_to_even(factor: np.ndarray, odd_rows: np.ndarray) -> np.ndarray:
     return np.vstack([np.pad(scaled[half:], pad), np.pad(scaled[:half], pad)])
 
 
-def _system_blocks(symbols, psi: ParityBlocks, phi: ParityBlocks) -> ParityBlocks:
-    """[[diag(s11), diag(s12) + Psi], [diag(s12) + Psi, diag(s22) + Phi]] on
-    each parity; the symbols are given at k = 0, ..., N/2."""
+def _system_blocks(symbols, B: float, phi: ParityBlocks) -> ParityBlocks:
+    """diag(symbols) + P x Phi, P = [[0, B], [B, 1]]: on each parity
+    [[diag(s11), diag(s12) + B Phi], [diag(s12) + B Phi, diag(s22) + Phi]],
+    with the symbols given at k = 0, ..., N/2.  Phi's own arrays take the
+    diagonal s22."""
 
-    def block(cut: slice, psi_block: np.ndarray, phi_block: np.ndarray) -> np.ndarray:
-        d11, d12, d22 = (np.diag(symbol[cut]) for symbol in symbols)
-        d12 += psi_block
-        d22 += phi_block
-        return np.block([[d11, d12], [d12, d22]])
+    def block(cut: slice, phi_block: np.ndarray) -> np.ndarray:
+        s11, s12, s22 = (symbol[cut] for symbol in symbols)
+        diagonal = np.diag_indices_from(phi_block)
+        coupling = B * phi_block
+        coupling[diagonal] += s12
+        phi_block[diagonal] += s22
+        return np.block([[np.diag(s11), coupling], [coupling, phi_block]])
 
-    return ParityBlocks(
-        block(slice(None), psi.even, phi.even), block(slice(1, -1), psi.odd, phi.odd)
-    )
+    return ParityBlocks(block(slice(None), phi.even), block(slice(1, -1), phi.odd))
 
 
 def _component_split(B: float, w: float) -> tuple[np.ndarray, np.ndarray]:
@@ -352,35 +350,53 @@ def _t_diagonal(a: float, b: float, grid: Grid) -> np.ndarray:
     return np.sqrt((1.0 - a * xi2) / (1.0 + b * xi2))
 
 
-def split_parts(kernel: ParityBlocks, p, t: np.ndarray) -> tuple[ParityBlocks, ...]:
-    """T (I + p_i K) T for each p_i.  The last part is built in K's own
-    arrays, so a pair holds two operators, not three."""
-    parts = [ParityBlocks(pk * kernel.even, pk * kernel.odd) for pk in p[:-1]]
-    np.multiply(kernel.even, p[-1], out=kernel.even)
-    np.multiply(kernel.odd, p[-1], out=kernel.odd)
-    for part in (*parts, kernel):
-        for block in (part.even, part.odd):
-            block[np.diag_indices_from(block)] += 1.0
-        scale_blocks(part, t)
-    return (*parts, kernel)
+def _smoothed_symbols(a: float, b: float, c: float, w: float, grid: Grid):
+    """Lt's constant part at k = 0, ..., N/2, L's symbols times s_k^2:
+    ((1 - c xi^2) / (1 + b xi^2), -w, (1 - a xi^2) / (1 + b xi^2)).  At
+    a = c the diagonals are T^2 (_t_diagonal squared)."""
+    xi2 = parity_wavenumbers(grid) ** 2
+    smooth = 1.0 + b * xi2
+    return (1.0 - c * xi2) / smooth, np.full_like(xi2, -w), (1.0 - a * xi2) / smooth
+
+
+def _smoothed_potential(b: float, grid: Grid, phi: np.ndarray) -> ParityBlocks:
+    """The blocks of S V S for the even potential phi: _folded_blocks at
+    t_k = 1 / s_k = (1 + b xi_k^2)^(1/2); b = 0 gives potential_blocks."""
+    return _folded_blocks(grid, phi, np.sqrt(1.0 + b * parity_wavenumbers(grid) ** 2))
+
+
+def split_parts(a: float, b: float, grid: Grid, phi: np.ndarray, p) -> tuple[ParityBlocks, ...]:
+    """T (I + p_i K) T = T^2 + p_i S V S for each p_i, at a = c, from one
+    fold of phi at S; K is not built.  The last part is built in the fold's
+    own arrays, so a pair holds two operators, not three."""
+    fold = _smoothed_potential(b, grid, phi)
+    t2 = _smoothed_symbols(a, b, a, 0.0, grid)[2]
+    parts = [ParityBlocks(pk * fold.even, pk * fold.odd) for pk in p[:-1]]
+    for block in (fold.even, fold.odd):
+        block *= p[-1]
+    for part in (*parts, fold):
+        for block, diagonal in ((part.even, t2), (part.odd, t2[1:-1])):
+            block[np.diag_indices_from(block)] += diagonal
+    return (*parts, fold)
 
 
 def _check_samples(wave, grid: Grid) -> None:
-    if len(wave.phi) != grid.n_points:
-        raise DomainError(f"wave sampled on {len(wave.phi)} points, grid has {grid.n_points}")
+    """DomainError unless the wave was sampled on a grid with this N and L."""
+    sampled, wanted = (len(wave.phi), wave.grid.half_length), (grid.n_points, grid.half_length)
+    if sampled != wanted:
+        raise DomainError(f"wave sampled on (N, L) = {sampled}, grid has {wanted}")
 
 
 def splits(params, spec) -> bool:
-    """Whether L splits on a wave with psi = B phi sample for sample: the
-    wave is subsonic, a = c, and w = 0 or b = -a."""
+    """Whether L splits: the wave is subsonic, a = c, and w = 0 or b = -a."""
     return params.equal_dispersion and (spec.w == 0 or params.kdv_scaling) and abs(spec.w) < 1.0
 
 
 def scalar_split(params, spec, wave, grid: Grid) -> ScalarSplit | None:
-    """The scalar split of Lt (module docstring) when splits holds and
-    psi = B phi sample for sample, else None; K is built only then."""
+    """The scalar split of Lt (module docstring) when splits holds, else
+    None; K is built only then."""
     _check_samples(wave, grid)
-    if not (splits(params, spec) and np.array_equal(wave.psi, spec.B * wave.phi)):
+    if not splits(params, spec):
         return None
     p, rotation = _component_split(spec.B, spec.w)
     kernel = kernel_blocks(params.a, grid, wave.phi)
@@ -392,8 +408,7 @@ def assemble_system_operator_L(params, spec, wave, grid: Grid) -> ParityBlocks:
     _check_samples(wave, grid)
     xi2 = parity_wavenumbers(grid) ** 2
     symbols = (1.0 - params.c * xi2, -spec.w * (1.0 + params.b * xi2), 1.0 - params.a * xi2)
-    psi, phi = potential_blocks(grid, wave.psi), potential_blocks(grid, wave.phi)
-    return _system_blocks(symbols, psi, phi)
+    return _system_blocks(symbols, spec.B, potential_blocks(grid, wave.phi))
 
 
 def smoothing_diagonal(b: float, grid: Grid) -> np.ndarray:
@@ -407,22 +422,12 @@ def assemble_tilde_L(params, spec, wave, grid: Grid) -> ParityBlocks:
 
     Shares the inertia of L (congruence with a positive definite factor) and
     has essential spectrum bounded away from zero in the subsonic regime.
-    S is diagonal on both components, so L's blocks B become
-    diag(s) B diag(s), scaled in place.
+    Assembled directly: the smoothed symbols plus P x S Phi S, one fold of
+    phi at S.
     """
-    lop = assemble_system_operator_L(params, spec, wave, grid)
-    return scale_blocks(lop, smoothing_diagonal(params.b, grid))
-
-
-def scale_blocks(blocks: ParityBlocks, scale: np.ndarray) -> ParityBlocks:
-    """diag(scale) B diag(scale) for each parity block B, in place: the
-    congruence by a multiplier with the even symbol scale, given at
-    k = 0, ..., N/2 and repeated over the components."""
-    for block, factor in ((blocks.even, scale), (blocks.odd, scale[1:-1])):
-        factor = np.tile(factor, len(block) // len(factor))
-        block *= factor[:, None]
-        block *= factor
-    return blocks
+    _check_samples(wave, grid)
+    symbols = _smoothed_symbols(params.a, params.b, params.c, spec.w, grid)
+    return _system_blocks(symbols, spec.B, _smoothed_potential(params.b, grid, wave.phi))
 
 
 def assemble_JL(params, spec, wave, grid: Grid) -> ParityBlocks:
@@ -452,9 +457,9 @@ def assemble_scalar_operator(a: float, grid: Grid, phi: np.ndarray) -> tuple[Par
     hill = a dxx + 1 - phi0     (positive, spectrum in [1, inf))
 
     the parts of the split L at phi, the samples of a standing pulse phi0,
-    which exists only for a = c < 0: split_parts of phi's K with T = C^-1.
+    which exists only for a = c < 0: split_parts at b = 0, where S = I and
+    T = C^-1.
     """
     if not a < 0:
         raise DomainError(f"a must be negative, got {a}")
-    kernel = kernel_blocks(a, grid, phi)
-    return split_parts(kernel, (2.0, -1.0), _t_diagonal(a, 0.0, grid))
+    return split_parts(a, 0.0, grid, phi, (2.0, -1.0))

@@ -79,6 +79,7 @@ from .discretization import (
     Grid,
     ParityBlocks,
     ScalarSplit,
+    _check_samples,
     _t_diagonal,
     apply_multiplier,
     assemble_tilde_L,
@@ -277,14 +278,12 @@ def case2_index(a: float, b: float, grid: Grid) -> IndexReport:
     return standing_quadratic(a, grid, _standing_samples(a, b, grid)).report(b / -a)
 
 
-def case1_index_closed_form(eta0: float, b: float, sign_branch: int = +1) -> float:
+def case1_index_closed_form(eta0: float, b: float) -> float:
     """Branch derivative d(w) = (144 sqrt(b) / 5) eta0 (4 + eta0) / (2 eta0 + 9).
 
-    Valid for a = c = -b and eta0 in (-9/4, 0); both sign branches give the
-    same value (the sign flips of dB/deta0 and deta0/dw cancel).
+    Valid for a = c = -b and eta0 in (-9/4, 0), on both sign branches (the
+    sign flips of dB/deta0 and deta0/dw cancel).
     """
-    if sign_branch not in (+1, -1):
-        raise DomainError(f"sign_branch must be +1 or -1, got {sign_branch}")
     if not b > 0:
         raise DomainError(f"b must be positive, got {b}")
     if not (-2.25 < eta0 < 0.0):
@@ -293,10 +292,10 @@ def case1_index_closed_form(eta0: float, b: float, sign_branch: int = +1) -> flo
 
 
 def _general_index(params: AbcParameters, wave, grid: Grid, even: np.ndarray) -> float:
-    """<L^(-1) r, r> = <Lt^(-1) S r, S r>, r = (1 - b dxx)(psi, phi)^T, from
-    Lt's even block."""
-    symbol = 1.0 + params.b * grid.wavenumbers**2
-    rhs = np.concatenate([apply_multiplier(grid, symbol, v) for v in (wave.psi, wave.phi)])
+    """<L^(-1) r, r> = <Lt^(-1) S r, S r>, r = (1 - b dxx)(psi, phi)^T = (B f, f)
+    with f = (1 - b dxx) phi, from Lt's even block."""
+    f = apply_multiplier(grid, 1.0 + params.b * grid.wavenumbers**2, wave.phi)
+    rhs = np.concatenate([wave.B * f, f])
     scale = np.tile(smoothing_diagonal(params.b, grid), 2)
     return float(_gram(grid, even, [rhs], scale)[0, 0])
 
@@ -330,10 +329,6 @@ def _report(value: float, method: str) -> IndexReport:
     )
 
 
-def _closed_form_report(params: AbcParameters, spec) -> IndexReport:
-    return _report(case1_index_closed_form(spec.eta0, params.b, spec.sign_branch), "closed_form")
-
-
 def index_source(
     params: AbcParameters, spec, wave, grid: Grid, blocks: ParityBlocks, split: ScalarSplit | None
 ) -> Callable[[AbcParameters, object], IndexReport]:
@@ -350,14 +345,15 @@ def index_source(
     even block and reports for itself alone.  At the z = 1 coincidence,
     where both branches meet, the standing route wins.
     """
+    _check_samples(wave, grid)
     route = index_route(params, spec)
     if route == "standing":
         even = split.kernel.even if split else kernel_even_block(params.a, grid, wave.phi)
         quadratic = standing_quadratic(params.a, grid, (wave.phi, even))
         return lambda params, spec: quadratic.report(params.ratio_z)
     if route == "closed_form":
-        return _closed_form_report
-    report = _report(_general_index(params, wave, grid, blocks.even), "numeric")
+        return lambda params, spec: _report(case1_index_closed_form(spec.eta0, params.b), route)
+    report = _report(_general_index(params, wave, grid, blocks.even), route)
     return lambda params, spec: report
 
 

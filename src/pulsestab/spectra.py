@@ -44,17 +44,9 @@ index quantity, the parity identity
 
     n_unstable = n(Lt) - n(index quantity)   (mod 2),
 
-and the direct count.  The verdict only needs to know whether some mu
-exceeds re_tol^2, an inertia question.  So when the inertia and the index
-already say stable and every sigma is +1, it first tries one Cholesky
-factorization of -M + c I, c = (re_tol/2)^2: if it completes, every mu lies
-below c (Sylvester's law; Higham, Accuracy and Stability of Numerical
-Algorithms, 2002, ch. 10), the direct count is 0 and the verdict's
-max_real_part is the certified bound re_tol/2.  Otherwise, or when the
-factorization fails, it solves the reduced matrix as above.  On coarse
-grids the unresolved translation pair has mu > c and fails the
-factorization, so those verdicts take the full count; the JL spectrum
-itself always does.
+and the direct count, which a stable verdict certifies with one Cholesky
+factorization instead (_below_shift).  The index sign decides only under
+its premise n(Lt) = 1 (stability_verdict).
 
 A verdict runs in two steps, so that the rows of a scan can share the
 first.  verdict_basis is the row-invariant part, built from one pulse, its
@@ -87,7 +79,9 @@ from .discretization import (
     Grid,
     ParityBlocks,
     ScalarSplit,
+    _check_samples,
     _component_split,
+    _smoothed_symbols,
     _t_diagonal,
     assemble_tilde_L,
     parity_wavenumbers,
@@ -241,11 +235,12 @@ def discrete_spectrum_tilde_L(
     from genuinely small eigenvalues (verified stable under N-refinement).
     The essential-spectrum edge is reported when the wave is subsonic.
     """
-    split = scalar_split(params, spec, wave, grid) if spec.w == 0 else None
-    if split is None:
-        pieces = [assemble_tilde_L(params, spec, wave, grid)]
+    if spec.w == 0 and splits(params, spec):
+        _check_samples(wave, grid)
+        p = _component_split(spec.B, spec.w)[0]
+        pieces = split_parts(params.a, params.b, grid, wave.phi, p)
     else:
-        pieces = split_parts(split.kernel, split.p, split.t)
+        pieces = [assemble_tilde_L(params, spec, wave, grid)]
     even_values = [_symmetric_eigen(np.linalg.eigvalsh, piece.even) for piece in pieces]
     odd_values = [_symmetric_eigen(np.linalg.eigvalsh, piece.odd) for piece in pieces]
     eigenvalues = np.sort(np.concatenate(even_values + odd_values))
@@ -341,7 +336,8 @@ def _below_shift(reduced: np.ndarray, shift: float) -> bool:
     """Whether every mu lies below shift: a Cholesky factorization of
     -M + shift I completes (Sylvester's law; Higham, Accuracy and Stability
     of Numerical Algorithms, 2002, ch. 10).  reduced is -M; its diagonal is
-    shifted in place and restored exactly."""
+    shifted in place and restored exactly.  The unresolved translation pair
+    of a coarse grid has mu above the verdict's shift (re_tol/2)^2 and fails."""
     diagonal = np.diag_indices_from(reduced)
     saved = reduced[diagonal]
     reduced[diagonal] += shift
@@ -410,21 +406,16 @@ def essential_spectrum_gap(params: AbcParameters, spec: WaveSpec, grid: Grid) ->
 
     whose determinant is xi^4 (ac - b^2 w^2) + xi^2 (-a - c - 2 b w^2)
     + (1 - w^2), positive in the subsonic regime; kappa is the minimum over
-    grid xi of the smaller eigenvalue after smoothing by (1 + b xi^2)^(-1/2)
-    on both sides.
+    grid xi of the smaller eigenvalue of Lt's symbol, the matrix smoothed by
+    (1 + b xi^2)^(-1/2) on both sides (discretization._smoothed_symbols).
     """
     if abs(spec.w) >= params.subsonic_bound:
         raise NotSubsonic(
             f"|w| = {abs(spec.w)} is not below the subsonic bound {params.subsonic_bound}"
         )
-    xi2 = grid.wavenumbers**2
-    smooth = 1.0 + params.b * xi2
-    t11 = (1.0 - params.c * xi2) / smooth
-    t22 = (1.0 - params.a * xi2) / smooth
-    t12 = -spec.w * (params.b * xi2 + 1.0) / smooth
-    half_trace = 0.5 * (t11 + t22)
+    t11, t12, t22 = _smoothed_symbols(params.a, params.b, params.c, spec.w, grid)
     # smaller eigenvalue of a symmetric 2x2 via trace/discriminant
-    lower = half_trace - np.sqrt(np.maximum(0.25 * (t11 - t22) ** 2 + t12**2, 0.0))
+    lower = 0.5 * (t11 + t22) - np.sqrt(0.25 * (t11 - t22) ** 2 + t12**2)
     return float(np.min(lower))
 
 
@@ -517,9 +508,10 @@ def row_verdict(
         real = _jl_eigenvalues(basis.grid, reduced, signs).real
         n_unstable, max_real_part = int(np.sum(real > re_tol)), float(np.max(real))
 
-    if index_sign == "pos" or n_unstable > 0:
+    # the index criterion's premise is n(Lt) = 1; without it only a direct mode decides
+    if n_unstable > 0 or (n_tilde == 1 and index_sign == "pos"):
         verdict = "unstable"
-    elif index_sign == "neg" and n_tilde == 1 and n_unstable == 0:
+    elif n_tilde == 1 and index_sign == "neg":
         verdict = "stable"
     else:
         verdict = "inconclusive"
@@ -548,15 +540,16 @@ def stability_verdict(
     """Combine inertia, index sign, parity, and the direct count.
 
     stable       <=  n(Lt) = 1, index < -index_tol, no direct unstable mode
-    unstable     <=  index > index_tol or a direct unstable mode exists
-    inconclusive <=  |index| <= index_tol, or the inertia assumption fails
+    unstable     <=  a direct unstable mode, or n(Lt) = 1 and index > index_tol
+    inconclusive <=  otherwise (|index| <= index_tol, or n(Lt) != 1: the
+                     index criterion's premise fails, as on supersonic waves)
 
     One pulse is a scan of one row: its verdict_basis, then its
     row_verdict.  The blocks are built once; the index, the inertia and the
     direct count all read them, and their odd block is diagonalized once.
     When the inertia and the index say stable and a Cholesky factorization
-    of -M + (re_tol/2)^2 I completes, the direct count is certified (module
-    docstring) and max_real_part = re_tol/2; otherwise it is the largest
+    of -M + (re_tol/2)^2 I completes, the direct count is certified
+    (_below_shift) and max_real_part = re_tol/2; otherwise it is the largest
     real part of JL's spectrum.  DomainError unless check_tolerances passes.
     """
     check_tolerances(zero_tol, re_tol, index_tol)

@@ -106,11 +106,15 @@ class WaveSpec:
 
 @dataclass(frozen=True, eq=False)
 class SampledWave:
-    """Grid samples of (phi, psi)."""
+    """Grid samples of phi and the ratio B, so that psi = B phi by construction."""
 
     grid: Grid
     phi: np.ndarray
-    psi: np.ndarray
+    B: float
+
+    @property
+    def psi(self) -> np.ndarray:
+        return self.B * self.phi
 
 
 def resolve_wave_parameters(
@@ -154,13 +158,13 @@ def resolve_wave_parameters(
     return WaveSpec(eta0=eta0, lam=lam, B=amp_ratio, w=w, sign_branch=sign_branch)
 
 
-def standing_pulse(a: float, b: float) -> WaveSpec:
-    """The standing pulse of (a, b): c = a, eta0 = -3/2, w = 0, on sign branch +1."""
-    return resolve_wave_parameters(AbcParameters(a=a, b=b, c=a), -1.5)
+def standing_pulse(a: float, b: float, sign_branch: int = +1) -> WaveSpec:
+    """The standing pulse of (a, b) on a sign branch: c = a, eta0 = -3/2, w = 0."""
+    return resolve_wave_parameters(AbcParameters(a=a, b=b, c=a), -1.5, sign_branch)
 
 
 def sample_wave(spec: WaveSpec, grid: Grid) -> SampledWave:
-    """Sample phi = eta0 sech^2(lambda x) and psi = B phi on the grid.
+    """Sample phi = eta0 sech^2(lambda x) on the grid, with psi = B phi.
 
     Raises GridTooSmall when lambda * half_length < 40, the margin that
     keeps the periodization error of sech^2 below round-off, by more than
@@ -174,7 +178,7 @@ def sample_wave(spec: WaveSpec, grid: Grid) -> SampledWave:
     # cosh^2 overflows far out on a long box, where eta0 / inf, -0.0, is phi's limit
     with np.errstate(over="ignore"):
         phi = spec.eta0 / np.cosh(spec.lam * grid.nodes) ** 2
-    return SampledWave(grid=grid, phi=phi, psi=spec.B * phi)
+    return SampledWave(grid=grid, phi=phi, B=spec.B)
 
 
 def traveling_residual(wave: SampledWave, spec: WaveSpec, params: AbcParameters):

@@ -49,14 +49,23 @@ def test_wave_command_json(capsys):
 
 
 def test_wave_reports_are_reproducible(capsys):
-    argv = ["wave", "--a", "-1", "--b", "1", "--c", "-1", "--eta0", "-1.0", *FAST]
-    _, first, _ = run_cli(capsys, *argv)
-    _, second, _ = run_cli(capsys, *argv)
+    # every JSON command, run twice, writes the same report but for generated_at
+    wave = ("--a", "-1", "--b", "1", "--c", "-1", "--eta0", "-1.0", "--grid-n", "128")
+    commands = [
+        ("wave", *wave),
+        ("spectrum", *wave),
+        ("jl-spectrum", *wave),
+        ("index", *wave),
+        ("threshold", "--zmin", "1", "--zmax", "11", "--grid-n", "128"),
+    ]
 
     def strip(text):
         return [line for line in text.splitlines() if "generated_at" not in line]
 
-    assert strip(first) == strip(second)
+    for argv in commands:
+        first, second = (run_cli(capsys, *argv) for _ in range(2))
+        assert first[0] == 0
+        assert strip(first[1]) == strip(second[1])
 
 
 def test_spectrum_command(capsys):
@@ -160,6 +169,30 @@ def test_index_command_inconclusive_exit_code(capsys):
     )
     assert code == 4
     assert json.loads(out)["result"]["verdict"]["verdict"] == "inconclusive"
+
+
+SUPERSONIC = ("index", "--a", "-1", "--b", "1", "--c", "-1", *FAST)
+
+
+def test_supersonic_index_sign_alone_is_inconclusive(capsys):
+    # the elevation pulse eta0 = 1.1 has w = 1.48: n(Lt) = N - 2, so the premise
+    # n(Lt) = 1 of the index criterion fails and its positive sign decides
+    # nothing; the direct count finds no mode on this box
+    code, out, _ = run_cli(capsys, *SUPERSONIC, "--eta0", "1.1")
+    verdict = json.loads(out)["result"]["verdict"]
+    assert code == 4
+    assert (verdict["verdict"], verdict["index_sign"]) == ("inconclusive", "pos")
+    assert (verdict["n_tilde_L"], verdict["n_unstable_direct"]) == (510, 0)
+
+
+def test_supersonic_direct_mode_is_unstable(capsys):
+    # the depression pulse eta0 = -2.6 (|w| = 2.01) has n(Lt) = N - 2 too;
+    # its verdict rests on the direct count alone
+    code, out, _ = run_cli(capsys, *SUPERSONIC, "--eta0", "-2.6", "--sign-branch", "-1")
+    verdict = json.loads(out)["result"]["verdict"]
+    assert code == 0
+    assert (verdict["verdict"], verdict["n_tilde_L"]) == ("unstable", 510)
+    assert verdict["n_unstable_direct"] == 5
 
 
 def test_domain_error_exit_code(capsys):
@@ -510,6 +543,49 @@ def test_scan_rows_equal_the_index_of_each_point(case, sign, n, steps):
         assert abs(row.index_value - verdict["index_value"]) <= 1e-12 * scale
         if 0.5e-6 in (row.max_real_part, verdict["max_real_part"]):  # certified
             assert row.max_real_part == verdict["max_real_part"]
+
+
+# z*, the root of the standing index: z_root of threshold, 9.985426 on every
+# grid and box length (README)
+Z_STAR = 9.985426
+# The classification skips |z - z*| < 0.2.  There the index passes through
+# zero, and below index_tol = 1e-6 its sign decides nothing.  At the band's
+# edges |index| is 1.08 (a = -0.3) to 3.4 (a = -3) at N = 512, and it grows
+# away from z*, so every drawn point's index sign sits at least 1e6
+# index_tol from the tolerance.
+Z_BAND = 0.2
+
+
+@given(
+    point=st.one_of(
+        st.tuples(
+            st.just("standing"),
+            st.floats(min_value=-3.0, max_value=-0.3),
+            st.floats(min_value=0.5, max_value=14.0).filter(lambda z: abs(z - Z_STAR) >= Z_BAND),
+        ),
+        st.tuples(
+            st.just("free"),
+            st.floats(min_value=0.2, max_value=5.0),
+            st.floats(min_value=-2.24, max_value=-0.01, exclude_min=True, exclude_max=True),
+        ),
+    ),
+    sign=st.sampled_from([1, -1]),
+)
+@settings(max_examples=150, deadline=None)
+def test_verdicts_follow_the_papers_classification(point, sign):
+    # a = c < 0, b > 0 at N = 512, L = 50/lambda: a standing pulse is stable
+    # iff z < z*, and every subsonic free pulse (a = c = -b, eta0 in
+    # (-9/4, 0)) is stable, on both sign branches
+    kind, coefficient, value = point
+    if kind == "standing":
+        a, b, eta0 = coefficient, value * -coefficient, -1.5
+        expected = "stable" if value < Z_STAR else "unstable"
+    else:
+        a, b, eta0, expected = -coefficient, coefficient, value, "stable"
+    config = config_of("index", "--a", repr(a), "--b", repr(b), "--c", repr(a),
+                       "--eta0", repr(eta0), "--sign-branch", sign, *FAST)
+    result, code = cli.cmd_index(config)
+    assert (result["verdict"]["verdict"], code) == (expected, 0)
 
 
 @pytest.mark.parametrize("bound", ["inf", "-inf", "nan"])

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 import math
 
 import numpy as np
@@ -430,6 +432,40 @@ def test_scalar_pair_requires_negative_a():
     for a in (0.0, 1.0):
         with pytest.raises(DomainError):
             assemble_scalar_operator(a, grid, phi)
+
+
+# every public function that takes (..., wave, grid, ...)
+WAVE_ENTRIES = {
+    "discretization": {
+        "scalar_split", "assemble_system_operator_L", "assemble_tilde_L", "assemble_JL",
+    },
+    "index_count": {"general_index_numeric", "index_source"},
+    "spectra": {
+        "discrete_spectrum_tilde_L", "unstable_modes_JL", "stability_verdict", "verdict_basis",
+    },
+}
+
+
+@pytest.mark.parametrize("case", ["standing_z1", "case1_eta_minus1", "general"])
+def test_every_entry_refuses_a_wave_sampled_on_another_grid(case):
+    # a wave sampled on another grid (another N, or the same N on another
+    # length) is refused before any block is built, on every route
+    params, spec, grid, wave = WAVE_CASES[case](64)
+    others = (build_grid(128, grid.half_length), build_grid(64, 2.0 * grid.half_length))
+    for layer, expected in WAVE_ENTRIES.items():
+        module = importlib.import_module(f"pulsestab.{layer}")
+        found = {
+            name for name in module.__all__
+            if {"wave", "grid"} <= set(inspect.signature(getattr(module, name)).parameters)
+        }
+        assert found == expected
+        for name in found:
+            entry = getattr(module, name)
+            # index_source also takes the verdict's blocks and split
+            extra = (None, None) if name == "index_source" else ()
+            for other in others:
+                with pytest.raises(DomainError, match="wave sampled on"):
+                    entry(params, spec, wave, other, *extra)
 
 
 def test_inertia_chain_exact_agreement():

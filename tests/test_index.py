@@ -259,7 +259,13 @@ def test_case2_scaling_covariance():
 
 def test_case1_closed_form_values():
     assert case1_index_closed_form(-1.0, 1.0) == pytest.approx(-432.0 / 35.0, rel=1e-14)
-    assert case1_index_closed_form(-1.0, 1.0, -1) == case1_index_closed_form(-1.0, 1.0, +1)
+    # both sign branches read the one closed form
+    verdicts = []
+    for sign in (1, -1):
+        params, spec, grid, wave = make_case1(-1.0, sign=sign, n=256)
+        verdicts.append(spectra.stability_verdict(params, spec, wave, grid))
+    plus, minus = verdicts
+    assert plus.index_value == minus.index_value == case1_index_closed_form(-1.0, 1.0)
     for eta0 in np.linspace(-2.2, -0.05, 20):
         assert case1_index_closed_form(float(eta0), 1.0) < 0
     with pytest.raises(DomainError):

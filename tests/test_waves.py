@@ -172,6 +172,6 @@ def test_zero_profile_residual():
 def test_perturbed_profile_residual_scale(case1_eta_minus1):
     params, spec, grid, wave = case1_eta_minus1
     phi = wave.phi + 0.1 / np.cosh(spec.lam * grid.nodes) ** 2
-    perturbed = SampledWave(grid=grid, phi=phi, psi=wave.psi)
+    perturbed = SampledWave(grid=grid, phi=phi, B=wave.B)
     r1, r2 = traveling_residual(perturbed, spec, params)
     assert 0.01 < max(r1, r2) < 1.0
