@@ -80,6 +80,7 @@ from .discretization import (
     ParityBlocks,
     ScalarSplit,
     _check_samples,
+    _component_split,
     _t_diagonal,
     apply_multiplier,
     assemble_tilde_L,
@@ -104,6 +105,7 @@ _RESIDUAL_TOL = 1e-6
 
 __all__ = [
     "IndexReport",
+    "InnerIndex",
     "BisectionResult",
     "StandingQuadratic",
     "kdv_index_numeric",
@@ -141,16 +143,44 @@ class BisectionResult:
     z_root: float  # root of the discrete 3 I(z) inside [bracket_lo, bracket_hi]
 
 
+@dataclass(frozen=True)
+class InnerIndex:
+    """The index of a split pulse on the inner cosines, and the border
+    count of its positive part, for spectra's factor route.
+
+    value is I_in = <Lt_in^(-1) y, y>: Lt_in is Lt's even block without the
+    mean and Nyquist cosines (k = 0 and N/2, the constraints that the kernel
+    of J puts on the periodic grid) and y the inner cosines of S r.  It is
+    the periodic-domain index of Haragus & Kapitula (Physica D 237, 2008).
+    border is the number of negative eigenvalues of (A^(-1))_EE for the
+    positive part's even block A = I + p_+ K, so n(A_in) = n(A) - border
+    (_gram).
+    """
+
+    value: float
+    border: int
+
+
 def _standing_columns(a: float, grid: Grid, phi: np.ndarray) -> np.ndarray:
     """c_0 = phi and c_1 = -a phi'' of the samples phi, so that
     f = (1 - b dxx) phi = c_0 - z c_1."""
     return np.stack([phi, -a * derivative_of_samples(grid, phi, 2)])
 
 
-def _gram(grid: Grid, block: np.ndarray, columns, scale: np.ndarray) -> np.ndarray:
+def _gram(grid: Grid, block: np.ndarray, columns, scale: np.ndarray, inner: bool = False):
     """G[i, j] = <A^(-1) c_i, c_j> for the columns c_i, from the even block
     B = X A_e X, X = diag(scale): for B y = X c_e, A_e^(-1) c_e = X y, so
     G = w y^T X c_e, and the residual on A's scale is X^(-1) (B y - X c_e).
+
+    With inner, the unit columns e_0 and e_N/2 (the mean and Nyquist
+    cosines, the set E) are solved too, and the result is (G, G_in, border).
+    G_in is G for A_in, A_e without E: with r~ = X c_e zeroed on E and
+    y~ = B^(-1) r~ = y - (B^(-1) e_E) (X c_e)_E,
+    G_in = w (r~^T y~ - y~_E^T [(B^(-1))_EE]^(-1) y~_E).  border is the
+    number of negative eigenvalues of the 2 x 2 (B^(-1))_EE, so that
+    n(B_in) = n(B) - border (Haynsworth, Linear Algebra Appl. 1, 1968).
+    G_in and border are None when an eigenvalue of the corner lies within
+    sqrt(eps) of the larger one's magnitude, where its sign is round-off.
     """
     evens = []
     for column in columns:
@@ -161,14 +191,39 @@ def _gram(grid: Grid, block: np.ndarray, columns, scale: np.ndarray) -> np.ndarr
         evens.append(column_even)
     evens = np.column_stack(evens)
     rhs = scale[:, None] * evens
+    k, ends = rhs.shape[1], [0, len(block) - 1]
+    solved = rhs
+    if inner:
+        solved = np.zeros((len(block), k + 2))
+        solved[:, :k] = rhs
+        solved[ends, k:] = np.eye(2)
     try:
-        y = np.linalg.solve(block, rhs)
+        y = np.linalg.solve(block, solved)
     except np.linalg.LinAlgError as exc:
         raise SolveFailure(f"even-block solve failed: {exc}") from exc
+    y, units = y[:, :k], y[:, k:]
     residual = np.max(np.abs(block @ y - rhs) / scale[:, None], axis=0)
     if np.any(residual > _RESIDUAL_TOL * np.maximum(1.0, np.max(np.abs(evens), axis=0))):
         raise IllConditioned(f"even-block solve residual {residual.max():.3e} too large")
-    return grid.quad_weight * (y.T @ rhs)
+    gram = grid.quad_weight * (y.T @ rhs)
+    if not inner:
+        return gram
+    (g00, g01), (g10, g11) = units[ends]
+    g01 = 0.5 * (g01 + g10)
+    det = g00 * g11 - g01 * g01
+    # the larger |eigenvalue| of the symmetric corner; the smaller is |det| / largest
+    largest = abs(0.5 * (g00 + g11)) + math.hypot(0.5 * (g00 - g11), g01)
+    if abs(det) <= math.sqrt(np.finfo(float).eps) * largest * largest:
+        return gram, None, None
+    border = 1 if det < 0 else (0 if g00 > 0 else 2)
+    y_tilde = y - units @ rhs[ends]
+    r_tilde = rhs.copy()
+    r_tilde[ends] = 0.0
+    y_ends = y_tilde[ends]
+    # [(B^(-1))_EE]^(-1) y~_E by the corner's adjugate
+    corrected = np.array([[g11, -g01], [-g01, g00]]) @ y_ends / det
+    inner_gram = r_tilde.T @ y_tilde - y_ends.T @ corrected
+    return gram, grid.quad_weight * inner_gram, border
 
 
 def _quadratic(coefficients: tuple[float, float, float], z: float) -> float:
@@ -207,11 +262,17 @@ class StandingQuadratic:
     """The kdv and hill parts of the standing-branch index at one (a, grid).
 
     Each is a coefficient triple (h00, h01, h11) of h00 - 2 z h01 + z^2 h11
-    in z = b / (-a); see the module docstring.
+    in z = b / (-a); see the module docstring.  inner_kdv and inner_hill
+    are the same parts on the inner cosines, and border the kdv part's
+    border count (_gram), from the same solves; None where a corner's sign
+    is round-off.
     """
 
     kdv: tuple[float, float, float]
     hill: tuple[float, float, float]
+    inner_kdv: tuple[float, float, float] | None
+    inner_hill: tuple[float, float, float] | None
+    border: int | None
 
     def report(self, z: float) -> IndexReport:
         """Index report at ratio z.
@@ -233,6 +294,13 @@ class StandingQuadratic:
             stable_by_index=index_value < 0,
         )
 
+    def inner(self, z: float) -> InnerIndex | None:
+        """The InnerIndex at ratio z: I_in = (1/3) (8 kdv_in + hill_in)."""
+        if self.inner_kdv is None or self.inner_hill is None:
+            return None
+        value = (8.0 * _quadratic(self.inner_kdv, z) + _quadratic(self.inner_hill, z)) / 3.0
+        return InnerIndex(value, self.border)
+
     def root(self, lo: float, hi: float) -> float:
         """The root of 3 I(z) = h00 - 2 z h01 + z^2 h11 nearest the midpoint of [lo, hi]."""
         h00, h01, h11 = (8.0 * k + h for k, h in zip(self.kdv, self.hill))
@@ -250,9 +318,9 @@ def standing_quadratic(
     kernel_blocks (the verdict's, or by default the z = 1 standing pulse's,
     b = -a, and its kernel_even_block alone; GridTooSmall below its margin).
 
-    Part I + p K = p (K + I/p) is solved with K_e's own diagonal shifted by
-    1/p and restored after; the hill part is certified from phi's samples
-    (module docstring), so K's odd block is neither read nor built.
+    Each part I + p K is solved by _part_gram, with the unit columns of the
+    inner index; the hill part is certified from phi's samples (module
+    docstring), so K's odd block is neither read nor built.
     """
     scale = 1.0 / _t_diagonal(a, 0.0, grid)  # C
     phi, even = _standing_samples(a, -a, grid) if shared is None else shared
@@ -260,17 +328,54 @@ def standing_quadratic(
     roundoff = grid.n_points * np.finfo(float).eps * float(np.max(np.abs(phi)))
     if not margin > roundoff:
         raise SolveFailure(f"hill part margin {margin:.3e} <= round-off {roundoff:.3e}")
-    diagonal = even.diagonal().copy()
     columns = _standing_columns(a, grid, phi)
-    grams = []
-    for p in (2.0, -1.0):
-        even[np.diag_indices_from(even)] += 1.0 / p
-        try:
-            grams.append(_gram(grid, even, columns, scale) / p)
-        finally:
-            np.fill_diagonal(even, diagonal)
-    kdv, hill = ((float(g[0, 0]), 0.5 * float(g[0, 1] + g[1, 0]), float(g[1, 1])) for g in grams)
-    return StandingQuadratic(kdv=kdv, hill=hill)
+    grams, inners, borders = zip(*(_part_gram(grid, even, columns, scale, p) for p in (2.0, -1.0)))
+    kdv, hill, inner_kdv, inner_hill = (
+        None if g is None else (float(g[0, 0]), 0.5 * float(g[0, 1] + g[1, 0]), float(g[1, 1]))
+        for g in (*grams, *inners)
+    )
+    return StandingQuadratic(kdv, hill, inner_kdv, inner_hill, borders[0])
+
+
+def _part_gram(grid: Grid, even: np.ndarray, columns, scale: np.ndarray, p: float):
+    """(G, G_in, border) of _gram for part A = I + p K, C = diag(scale):
+    A = p (K + I/p) is solved with K_e's own diagonal shifted by 1/p and
+    restored after, G and G_in divided by p and border that of A's corner."""
+    diagonal = even.diagonal().copy()
+    even[np.diag_indices_from(even)] += 1.0 / p
+    try:
+        gram, inner, border = _gram(grid, even, columns, scale, inner=True)
+    finally:
+        np.fill_diagonal(even, diagonal)
+    if inner is None:
+        return gram / p, None, None
+    # (A^(-1))_EE = (B^(-1))_EE / p
+    return gram / p, inner / p, border if p > 0 else 2 - border
+
+
+def _split_inner(
+    params: AbcParameters, spec, grid: Grid, even: np.ndarray, phi: np.ndarray, s: float
+) -> InnerIndex | None:
+    """The InnerIndex of a split pulse whose phi is s times the samples
+    phi of its anchor, and K s times the anchor's, from one solve per part.
+
+    With P = R diag(p) R^T, r = (B f, f) is P e_2 (x) f, so
+    (R^(-1) x I) r = (p_i R_1i f)_i and, in the cosine coefficients,
+    I = sum_i (p_i R_1i)^2 <(I + p_i K)^(-1) C f, C f>; I_in is the same sum
+    of the inner parts.
+    None when a corner's sign is round-off (_gram).
+    """
+    p, rotation = _component_split(spec.B, spec.w)
+    f = apply_multiplier(grid, 1.0 + params.b * grid.wavenumbers**2, s * phi)
+    scale = 1.0 / _t_diagonal(params.a, 0.0, grid)  # C
+    value, borders = 0.0, []
+    for pk, weight in zip(p, rotation[1]):
+        _, inner, border = _part_gram(grid, even, [f], scale, pk * s)
+        if inner is None:
+            return None
+        value += (pk * weight) ** 2 * float(inner[0, 0])
+        borders.append(border)
+    return InnerIndex(value, borders[0])  # p_+ comes first
 
 
 def case2_index(a: float, b: float, grid: Grid) -> IndexReport:
@@ -331,17 +436,21 @@ def _report(value: float, method: str) -> IndexReport:
 
 def index_source(
     params: AbcParameters, spec, wave, grid: Grid, blocks: ParityBlocks, split: ScalarSplit | None
-) -> Callable[[AbcParameters, object], IndexReport]:
-    """The index report of every pulse on this one's route, as a function
-    of (params, spec), from the verdict's blocks and split: the split's K
-    when L splits, else Lt's blocks and None.
+) -> tuple[Callable[[AbcParameters, object], IndexReport], Callable | None]:
+    """(index, inner): the index report and the InnerIndex of every pulse
+    on this one's route, as functions of (params, spec), from the
+    verdict's blocks and split: the split's K when L splits, else Lt's
+    blocks and None.  inner is None off a split wave, and returns None
+    where a corner's sign is round-off.
 
     The standing branch (a = c, eta0 = -3/2, w = 0) solves
     standing_quadratic here, on the wave's own phi and the even block of
     its K (the split's, or kernel_even_block's if L does not split), and
-    each pulse reports at its own z with the bounds; the free-amplitude
-    branch (a = c = -b, eta0 in (-9/4, 0)) takes the closed form of each
-    pulse; every other pulse, whose L never splits, solves here on Lt's
+    each pulse reports at its own z with the bounds, and I_in from the same
+    solves; the free-amplitude branch (a = c = -b, eta0 in (-9/4, 0)) takes
+    the closed form of each pulse, and I_in from one solve per part on the
+    anchor's K scaled by s = eta0 / anchor eta0 (_split_inner), when it is
+    asked; every other pulse, whose L never splits, solves here on Lt's
     even block and reports for itself alone.  At the z = 1 coincidence,
     where both branches meet, the standing route wins.
     """
@@ -350,11 +459,26 @@ def index_source(
     if route == "standing":
         even = split.kernel.even if split else kernel_even_block(params.a, grid, wave.phi)
         quadratic = standing_quadratic(params.a, grid, (wave.phi, even))
-        return lambda params, spec: quadratic.report(params.ratio_z)
+        return (
+            lambda params, spec: quadratic.report(params.ratio_z),
+            lambda params, spec: quadratic.inner(params.ratio_z),
+        )
     if route == "closed_form":
-        return lambda params, spec: _report(case1_index_closed_form(spec.eta0, params.b), route)
+
+        def index(params, spec):
+            return _report(case1_index_closed_form(spec.eta0, params.b), route)
+
+        if split is None:
+            return index, None
+        anchor = spec.eta0
+
+        def inner(params, spec):
+            s = spec.eta0 / anchor
+            return _split_inner(params, spec, grid, split.kernel.even, wave.phi, s)
+
+        return index, inner
     report = _report(_general_index(params, wave, grid, blocks.even), route)
-    return lambda params, spec: report
+    return (lambda params, spec: report), None
 
 
 def critical_ratio_bisection(
@@ -368,9 +492,11 @@ def critical_ratio_bisection(
     a is fixed to -1 and b = z varies; by the scaling covariance
     index(a, b) = sqrt(-a) index(-1, b / (-a)) the crossing is independent
     of |a|.  The coefficients are computed once, and each evaluation is the
-    quadratic that case2_index would report at that z.  Raises DomainError
-    unless both ends and tol are finite, tol > 0 and the index values are
-    finite, and NoSignChange when the endpoint signs agree.
+    quadratic that case2_index would report at that z.  The halving stops
+    once the bracket is narrower than tol, or once it holds no double
+    strictly inside it.  Raises DomainError unless both ends and tol are
+    finite, tol > 0 and the index values are finite, and NoSignChange when
+    the endpoint signs agree.
     """
     if not (math.isfinite(z_lo) and math.isfinite(z_hi) and z_lo < z_hi and 0 < tol < math.inf):
         raise DomainError(f"need finite z_lo < z_hi and finite tol > 0: ({z_lo}, {z_hi}, {tol})")
@@ -400,6 +526,8 @@ def critical_ratio_bisection(
     iterations = 0
     while hi - lo >= tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent doubles: tol is below their spacing
+            break
         f_mid = value(mid)
         evaluations += 1
         iterations += 1

@@ -5,10 +5,10 @@ diagonalized block by block, to read off its inertia (one negative
 eigenvalue and a simple kernel for every admissible pulse).  On every
 subsonic a = c wave L splits, and part i of Lt is T (I + p_i K) T
 (discretization.ScalarSplit; the discretization module docstring derives
-it).  So the verdict diagonalizes K once per parity, one eigh of
-K_o = V_K diag(kappa) V_K^T and one eigvalsh of K_e, and classifies the
-eigenvalues 1 + p_i kappa of the congruent I + p_i K, which carry Lt's
-inertia but not its eigenvalues.  Every other wave keeps Lt's
+it).  So the eigen route of a verdict diagonalizes K once per parity, one
+eigh of K_o = V_K diag(kappa) V_K^T and one eigvalsh of K_e, and
+classifies the eigenvalues 1 + p_i kappa of the congruent I + p_i K, which
+carry Lt's inertia but not its eigenvalues.  Every other wave keeps Lt's
 two-component blocks, with R = I.  The standalone spectrum reports Lt's
 own eigenvalues: it solves the half-size parts (discretization.split_parts)
 on the standing branch, where R is orthogonal, and Lt's two-component
@@ -44,34 +44,72 @@ index quantity, the parity identity
 
     n_unstable = n(Lt) - n(index quantity)   (mod 2),
 
-and the direct count, which a stable verdict certifies with one Cholesky
-factorization instead (_below_shift).  The index sign decides only under
-its premise n(Lt) = 1 (stability_verdict).
+and the direct count.  The index sign decides only under its premise
+n(Lt) = 1 (stability_verdict).  On the eigen route a verdict whose inertia
+and index say stable certifies its direct count with one Cholesky
+factorization of -M + (re_tol/2)^2 I instead of solving M (_below_shift).
+
+A split row with a negative index takes the factor route first
+(_factor_stable): two half-size Cholesky factorizations, no eigensolve and
+no -M.  It runs only when max phi <= 0 and the translation is resolved, and
+any step that fails or cannot decide hands the row to the eigen route.  It
+proves:
+
+* the inertia, exactly by factorization.  phi <= 0 gives K <= 0 from phi's
+  samples (index_count), so the p_- parts I + p_- K >= I need no work.
+  The Householder reflection H that takes v = C^-1 phi_hat, the even
+  direction of K's lowest level, to a multiple of e_1 gives the even p_+
+  part A = I + p_+ K_e the corner alpha = (H A H)_00 = <v, A v> / <v, v>
+  (-1 on a resolved grid); alpha < -zeta_hi and a completed factorization
+  of its Schur complement in H A H leave A exactly one eigenvalue, below
+  -zeta_hi, and none in [-zeta_hi, 0] (Haynsworth, Linear Algebra Appl. 1,
+  1968).  A completed factorization of I + p_+ K_o + zeta_lo I leaves the
+  odd part none below -zeta_lo.  A given zero_tol is both zeta_lo and
+  zeta_hi.  The default radius 1e-6 max |1 + p_i kappa| lies between
+  zeta_lo = 1e-6, as the p_- values are >= 1, and
+  zeta_hi = 1e-6 (1 + max |p_i| max |phi|), as |kappa| <= |K| <= max |phi|,
+  so n(Lt) = 1 as the eigen route counts it;
+* the direct count, exactly off the translation.  When Lt_o >= 0 has the
+  translation u = C^-1 phi_hat' as its kernel, range(Q) is u's complement,
+  and G reads Lt_e only on the inner cosines (k = 1, ..., N/2 - 1).  So
+  the number of mu > 0 off the translation is
+  k_r = n(Lt_e,inner) - [I_in < 0] (Sylvester's law and Haynsworth), with
+  I_in the index on those cosines (index_count.InnerIndex, the
+  periodic-domain count of Haragus & Kapitula, Physica D 237, 2008) and
+  n(Lt_e,inner) = n(A) - border from the index's own solve.  The row is
+  stable, with n_unstable_direct = 0 and max_real_part = re_tol/2, when
+  border = 0 and I_in < -index_tol;
+* nothing about the translation itself but its Rayleigh quotient
+  d0 = <u, (I + p_+ K_o) u> / <u, u>, which must not exceed (re_tol/2)^2,
+  checked before any factorization.  At L = 50/lambda, d0 is about 1e-1 at
+  N = 128 and 3e-5 at N = 256, so those grids take the eigen route and keep
+  its count, the unresolved translation pair included.
 
 A verdict runs in two steps, so that the rows of a scan can share the
 first.  verdict_basis is the row-invariant part, built from one pulse, its
-anchor: the blocks, the eigh of the odd one, the eigvalsh of the even one
-and what the index of the rows on the anchor's route reads
-(index_count.index_source).  row_verdict evaluates one row on it: the
-classified values 1 + p_i s kappa, n(Lt), the index, -M from A1 and A2, and
-the certificate or the solve of M.  Every split wave has
-lambda = 1/(2 sqrt(-a)), so on one grid its K is s times the anchor's,
-s = eta0 / anchor eta0.  scan_verdicts lets split rows with the anchor's
-index route and a read the anchor's basis with their own s, p, R and T,
-and rows with the anchor's T its A1 and A2: an eta0 scan on a = c = -b
-shares K's eigenbasis and A1, A2 (T = I), and a z scan (s = 1) shares K,
-its eigenpairs and one StandingQuadratic.  Every other row, the standing
-z = 1 row of an eta0 scan included, builds its own basis, and
-stability_verdict is a scan of one row.  Each row's own lambda strays from
-1/(2 sqrt(-a)) by a few ulps, so a row of a scan and the same pulse alone
-can differ at round-off: counts, verdicts and certified bounds agree, an
-uncertified max_real_part may move in its last digits.
+anchor: the blocks, what the index of the rows on the anchor's route reads
+(index_count.index_source) and, on a split wave, what the factor route
+reads of K.  Off a split wave it diagonalizes the blocks at once; on a
+split wave the first row that takes the eigen route does
+(VerdictBasis.eigenbasis).  row_verdict evaluates one row on it: the
+index, then the factor route or the eigen route (the classified values
+1 + p_i s kappa, n(Lt), -M and the certificate or the solve of M).  Every
+split wave has lambda = 1/(2 sqrt(-a)), so on one grid its K is s times the
+anchor's, s = eta0 / anchor eta0.  scan_verdicts lets split rows with the
+anchor's index route and a read the anchor's basis with their own s, p, R
+and T: an eta0 scan on a = c = -b shares K, and a z scan (s = 1) shares K
+and one StandingQuadratic.  Every other row, the standing z = 1 row of an
+eta0 scan included, builds its own basis, and stability_verdict is a scan
+of one row.  Each row's own lambda strays from 1/(2 sqrt(-a)) by a few
+ulps, so a row of a scan and the same pulse alone can differ at round-off:
+counts, verdicts and certified bounds agree, an uncertified max_real_part
+may move in its last digits.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,13 +122,15 @@ from .discretization import (
     _smoothed_symbols,
     _t_diagonal,
     assemble_tilde_L,
+    derivative_of_samples,
+    parity_coefficients,
     parity_wavenumbers,
     scalar_split,
     split_parts,
     splits,
 )
 from .errors import DomainError, EigensolveFailure, NotSubsonic, SolverError
-from .index_count import IndexReport, index_route, index_source
+from .index_count import IndexReport, InnerIndex, index_route, index_source
 from .waves import AbcParameters, SampledWave, WaveSpec, sample_wave
 
 __all__ = [
@@ -273,9 +313,7 @@ def _reduced_matrix(blocks: TildeLBlocks, xi: np.ndarray, delta: np.ndarray) -> 
     return root.T @ (g @ root)
 
 
-def _shared_reduced_matrix(
-    blocks: TildeLBlocks, xi: np.ndarray, delta: np.ndarray, products: dict | None = None
-) -> np.ndarray:
+def _shared_reduced_matrix(blocks: TildeLBlocks, xi: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Q^T G Q of the split parts T (I + p_i K) T, from K's eigenbasis.
 
     Part i's odd block is Q_i diag(sigma_i) Q_i^T, Q_i = T V Delta_i with
@@ -284,18 +322,11 @@ def _shared_reduced_matrix(
     inner cosines.
     With X = diag(xi_k t_k^2) V, A1 = X^T X and A2 = X^T K_e X, block (c, d)
     of Q^T G Q is Delta_c (alpha_cd A1 + beta_cd A2) Delta_d for
-    alpha = Sigma^T Sigma and beta = Sigma^T diag(p) Sigma.  A1 and A2 are
-    read from products when it holds them, and kept there when it is empty.
+    alpha = Sigma^T Sigma and beta = Sigma^T diag(p) Sigma.
     """
-    vectors = blocks.odd_eigen[1]
-    if products:
-        a1, a2 = products["a1"], products["a2"]
-    else:
-        x = (xi * blocks.t[1:-1] ** 2)[:, None] * vectors
-        a1 = x.T @ x
-        a2 = x.T @ (blocks.even[1:-1, 1:-1] @ x)
-        if products is not None:
-            products.update(a1=a1, a2=a2)
+    x = (xi * blocks.t[1:-1] ** 2)[:, None] * blocks.odd_eigen[1]
+    a1 = x.T @ x
+    a2 = x.T @ (blocks.even[1:-1, 1:-1] @ x)
     sigma = blocks.rotation.T @ _SWAP @ blocks.rotation
     alpha, beta = sigma.T @ sigma, sigma.T @ (blocks.p[:, None] * sigma)
     m = len(xi)
@@ -312,15 +343,12 @@ def _shared_reduced_matrix(
     return reduced
 
 
-def _negated_reduced_matrix(
-    grid: Grid, blocks: TildeLBlocks, products: dict | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _negated_reduced_matrix(grid: Grid, blocks: TildeLBlocks) -> tuple[np.ndarray, np.ndarray]:
     """(Q^T G Q, sigma) for the odd block Q diag(sigma) Q^T: the mu =
     lambda^2 of JL off J's kernel are the eigenvalues of
     -diag(sigma) Q^T G Q (module docstring), -M when sigma is all +1.  Odd
     eigenvalues classified within n eps max|D| below zero, over the union of
     the parts, are round-off of a semidefinite block and count as zero.
-    products serves _shared_reduced_matrix.
     """
     values = blocks.odd_values
     floor = len(values) * np.finfo(float).eps * np.max(np.abs(values))
@@ -329,15 +357,17 @@ def _negated_reduced_matrix(
     xi = parity_wavenumbers(grid)[1:-1]
     if blocks.p is None:
         return _reduced_matrix(blocks, xi, delta), signs
-    return _shared_reduced_matrix(blocks, xi, delta, products), signs
+    return _shared_reduced_matrix(blocks, xi, delta), signs
 
 
 def _below_shift(reduced: np.ndarray, shift: float) -> bool:
-    """Whether every mu lies below shift: a Cholesky factorization of
-    -M + shift I completes (Sylvester's law; Higham, Accuracy and Stability
-    of Numerical Algorithms, 2002, ch. 10).  reduced is -M; its diagonal is
-    shifted in place and restored exactly.  The unresolved translation pair
-    of a coarse grid has mu above the verdict's shift (re_tol/2)^2 and fails."""
+    """Whether reduced + shift I is positive definite, so that every
+    eigenvalue of -reduced lies below shift: a Cholesky factorization
+    completes (Sylvester's law; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 10).  The diagonal is shifted in place and
+    restored exactly.  On reduced = -M it asks whether every mu lies below
+    shift; the unresolved translation pair of a coarse grid has mu above
+    the verdict's shift (re_tol/2)^2 and fails."""
     diagonal = np.diag_indices_from(reduced)
     saved = reduced[diagonal]
     reduced[diagonal] += shift
@@ -420,51 +450,188 @@ def essential_spectrum_gap(params: AbcParameters, spec: WaveSpec, grid: Grid) ->
 
 
 @dataclass(frozen=True, eq=False)
+class _FactorBasis:
+    """What the factor route reads of a split basis, row-invariant (module
+    docstring): the split, whose K every row scales; the Householder
+    vector h that takes the even direction v = C^-1 phi_hat to a multiple
+    of e_1, with z = 2 (K_e h - (h^T K_e h) h), so that
+    H K_e H = K_e - h z^T - z h^T, and that matrix's first column, split
+    into its corner and the rest; the Rayleigh quotient of K_o at the
+    translation u = C^-1 phi_hat'; the anchor's max phi and max |phi|; and
+    the rows' InnerIndex (index_count.index_source)."""
+
+    split: ScalarSplit
+    reflector: np.ndarray
+    reflected: np.ndarray
+    corner: float
+    column: np.ndarray
+    translation_quotient: float
+    phi_max: float
+    phi_radius: float
+    inner: Callable[[AbcParameters, WaveSpec], InnerIndex | None]
+
+
+def _factor_basis(
+    a: float, wave: SampledWave, grid: Grid, split: ScalarSplit, inner
+) -> _FactorBasis:
+    even, odd = split.kernel.even, split.kernel.odd
+    c_inverse = _t_diagonal(a, 0.0, grid)
+    v = c_inverse * parity_coefficients(grid, wave.phi)[0]
+    v /= np.linalg.norm(v)
+    h = v.copy()
+    h[0] += np.copysign(1.0, v[0])
+    h /= np.linalg.norm(h)
+    kh = even @ h
+    z = 2.0 * (kh - (h @ kh) * h)
+    slope = parity_coefficients(grid, derivative_of_samples(grid, wave.phi, 1))[1]
+    u = c_inverse[1:-1] * slope
+    return _FactorBasis(
+        split,
+        h,
+        z,
+        float(even[0, 0] - 2.0 * h[0] * z[0]),
+        even[1:, 0] - h[1:] * z[0] - z[1:] * h[0],
+        float(u @ (odd @ u) / (u @ u)),
+        float(np.max(wave.phi)),
+        float(np.max(np.abs(wave.phi))),
+        inner,
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class VerdictBasis:
     """The row-invariant half of a verdict, built from one pulse, its anchor:
+    the index of the rows on the anchor's route (index_count.index_source);
+    on a split wave the factor route's _FactorBasis; and the eigen basis,
     the blocks of _verdict_operator with the odd one diagonalized
-    (TildeLBlocks), the eigenvalues of the even one and the index of the
-    rows on the anchor's route (index_count.index_source).  A basis that
-    serves several rows keeps A1 and A2 at the anchor's T in products for
-    the rows that share that T; a single verdict's products is None, so it
-    frees them once -M is built.
+    (TildeLBlocks) and the eigenvalues of the even one.  Off a split wave
+    the eigen basis is built with the basis and its odd block freed; on a
+    split wave the first row that takes the eigen route builds it
+    (eigenbasis), and it is kept for the rows after.
     """
 
     params: AbcParameters
     spec: WaveSpec
     grid: Grid
-    blocks: TildeLBlocks
-    even_kappa: np.ndarray
     index: Callable[[AbcParameters, WaveSpec], IndexReport]
-    products: dict | None = None
+    factor: _FactorBasis | None
+    eigen: list = field(default_factory=list)
+
+    def eigenbasis(self) -> tuple[TildeLBlocks, np.ndarray]:
+        """(blocks, even eigenvalues), built on the first call."""
+        if not self.eigen:
+            blocks = _classified(self.factor.split.kernel, self.factor.split)
+            self.eigen.append((blocks, _symmetric_eigen(np.linalg.eigvalsh, blocks.even)))
+        return self.eigen[0]
 
 
 def verdict_basis(
     params: AbcParameters, spec: WaveSpec, wave: SampledWave, grid: Grid
 ) -> VerdictBasis:
-    """The basis of a verdict: build the blocks, read the index from them,
+    """The basis of a verdict: build the blocks and read the index from
+    them; on a split wave prepare the factor route, and on every other
     diagonalize the odd block and free it, and take the even eigenvalues."""
     operator, split = _verdict_operator(params, spec, wave, grid)
-    index = index_source(params, spec, wave, grid, operator, split)
+    index, inner = index_source(params, spec, wave, grid, operator, split)
+    if split is not None and inner is not None:
+        factor = _factor_basis(params.a, wave, grid, split, inner)
+        return VerdictBasis(params, spec, grid, index, factor)
     blocks = _classified(operator, split)
     # free the odd block: -M reads the even block and odd_eigen alone
     del operator, split
     even_kappa = _symmetric_eigen(np.linalg.eigvalsh, blocks.even)
-    return VerdictBasis(params, spec, grid, blocks, even_kappa, index)
+    return VerdictBasis(params, spec, grid, index, None, [(blocks, even_kappa)])
+
+
+def _factor_stable(
+    basis: VerdictBasis,
+    params: AbcParameters,
+    spec: WaveSpec,
+    zero_tol: float | None,
+    re_tol: float,
+    index_tol: float,
+) -> bool:
+    """Whether two half-size Cholesky factorizations and the inner index
+    prove a split row with a negative index stable (module docstring):
+    n(Lt) = 1 and no mu > 0 off the translation.  False, for the eigen
+    route to decide, off a split wave, when max phi > 0, when the
+    translation's Rayleigh quotient d0 exceeds (re_tol/2)^2 (checked before
+    any factorization) and whenever a step fails or cannot decide."""
+    route = basis.factor
+    if route is None or route.phi_max > 0:
+        return False
+    # the row's K is s K_anchor, s = eta0 / anchor eta0 > 0
+    q = _component_split(spec.B, spec.w)[0] * (spec.eta0 / basis.spec.eta0)
+    shift = 1.0 / q[0]  # I + q_+ K = q_+ (K + I / q_+)
+    bound = 0.5 * re_tol
+    if 1.0 + q[0] * route.translation_quotient > bound * bound:
+        return False
+    # the default zero_tol, 1e-6 max |1 + q_i kappa|, lies in [lo, hi]: the
+    # p_- values are >= 1, and |kappa| <= |K| <= max |phi|
+    if zero_tol is None:
+        lo, hi = 1e-6, 1e-6 * (1.0 + float(np.max(np.abs(q))) * route.phi_radius)
+    else:
+        lo = hi = zero_tol
+    kernel = route.split.kernel
+    if not _below_shift(kernel.odd, shift * (1.0 + lo)):
+        return False
+    # the even p_+ part, reflected: H (K_e + shift I) H = H K_e H + shift I
+    alpha = route.corner + shift
+    if not alpha < -hi * shift:
+        return False
+    h, z, column = route.reflector[1:], route.reflected[1:], route.column
+    schur = np.column_stack([h, z, column]) @ np.vstack([z, h, column / alpha])
+    np.subtract(kernel.even[1:, 1:], schur, out=schur)
+    if not _below_shift(schur, shift):
+        return False
+    try:
+        inner = route.inner(params, spec)
+    except SolverError:
+        return False
+    return inner is not None and inner.border == 0 and inner.value < -index_tol
 
 
 def _row_blocks(basis: VerdictBasis, params: AbcParameters, spec: WaveSpec) -> TildeLBlocks:
-    """The basis's blocks as one row reads them: a split row on its
+    """The eigen basis's blocks as one row reads them: a split row on its
     anchor's basis reads K = s K_anchor, s = eta0 / anchor eta0, with its
     own p, R and T (module docstring)."""
-    blocks = basis.blocks
+    blocks = basis.eigenbasis()[0]
     if spec is basis.spec:
         return blocks
     p, rotation = _component_split(spec.B, spec.w)
-    t = blocks.t if params.b == basis.params.b else _t_diagonal(params.a, params.b, basis.grid)
+    t = _t_diagonal(params.a, params.b, basis.grid)
     return TildeLBlocks(
         rotation, blocks.even, blocks.odd_eigen, p * (spec.eta0 / basis.spec.eta0), t
     )
+
+
+def _eigen_counts(
+    basis: VerdictBasis,
+    params: AbcParameters,
+    spec: WaveSpec,
+    index_sign: str,
+    zero_tol: float | None,
+    re_tol: float,
+) -> tuple[int, int, float]:
+    """(n(Lt), n_unstable, max_real_part) of a row from the eigen basis:
+    n(Lt) from the classified eigenvalues, and the direct count certified
+    by a Cholesky factorization of -M + (re_tol/2)^2 I when the inertia and
+    the index say stable (max_real_part is then re_tol/2), else counted from
+    JL's spectrum."""
+    blocks = _row_blocks(basis, params, spec)
+    values = np.concatenate([blocks.classified(basis.eigenbasis()[1]), blocks.odd_values])
+    n_tilde = int(np.sum(values < -_zero_tol(values, zero_tol)))
+    reduced, signs = _negated_reduced_matrix(basis.grid, blocks)
+    bound = 0.5 * re_tol
+    if (
+        index_sign == "neg"
+        and n_tilde == 1
+        and np.all(signs > 0)
+        and _below_shift(reduced, bound * bound)
+    ):
+        return n_tilde, 0, bound
+    real = _jl_eigenvalues(basis.grid, reduced, signs).real
+    return n_tilde, int(np.sum(real > re_tol)), float(np.max(real))
 
 
 def row_verdict(
@@ -478,7 +645,6 @@ def row_verdict(
     """The verdict of one row on a basis: its anchor's, or a row that
     _basis_key puts with the anchor (see stability_verdict)."""
     check_tolerances(zero_tol, re_tol, index_tol)
-    blocks = _row_blocks(basis, params, spec)
     report = basis.index(params, spec)
     index_value = report.index_value
 
@@ -489,24 +655,14 @@ def row_verdict(
     else:
         index_sign = "indeterminate"
 
-    values = np.concatenate([blocks.classified(basis.even_kappa), blocks.odd_values])
-    n_tilde = int(np.sum(values < -_zero_tol(values, zero_tol)))
+    if index_sign == "neg" and _factor_stable(basis, params, spec, zero_tol, re_tol, index_tol):
+        n_tilde, n_unstable, max_real_part = 1, 0, 0.5 * re_tol
+    else:
+        n_tilde, n_unstable, max_real_part = _eigen_counts(
+            basis, params, spec, index_sign, zero_tol, re_tol
+        )
     n_index = 1 if index_value < 0 else 0
     parity_rhs = (n_tilde - n_index) % 2
-
-    products = basis.products if blocks.t is basis.blocks.t else None
-    reduced, signs = _negated_reduced_matrix(basis.grid, blocks, products)
-    bound = 0.5 * re_tol
-    if (
-        index_sign == "neg"
-        and n_tilde == 1
-        and np.all(signs > 0)
-        and _below_shift(reduced, bound * bound)
-    ):
-        n_unstable, max_real_part = 0, bound
-    else:
-        real = _jl_eigenvalues(basis.grid, reduced, signs).real
-        n_unstable, max_real_part = int(np.sum(real > re_tol)), float(np.max(real))
 
     # the index criterion's premise is n(Lt) = 1; without it only a direct mode decides
     if n_unstable > 0 or (n_tilde == 1 and index_sign == "pos"):
@@ -546,11 +702,12 @@ def stability_verdict(
 
     One pulse is a scan of one row: its verdict_basis, then its
     row_verdict.  The blocks are built once; the index, the inertia and the
-    direct count all read them, and their odd block is diagonalized once.
-    When the inertia and the index say stable and a Cholesky factorization
-    of -M + (re_tol/2)^2 I completes, the direct count is certified
-    (_below_shift) and max_real_part = re_tol/2; otherwise it is the largest
-    real part of JL's spectrum.  DomainError unless check_tolerances passes.
+    direct count all read them.  A split wave with a negative index tries
+    the factor route, which proves it stable with no eigensolve; otherwise
+    the odd block is diagonalized once.  On a stable verdict that either
+    route proves (module docstring) max_real_part = re_tol/2; otherwise it
+    is the largest real part of JL's spectrum.  DomainError unless
+    check_tolerances passes.
     """
     check_tolerances(zero_tol, re_tol, index_tol)
     basis = verdict_basis(params, spec, wave, grid)
@@ -579,8 +736,10 @@ def scan_verdicts(
     Rows with one _basis_key share the verdict_basis of the first of them,
     and each takes its own row_verdict; every other row builds its own
     basis, as stability_verdict does.  A SolverError while building a basis
-    is the result of every row that shares it; a DomainError, such as
-    check_tolerances' before the first row, propagates.
+    is the result of every row that shares it, and one while building a
+    split basis's eigen basis that of the row that needed it (the next such
+    row tries again); a DomainError, such as check_tolerances' before the
+    first row, propagates.
     """
     check_tolerances(zero_tol, re_tol, index_tol)
     bases = {}
@@ -590,8 +749,6 @@ def scan_verdicts(
         if basis is None:
             try:
                 basis = verdict_basis(params, spec, sample_wave(spec, grid), grid)
-                if key is not None:
-                    basis = replace(basis, products={})
             except SolverError as exc:
                 basis = exc
             if key is not None:

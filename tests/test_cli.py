@@ -130,9 +130,10 @@ def test_index_command_evaluates_case2_index_once(capsys, monkeypatch, z):
 
 
 def test_stable_standing_index_factors_only_the_certificate(capsys, monkeypatch):
-    # the Hill part is certified from the samples: the one Cholesky
-    # factorization is the direct count's -M + (re_tol/2)^2 I, and each index
-    # part is one solve on K's even block
+    # the Hill part is certified from the samples: the Cholesky
+    # factorizations are the factor route's two half-size ones (K_o's p_+
+    # part and the reflected Schur complement of K_e's), and each index part
+    # is one solve on K's even block, whose unit columns give the inner index
     n = 512
     factored = solve_shapes(monkeypatch, "cholesky")
     solved = solve_shapes(monkeypatch, "solve")
@@ -141,7 +142,7 @@ def test_stable_standing_index_factors_only_the_certificate(capsys, monkeypatch)
     )
     assert code == 0
     assert json.loads(out)["result"]["verdict"]["verdict"] == "stable"
-    assert factored == [(n - 2,) * 2]
+    assert factored == [(n // 2 - 1,) * 2, (n // 2,) * 2]
     assert solved == [(n // 2 + 1,) * 2] * 2
 
 
@@ -238,6 +239,21 @@ def test_threshold_reports_the_root_of_the_discrete_index(capsys):
     result = json.loads(out)["result"]
     assert result["bracket_lo"] <= result["z_root"] <= result["bracket_hi"]
     assert STABLE_EDGE < result["z_root"] < UNSTABLE_EDGE
+
+
+@pytest.mark.parametrize("tol", ["1e-300", "5e-324"])
+def test_threshold_below_the_float_spacing_stops_at_one_ulp(capsys, tol):
+    # no tolerance below the spacing of the doubles near z* can be met: the
+    # halving stops once the bracket holds no double strictly inside it
+    code, out, _ = run_cli(
+        capsys, "threshold", "--zmin", "9", "--zmax", "11", "--tol", tol, "--grid-n", "256"
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["bracket_hi"] == math.nextafter(result["bracket_lo"], math.inf)
+    assert result["z_star"] in (result["bracket_lo"], result["bracket_hi"])
+    assert result["evaluations"] == result["iterations"] + 2
+    assert STABLE_EDGE < result["z_star"] < UNSTABLE_EDGE
 
 
 @pytest.mark.parametrize("tol", ["0.5", "1e-3"])

@@ -320,7 +320,7 @@ def test_index_report_routes(standing_z1, case1_eta_minus1):
     # z = 1 is on both closed-form branches; the standing route takes it
     def verdict_report(params, spec, wave, grid):
         operator, split = spectra._verdict_operator(params, spec, wave, grid)
-        return index_source(params, spec, wave, grid, operator, split)(params, spec)
+        return index_source(params, spec, wave, grid, operator, split)[0](params, spec)
 
     params, spec, grid, wave = standing_z1
     standing = verdict_report(params, spec, wave, grid)
@@ -493,7 +493,7 @@ def test_verdict_index_from_its_own_blocks_matches_the_scalar_pair(a, z, n):
 def test_general_index_from_lt_matches_the_physical_solve(make):
     params, spec, grid, wave = make(256)
     operator, split = spectra._verdict_operator(params, spec, wave, grid)
-    report = index_source(params, spec, wave, grid, operator, split)(params, spec)
+    report = index_source(params, spec, wave, grid, operator, split)[0](params, spec)
     even, _ = reference.parity_basis(grid, 2)
     smoother = reference.smoother_power(grid, params.b, 1.0)
     rhs = even.T @ np.concatenate([smoother @ wave.psi, smoother @ wave.phi])

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -440,26 +440,31 @@ def test_standalone_jl_report_keeps_the_essential_gap(case1_eta_minus1):
     ],
 )
 def test_split_verdict_diagonalizes_the_shared_potential_once(monkeypatch, make, n, certified):
-    # both split parts are I + p_i K: one eigh of K's odd block (N/2 - 1
-    # rows) and one eigvalsh of its even block (N/2 + 1) serve both.  At
-    # N - 2 a stable verdict factors -M + (re_tol/2)^2 I once and, when that
-    # certifies, solves nothing else; every other verdict solves M
+    # a stable verdict on a resolved grid takes the factor route: one
+    # Cholesky factorization of K_o's p_+ part (N/2 - 1 rows) and one of the
+    # reflected Schur complement of K_e's (N/2), and no eigensolve and no
+    # -M.  Every other verdict takes the eigen route: one eigh of K's odd
+    # block and one eigvalsh of its even block (N/2 + 1) serve both split
+    # parts; at N - 2 a verdict with a negative index factors
+    # -M + (re_tol/2)^2 I once, and every verdict it does not certify solves M
     names = ("eigh", "eigvalsh", "eigvals", "cholesky")
     shapes = {name: solve_shapes(monkeypatch, name) for name in names}
+    reductions = count_calls(monkeypatch, spectra, "_negated_reduced_matrix")
     params, spec, grid, wave = make(n)
     verdict = stability_verdict(params, spec, wave, grid)
     reduced = (n - 2,) * 2
     # the index certifies its Hill part from the samples, so every Cholesky
-    # factorization is the direct count's
+    # factorization is the verdict's
     factored = shapes["cholesky"]
-    assert shapes["eigh"] == [(n // 2 - 1,) * 2]
     assert shapes["eigvals"] == []
     if certified:
-        assert factored == [reduced]
-        assert shapes["eigvalsh"] == [(n // 2 + 1,) * 2]
-        assert (verdict.verdict, verdict.n_unstable_direct) == ("stable", 0)
+        assert factored == [(n // 2 - 1,) * 2, (n // 2,) * 2]
+        assert shapes["eigh"] == shapes["eigvalsh"] == []
+        assert reductions == []
+        assert (verdict.verdict, verdict.n_unstable_direct, verdict.n_tilde_L) == ("stable", 0, 1)
         assert verdict.max_real_part == 0.5e-6
         return
+    assert shapes["eigh"] == [(n // 2 - 1,) * 2]
     assert factored == ([] if verdict.index_sign == "pos" else [reduced])
     assert sorted(shapes["eigvalsh"]) == [(n // 2 + 1,) * 2, reduced]
     assert (verdict.verdict, verdict.n_unstable_direct) == ("unstable", 1)
@@ -467,11 +472,13 @@ def test_split_verdict_diagonalizes_the_shared_potential_once(monkeypatch, make,
 
 
 def test_eta0_scan_diagonalizes_one_basis_and_factors_each_row(monkeypatch, capsys):
-    # the eight free rows share K_1's potential block and eigenbasis; each
-    # row certifies its own -M + (re_tol/2)^2 I (N = 512: all stable)
+    # the eight free rows share K_1's potential block; each row takes the
+    # factor route on it (N = 512: all stable), with its own two half-size
+    # Cholesky factorizations and one solve per part for its inner index, so
+    # the basis is never diagonalized
     n = 512
     potentials = count_calls(monkeypatch, discretization, "_potential_views")
-    names = ("eigh", "eigvalsh", "eigvals", "cholesky")
+    names = ("eigh", "eigvalsh", "eigvals", "cholesky", "solve")
     shapes = {name: solve_shapes(monkeypatch, name) for name in names}
     code = main(["scan", "--param", "eta0", "--from", "-2", "--to", "-0.6", "--steps", "8",
                  "--a", "-1", "--b", "1", "--c", "-1", "--grid-n", str(n)])
@@ -480,22 +487,31 @@ def test_eta0_scan_diagonalizes_one_basis_and_factors_each_row(monkeypatch, caps
     assert [row.rsplit(",", 1)[1] for row in rows] == ["stable"] * 8
     assert len(potentials) == 1
     assert shapes == {
-        "eigh": [(n // 2 - 1,) * 2],
-        "eigvalsh": [(n // 2 + 1,) * 2],
+        "eigh": [],
+        "eigvalsh": [],
         "eigvals": [],
-        "cholesky": [(n - 2,) * 2] * 8,
+        "cholesky": [(n // 2 - 1,) * 2, (n // 2,) * 2] * 8,
+        "solve": [(n // 2 + 1,) * 2] * 16,
     }
 
 
 def test_z_scan_solves_one_standing_quadratic_and_one_eigh(monkeypatch, capsys):
+    # rows z = 4 and 7 are stable on the factor route; z = 10 and 13 have a
+    # positive index and take the eigen route, whose basis the first of
+    # them diagonalizes for both
     quadratics = count_calls(monkeypatch, index_count, "standing_quadratic")
     eigh = solve_shapes(monkeypatch, "eigh")
+    eigvalsh = solve_shapes(monkeypatch, "eigvalsh")
+    factored = solve_shapes(monkeypatch, "cholesky")
     code = main(["scan", "--param", "z", "--from", "4", "--to", "13", "--steps", "4",
                  "--grid-n", "512"])
     assert code == 0
-    assert len(capsys.readouterr().out.splitlines()) == 5
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.rsplit(",", 1)[1] for row in rows[1:]] == ["stable"] * 2 + ["unstable"] * 2
     assert len(quadratics) == 1
     assert eigh == [(255, 255)]
+    assert eigvalsh == [(257, 257), (510, 510), (510, 510)]
+    assert factored == [(255, 255), (256, 256)] * 2
 
 
 @pytest.mark.parametrize(
@@ -547,3 +563,116 @@ def test_certified_direct_count_has_no_unstable_mu(case, n):
     assert np.array_equal(reduced, before)  # the shift is undone exactly
     if certified:
         assert np.max(-np.linalg.eigvalsh(reduced)) <= re_tol**2
+
+
+def split_wave(case, sign, n):
+    branch, first, second = case
+    if branch == "standing":
+        return make_standing(a=first, b=second * -first, sign=sign, n=n, lfac=50.0)
+    return make_case1(second, b=first, sign=sign, n=n, lfac=50.0)
+
+
+@given(
+    case=st.one_of(
+        st.tuples(
+            st.just("standing"),
+            st.floats(min_value=-3.0, max_value=-0.3),
+            st.floats(min_value=0.5, max_value=14.0),
+        ),
+        st.tuples(
+            st.just("free"),
+            st.floats(min_value=0.5, max_value=3.0),
+            # a pulse of amplitude below 1e-3 is wider than the doubles resolve
+            st.floats(min_value=-2.25, max_value=-1e-3, exclude_min=True),
+        ),
+    ),
+    sign=st.sampled_from([1, -1]),
+    n=st.sampled_from([512, 1024]),
+    zero_tol=st.sampled_from([None, 1e-4]),
+)
+@settings(max_examples=30, deadline=None)
+# a pulse this shallow is one the eigen route does not certify: it counts
+# JL's spectrum instead
+@example(case=("free", 1.4146088229512928, -0.0015588132323936352), sign=1, n=512, zero_tol=None)
+def test_factor_route_decides_only_what_the_eigen_route_decides(case, sign, n, zero_tol):
+    # whenever the two half-size factorizations decide a split row, the
+    # eigen route (its eigh, eigvalsh and -M) gives the same counts and
+    # verdict, and the same max_real_part re_tol/2 whenever its own
+    # certificate completes
+    params, spec, grid, wave = split_wave(case, sign, n)
+    basis = spectra.verdict_basis(params, spec, wave, grid)
+    verdict = spectra.row_verdict(basis, params, spec, zero_tol)
+    if not (
+        verdict.index_sign == "neg"
+        and spectra._factor_stable(basis, params, spec, zero_tol, 1e-6, 1e-6)
+    ):
+        return
+    n_tilde, n_unstable, max_real_part = spectra._eigen_counts(
+        basis, params, spec, "neg", zero_tol, 1e-6
+    )
+    assert (verdict.n_tilde_L, verdict.n_unstable_direct) == (n_tilde, n_unstable) == (1, 0)
+    assert (verdict.verdict, verdict.max_real_part) == ("stable", 0.5e-6)
+    if max_real_part != 0.5e-6:
+        # the eigen route did not certify (a translation eigenvalue classified
+        # negative beyond round-off, or a failed Cholesky factorization), and
+        # its max_real_part is the largest real part of JL's spectrum, which
+        # has no mode above re_tol
+        blocks = spectra._row_blocks(basis, params, spec)
+        reduced, signs = spectra._negated_reduced_matrix(grid, blocks)
+        assert not (np.all(signs > 0) and spectra._below_shift(reduced, 0.25e-12))
+        assert max_real_part <= 1e-6
+
+
+def deflated_mu(params, spec, wave, grid):
+    # the mu of -M with the translation's row and column removed: Q's
+    # column at the p_+ part's odd eigenvalue nearest zero is the
+    # translation, so range(Q) without it is the translation's complement
+    blocks = spectra._tilde_L_blocks(params, spec, wave, grid)
+    reduced, signs = spectra._negated_reduced_matrix(grid, blocks)
+    assert np.all(signs > 0)
+    translation = int(np.argmin(np.abs(blocks.odd_values)))
+    keep = np.arange(len(reduced)) != translation
+    return -np.linalg.eigvalsh(reduced[np.ix_(keep, keep)])
+
+
+# z_L, the root of the standing I_in(z) at lambda L = 50 (a = -1); the top mu
+# off the translation is -1.212e-6 at z_L - 0.01 and +1.211e-6 at z_L + 0.01
+Z_L = 11.71798
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+@pytest.mark.parametrize("offset, top", [(-0.01, -1.212e-6), (0.01, 1.211e-6)])
+def test_inner_count_is_the_deflated_direct_count_across_z_l(n, offset, top):
+    # k_r = n(Lt_e,inner) - [I_in < 0], n(Lt_e,inner) = n(A) - border for
+    # the kdv part A = I + 2 K_e (the hill part is >= I), equals the number
+    # of mu > 0 off the translation on each side of z_L, where I_in and the
+    # top mu change sign
+    params, spec, grid, wave = make_standing(b=Z_L + offset, n=n, lfac=50.0)
+    basis = spectra.verdict_basis(params, spec, wave, grid)
+    inner = basis.factor.inner(params, spec)
+    kernel = basis.factor.split.kernel.even
+    assert np.sum(np.linalg.eigvalsh(np.eye(len(kernel)) + 2.0 * kernel) < 0) == 1
+    assert inner.border == 0
+    assert (inner.value < 0) == (offset < 0)
+    mu = deflated_mu(params, spec, wave, grid)
+    assert 1 - inner.border - int(inner.value < 0) == int(np.sum(mu > 0))
+    assert np.max(mu) == pytest.approx(top, rel=0.01)
+
+
+@pytest.mark.parametrize(
+    "case", [("standing", -1.0, 4.0), ("free", 1.0, -1.0)], ids=["standing", "free"]
+)
+def test_factor_route_declines_an_unresolved_translation_before_factoring(monkeypatch, case):
+    # at N = 128 the translation's Rayleigh quotient d0 is 1e-1, far above
+    # (re_tol/2)^2: the route declines before any factorization, and the
+    # row keeps the eigen route's counts, its spurious unstable pair included
+    params, spec, grid, wave = split_wave(case, 1, 128)
+    basis = spectra.verdict_basis(params, spec, wave, grid)
+    factored = solve_shapes(monkeypatch, "cholesky")
+    solved = solve_shapes(monkeypatch, "solve")
+    assert not spectra._factor_stable(basis, params, spec, None, 1e-6, 1e-6)
+    assert factored == solved == []
+    verdict = spectra.row_verdict(basis, params, spec)
+    counts = spectra._eigen_counts(basis, params, spec, verdict.index_sign, None, 1e-6)
+    assert (verdict.n_tilde_L, verdict.n_unstable_direct, verdict.max_real_part) == counts
+    assert (verdict.verdict, verdict.n_unstable_direct) == ("unstable", 1)
